@@ -17,10 +17,12 @@ representation.  This package provides:
 * :mod:`repro.baselines` — behavioural MathSAT / CVC Lite comparison solvers;
 * :mod:`repro.benchgen` — generators for every benchmark in the paper's
   evaluation (car steering, FISCHER, Sudoku, nonlinear micro set);
-* :mod:`repro.obs` — observability: nested span tracing (Chrome
-  ``trace_event`` / JSONL export), a typed solver event bus, the metrics
-  registry behind :class:`~repro.core.stats.SolveStatistics`, and benchmark
-  trajectory records.
+* :mod:`repro.obs` — observability: one observer (the single
+  ``ABSolverConfig(observer=...)`` setting) carrying nested span tracing
+  (Chrome ``trace_event`` / JSONL export), typed solver events and the
+  other diagnostics as sinks, the metrics registry behind
+  :class:`~repro.core.stats.SolveStatistics`, and benchmark trajectory
+  records.
 
 Quickstart::
 
@@ -48,7 +50,7 @@ from .core.registry import SolverRegistry, default_registry
 from .core.tristate import Tri, TT, FF, UNKNOWN
 from .io.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, format_dimacs
 from .io.smtlib import parse_smtlib
-from .obs import CollectingSink, EventBus, MetricsRegistry, SpanTracer, VerboseSink
+from .obs import CollectingSink, MetricsRegistry, Observer, SpanTracer, VerboseSink
 from .parallel import ParallelSolver
 
 __version__ = "1.0.0"
@@ -81,8 +83,8 @@ __all__ = [
     "write_dimacs",
     "format_dimacs",
     "parse_smtlib",
+    "Observer",
     "SpanTracer",
-    "EventBus",
     "CollectingSink",
     "VerboseSink",
     "MetricsRegistry",

@@ -280,7 +280,7 @@ def _load_problem(args, path: str):
     return parse_dimacs_file(path)
 
 
-def _emit_stats_json(args, stats, profiler=None) -> None:
+def _emit_stats_json(args, stats, observer) -> None:
     """Honour ``--stats-json PATH`` ('-' writes to stdout).
 
     On top of the flat counter/total dict the payload carries a ``stages``
@@ -293,8 +293,8 @@ def _emit_stats_json(args, stats, profiler=None) -> None:
         return
     record = dict(stats.as_dict())
     record["stages"] = stats.stage_summaries()
-    if profiler is not None and profiler.enabled:
-        record["memory"] = profiler.summary()
+    if observer.profiler is not None:
+        record["memory"] = observer.profiler.summary()
     payload = json.dumps(record, indent=2, sort_keys=True)
     if args.stats_json == "-":
         print(payload)
@@ -303,49 +303,46 @@ def _emit_stats_json(args, stats, profiler=None) -> None:
             handle.write(payload + "\n")
 
 
-def _build_observability(args):
-    """Tracer, bus, monitor, recorder, profiler implied by the CLI flags.
+def _build_observer(args):
+    """The one observer the CLI flags ask for, with its sinks attached.
 
-    Each is ``None`` (or never created) when its flags are off, so the
-    default invocation keeps the zero-overhead fast paths.  For parallel
-    runs the coordinator owns its own flight recorder (merging per-worker
-    rings), so the CLI-side recorder is only built for in-process solves.
+    With no diagnostics flag it has no sinks, so the default invocation
+    keeps the zero-overhead fast paths.  For parallel runs the coordinator
+    owns its own flight recorder (merging per-worker rings), so the
+    CLI-side recorder is only attached for in-process solves.
     """
-    from .obs.events import EventBus, VerboseSink
+    from .obs.events import VerboseSink
+    from .obs.observer import Observer
     from .obs.profile import MemoryProfiler
     from .obs.progress import ProgressMonitor, ProgressRenderer
     from .obs.recorder import FlightRecorder
     from .obs.trace import SpanTracer
 
-    tracer = None
-    if args.trace or args.trace_chrome or args.flight_record:
-        tracer = SpanTracer(process_name="absolver")
-    bus = None
-    if args.verbose or args.progress or args.flight_record:
-        bus = EventBus()
-        if args.verbose:
-            bus.subscribe(VerboseSink())
-    monitor = None
+    observer = Observer(
+        tracer=SpanTracer(process_name="absolver")
+        if args.trace or args.trace_chrome or args.flight_record
+        else None,
+        profiler=MemoryProfiler() if args.profile_memory else None,
+    )
+    if args.verbose:
+        observer.subscribe(VerboseSink())
     if args.progress:
-        monitor = ProgressMonitor(
-            bus,
+        ProgressMonitor(
+            observer,
             interval=args.progress_interval,
             stall_budget=args.stall_budget if args.stall_budget > 0 else None,
-        )
-        ProgressRenderer().attach(bus)
-        monitor.start_watchdog()
-    recorder = None
+        ).start_watchdog()
+        ProgressRenderer().attach(observer)
     if args.flight_record and args.jobs <= 1:
-        recorder = FlightRecorder().attach(bus=bus, tracer=tracer)
-    profiler = None
-    if args.profile_memory:
-        profiler = MemoryProfiler()
-        profiler.start()
-    return tracer, bus, monitor, recorder, profiler
+        FlightRecorder().attach(observer)
+    if observer.profiler is not None:
+        observer.profiler.start()
+    return observer
 
 
-def _export_traces(args, tracer) -> None:
+def _export_traces(args, observer) -> None:
     """Write the recorded spans to the files the trace flags name."""
+    tracer = observer.tracer
     if tracer is None:
         return
     if args.trace:
@@ -354,9 +351,15 @@ def _export_traces(args, tracer) -> None:
         tracer.export_chrome(args.trace_chrome)
 
 
-def _dump_flight(args, recorder, stats=None, reason="requested") -> None:
-    """Write the in-process flight dump to the ``--flight-record`` path."""
-    if recorder is None or not args.flight_record:
+def _dump_flight(args, observer, stats=None, reason="requested") -> None:
+    """Write the in-process flight dump to the ``--flight-record`` path.
+
+    Parallel runs are left alone: the coordinator writes the merged dump
+    (its ring plus every worker's) itself, and overwriting it with the
+    coordinator's ring alone would lose the workers' post-mortems.
+    """
+    recorder = observer.recorder
+    if recorder is None or not args.flight_record or args.jobs > 1:
         return
     if stats is not None:
         recorder.bind_stats(stats)
@@ -397,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         verdict_cache = VerdictCache(directory=args.verdict_cache_dir)
 
-    tracer, event_bus, monitor, recorder, profiler = _build_observability(args)
+    observer = _build_observer(args)
     config = ABSolverConfig(
         boolean=args.boolean,
         linear=args.linear,
@@ -407,32 +410,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         clause_decay=args.clause_decay,
         reduce_interval=args.reduce_interval,
         verdict_cache=verdict_cache,
-        tracer=tracer,
-        event_bus=event_bus,
-        progress_monitor=monitor,
-        memory_profiler=profiler,
+        observer=observer,
     )
 
     try:
-        return _dispatch(args, config, tracer, recorder, profiler)
+        return _dispatch(args, config)
     except BaseException:
         # The post-mortem must survive the exception it explains (the
         # parallel coordinator writes its own dump before raising).
-        _dump_flight(args, recorder, reason="exception")
+        _dump_flight(args, observer, reason="exception")
         raise
     finally:
-        if monitor is not None:
-            monitor.stop_watchdog()
-        if profiler is not None:
-            profiler.stop()
+        if observer.progress is not None:
+            observer.progress.stop_watchdog()
+        if observer.profiler is not None:
+            observer.profiler.stop()
 
 
-def _dispatch(args, config, tracer, recorder, profiler) -> int:
+def _dispatch(args, config) -> int:
     """Route to the incremental / optimizing / parallel / in-process path."""
+    observer = config.observer
     if args.check_incremental:
-        exit_code = _run_incremental(args, config, recorder, profiler)
-        _export_traces(args, tracer)
-        _dump_flight(args, recorder)
+        exit_code = _run_incremental(args, config)
+        _export_traces(args, observer)
+        _dump_flight(args, observer)
         return exit_code
 
     problem = _load_problem(args, args.input[0])
@@ -441,7 +442,7 @@ def _dispatch(args, config, tracer, recorder, profiler) -> int:
         return _run_optimization(args, problem)
 
     if args.jobs > 1:
-        return _run_parallel(args, config, problem, profiler)
+        return _run_parallel(args, config, problem)
 
     solver = ABSolver(config)
 
@@ -456,9 +457,9 @@ def _dispatch(args, config, tracer, recorder, profiler) -> int:
         print(f"{count} model(s) in {elapsed:.3f}s")
         if args.stats:
             print(f"stats: {solver.stats.as_dict()}")
-        _emit_stats_json(args, solver.stats, profiler)
-        _export_traces(args, tracer)
-        _dump_flight(args, recorder, solver.stats)
+        _emit_stats_json(args, solver.stats, observer)
+        _export_traces(args, observer)
+        _dump_flight(args, observer, solver.stats)
         return 0 if count else 20
 
     result = solver.solve(problem)
@@ -472,9 +473,9 @@ def _dispatch(args, config, tracer, recorder, profiler) -> int:
         print(f"reason: {result.reason}")
     if args.stats:
         print(f"stats: {result.stats.as_dict()}")
-    _emit_stats_json(args, result.stats, profiler)
-    _export_traces(args, tracer)
-    _dump_flight(args, recorder, result.stats)
+    _emit_stats_json(args, result.stats, observer)
+    _export_traces(args, observer)
+    _dump_flight(args, observer, result.stats)
     # Exit codes follow SAT-solver convention: 10 SAT, 20 UNSAT, 0 unknown.
     if result.is_sat:
         return 10
@@ -483,7 +484,7 @@ def _dispatch(args, config, tracer, recorder, profiler) -> int:
     return 0
 
 
-def _run_parallel(args, config, problem, profiler=None) -> int:
+def _run_parallel(args, config, problem) -> int:
     """``--jobs N``: route the solve through the parallel coordinator.
 
     Chrome traces are the *merged* coordinator + worker events (one lane
@@ -533,9 +534,9 @@ def _run_parallel(args, config, problem, profiler=None) -> int:
         if args.stats and stats is not None:
             print(f"stats: {stats.as_dict()}")
         if stats is not None:
-            _emit_stats_json(args, stats, profiler)
-        if args.trace and config.tracer is not None:
-            config.tracer.export_jsonl(args.trace)
+            _emit_stats_json(args, stats, config.observer)
+        if args.trace:
+            config.observer.tracer.export_jsonl(args.trace)
         if args.trace_chrome:
             solver.export_chrome(args.trace_chrome)
         if args.flight_record:
@@ -543,7 +544,7 @@ def _run_parallel(args, config, problem, profiler=None) -> int:
     return exit_code
 
 
-def _run_incremental(args, config, recorder=None, profiler=None) -> int:
+def _run_incremental(args, config) -> int:
     """``--check-incremental``: one session, one frame + check per file."""
     from .core.session import SolverSession
 
@@ -579,9 +580,9 @@ def _run_incremental(args, config, recorder=None, profiler=None) -> int:
         exit_code = 10 if result.is_sat else 20 if result.is_unsat else 0
     if args.stats:
         print(f"stats: {session.stats.as_dict()}")
-    _emit_stats_json(args, session.stats, profiler)
-    if recorder is not None:
-        recorder.bind_stats(session.stats)
+    _emit_stats_json(args, session.stats, config.observer)
+    if config.observer.recorder is not None:
+        config.observer.recorder.bind_stats(session.stats)
     return exit_code
 
 

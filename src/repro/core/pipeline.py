@@ -48,16 +48,13 @@ from ..obs.events import (
     BlockingClauseAdded,
     CandidateFound,
     ConflictRefined,
-    EventBus,
     IntervalRefuted,
-    LegacyTraceSink,
     NonlinearFallback,
     PresolveInfeasible,
     TheoryFeasible,
     VerdictReached,
 )
-from ..obs.profile import NULL_PROFILER
-from ..obs.trace import NULL_TRACER
+from ..obs.observer import Observer
 from ..sat.cnf import CNF, Assignment
 from .circuit import Circuit
 from .expr import Constraint, Relation
@@ -246,9 +243,7 @@ class CandidateGenerationStage(SolverStage):
             raise RuntimeError("CandidateGenerationStage.prepare was never called")
         pipeline = self._pipeline
         stats = pipeline.stats
-        with stats.timed(self.name), pipeline.tracer.span(
-            self.name, backend=self._boolean.name
-        ), pipeline.profiler.stage(self.name):
+        with pipeline.stage(self.name, backend=self._boolean.name):
             alpha = self._boolean.solve(self._cnf, assumptions)
         stats.boolean_queries += 1
         kernel_stats = getattr(self._boolean, "statistics", None)
@@ -445,9 +440,9 @@ class LinearCheckStage(SolverStage):
     def check(self, system: LinearSystem) -> LPResult:
         pipeline = self._pipeline
         stats = pipeline.stats
-        with stats.timed(self.name), pipeline.tracer.span(
+        with pipeline.stage(
             self.name, backend=self._linear.name, rows=len(system.rows)
-        ), pipeline.profiler.stage(self.name):
+        ):
             result = self._linear.check(system)
         stats.linear_checks += 1
         hits = getattr(self._linear, "warm_start_hits", 0)
@@ -499,7 +494,7 @@ class NonlinearCheckStage(SolverStage):
         """Find a theory point satisfying the whole branch, or None."""
         pipeline = self._pipeline
         stats = pipeline.stats
-        bus = pipeline.bus
+        observer = pipeline.observer
         all_constraints = [item.constraint for item in branch]
         hints = [dict(hint)]
         store = pipeline.presolve.active_store()
@@ -510,9 +505,9 @@ class NonlinearCheckStage(SolverStage):
         for solver in self._chain:
             if not solver.applicable(all_constraints):
                 continue
-            with stats.timed(self.name), pipeline.tracer.span(
+            with pipeline.stage(
                 self.name, backend=solver.name, constraints=len(all_constraints)
-            ), pipeline.profiler.stage(self.name):
+            ):
                 nlp = solver.solve(
                     all_constraints, bounds=declared or bounds, hints=hints
                 )
@@ -523,8 +518,8 @@ class NonlinearCheckStage(SolverStage):
                 return dict(nlp.point)
             # "the preceding solvers thereof failed to provide a decent
             # result" (Sec. 4): the loop falls through to the next solver.
-            if bus.active:
-                bus.publish(
+            if observer.active:
+                observer.publish(
                     NonlinearFallback(solver=solver.name, status=nlp.status.value)
                 )
         return None
@@ -562,13 +557,11 @@ class ConflictRefinementStage(SolverStage):
         if not self._refine_conflicts:
             tags = [row.tag for row in system.rows if isinstance(row.tag, int)]
             return Refinement(tags, minimal=False)
-        with stats.timed(self.name), pipeline.tracer.span(
-            self.name, kind="iis", backend=self._linear.name
-        ), pipeline.profiler.stage(self.name):
+        with pipeline.stage(self.name, kind="iis", backend=self._linear.name):
             refinement = self._linear.refine(system)
         stats.conflicts_refined += 1
-        if pipeline.bus.active:
-            pipeline.bus.publish(
+        if pipeline.observer.active:
+            pipeline.observer.publish(
                 ConflictRefined(
                     minimal=refinement.minimal,
                     core_size=len(refinement.conflicting_tags),
@@ -605,14 +598,12 @@ class ConflictRefinementStage(SolverStage):
         refuter = IntervalRefuter(
             **(getattr(pipeline.config, "refuter_options", None) or {})
         )
-        with pipeline.stats.timed(self.name), pipeline.tracer.span(
-            self.name, kind="interval", constraints=len(constraints)
-        ), pipeline.profiler.stage(self.name):
+        with pipeline.stage(self.name, kind="interval", constraints=len(constraints)):
             result = refuter.refute(constraints, bounds)
         if result.status is RefuteStatus.REFUTED:
             pipeline.stats.interval_refutations += 1
-            if pipeline.bus.active:
-                pipeline.bus.publish(IntervalRefuted(branch_size=len(branch)))
+            if pipeline.observer.active:
+                pipeline.observer.publish(IntervalRefuted(branch_size=len(branch)))
             return True, [item.tag for item in branch]
         return False, []
 
@@ -668,23 +659,10 @@ class SolvePipeline:
         self.config = config
         self.registry = registry or default_registry
         self.stats = stats or SolveStatistics()
-        #: Span tracer shared by every stage; the no-op fast path unless the
-        #: config carries a real :class:`repro.obs.trace.SpanTracer`.
-        self.tracer = getattr(config, "tracer", None) or NULL_TRACER
-        #: Typed event bus.  A private bus with no sinks is inactive, and
-        #: publishers check :attr:`EventBus.active` before building events.
-        self.bus = getattr(config, "event_bus", None) or EventBus()
-        #: Per-stage memory attribution (:mod:`repro.obs.profile`); the
-        #: shared no-op unless the config carries a started
-        #: :class:`~repro.obs.profile.MemoryProfiler` (``--profile-memory``).
-        self.profiler = getattr(config, "memory_profiler", None) or NULL_PROFILER
-        #: Optional :class:`~repro.obs.progress.ProgressMonitor`, ticked
-        #: once per control-loop iteration (``--progress`` heartbeats and
-        #: the stall watchdog both hang off it).
-        self.progress = getattr(config, "progress_monitor", None)
-        legacy_trace = getattr(config, "trace", None)
-        if legacy_trace is not None:
-            self.bus.subscribe(LegacyTraceSink(legacy_trace))
+        #: The config's :class:`~repro.obs.observer.Observer`, or a private
+        #: one with no sinks (inactive: publishers check
+        #: :attr:`Observer.active` before building events).
+        self.observer = getattr(config, "observer", None) or Observer()
         #: Optional :class:`repro.core.verdict_cache.VerdictCache` consulted
         #: by :meth:`run_query` before stage 0 and populated on completion.
         self.verdict_cache = getattr(config, "verdict_cache", None)
@@ -747,6 +725,16 @@ class SolvePipeline:
         self._bounds_key: Optional[object] = None
         #: Memoized variable-domains fingerprint (invalidated with defs).
         self._domains_key: Optional[frozenset] = None
+
+    def stage(self, name: str, **args):
+        """One stage entry, as one ``with``.
+
+        Records the stage in the ``name`` histogram of the current query's
+        :attr:`stats` (``stats.timed``); with a tracer or memory profiler
+        on the :attr:`observer` it also opens a span carrying ``args`` and
+        takes a memory reading.
+        """
+        return self.observer.stage(self.stats, name, args)
 
     # ------------------------------------------------------------------
     # Structural-change hooks (driven by SolverSession)
@@ -956,9 +944,8 @@ class SolvePipeline:
         runs are written back; certificate runs bypass the cache entirely
         so the recorded lemma stream stays self-contained.
 
-        Progress is published as typed events on :attr:`bus` (including the
-        bridged legacy ``config.trace`` callback); nothing is built when no
-        sink is attached.
+        Progress is published as typed events on :attr:`observer`; nothing
+        is built when no sink is attached.
         """
         from .expr import intern_counters
 
@@ -1013,10 +1000,10 @@ class SolvePipeline:
         from .solver import ABModel, ABResult, ABStatus
 
         stats = self.stats
-        bus = self.bus
+        observer = self.observer
         if entry.status == "unsat":
-            if bus.active:
-                bus.publish(VerdictReached(status="unsat", iterations=0))
+            if observer.active:
+                observer.publish(VerdictReached(status="unsat", iterations=0))
             return ABResult(ABStatus.UNSAT, stats=stats, reason="verdict-cache")
         boolean = dict(entry.boolean)
         theory = dict(entry.theory)
@@ -1027,8 +1014,8 @@ class SolvePipeline:
         if assumptions_ok and problem.check_model(
             boolean, theory, tolerance=self.config.tolerance
         ):
-            if bus.active:
-                bus.publish(VerdictReached(status="sat", iterations=0))
+            if observer.active:
+                observer.publish(VerdictReached(status="sat", iterations=0))
             return ABResult(ABStatus.SAT, model=ABModel(boolean, theory), stats=stats)
         for clause in entry.lemmas:
             self.register_blocking_template(problem, list(clause))
@@ -1070,8 +1057,7 @@ class SolvePipeline:
 
         config = self.config
         stats = self.stats
-        bus = self.bus
-        progress = self.progress
+        observer = self.observer
 
         # Stage 0: formula-level presolve.  Computed once per structural
         # state of the problem (sessions invalidate on assert/define/pop),
@@ -1079,15 +1065,14 @@ class SolvePipeline:
         # Boolean solver with deduced unit facts, and hands tightened
         # bounds to every later stage.
         store = self.presolve.ensure(problem)
-        if progress is not None:
-            # First heartbeat before the control loop: even a query the
-            # presolve stage settles outright emits >= 1 snapshot.
-            progress.tick("presolve", presolve_units=stats.presolve_units_emitted)
+        # First heartbeat before the control loop: even a query the presolve
+        # stage settles outright emits >= 1 snapshot.
+        observer.tick("presolve", stats)
         if store is not None:
             if store.infeasible:
-                if bus.active:
-                    bus.publish(PresolveInfeasible(reason=store.infeasible_reason))
-                    bus.publish(VerdictReached(status="unsat", iterations=0))
+                if observer.active:
+                    observer.publish(PresolveInfeasible(reason=store.infeasible_reason))
+                    observer.publish(VerdictReached(status="unsat", iterations=0))
                 return ABResult(
                     ABStatus.UNSAT,
                     stats=stats,
@@ -1115,21 +1100,13 @@ class SolvePipeline:
         lemmas: List[List[int]] = []
 
         for iteration in range(config.max_iterations):
-            if progress is not None:
-                # Same cadence as the poll cancellation hook: one tick per
-                # control-loop iteration keeps the watchdog fed and the
-                # heartbeat counters fresh without touching the stage hot
-                # paths.
-                progress.tick(
-                    "boolean",
-                    iteration=iteration,
-                    boolean_queries=stats.boolean_queries,
-                    blocking_clauses=stats.blocking_clauses,
-                    presolve_units=stats.presolve_units_emitted,
-                )
+            # Same cadence as the poll cancellation hook: one tick per
+            # control-loop iteration keeps the watchdog fed and the
+            # heartbeat counters fresh without touching the stage hot paths.
+            observer.tick("boolean", stats, iteration=iteration)
             if poll is not None and not poll():
-                if bus.active:
-                    bus.publish(
+                if observer.active:
+                    observer.publish(
                         VerdictReached(status="unknown", iterations=iteration)
                     )
                 return ABResult(ABStatus.UNKNOWN, stats=stats, reason="cancelled")
@@ -1141,15 +1118,15 @@ class SolvePipeline:
                         from .certify import UnsatCertificate
 
                         certificate = UnsatCertificate(lemmas)
-                    if bus.active:
-                        bus.publish(
+                    if observer.active:
+                        observer.publish(
                             VerdictReached(status="unsat", iterations=iteration)
                         )
                     return ABResult(
                         ABStatus.UNSAT, stats=stats, certificate=certificate
                     )
-                if bus.active:
-                    bus.publish(
+                if observer.active:
+                    observer.publish(
                         VerdictReached(status="unknown", iterations=iteration)
                     )
                 return ABResult(
@@ -1158,8 +1135,8 @@ class SolvePipeline:
                     reason="Boolean space exhausted, but some nonlinear "
                     "candidates could be neither satisfied nor refuted",
                 )
-            if bus.active:
-                bus.publish(
+            if observer.active:
+                observer.publish(
                     CandidateFound(
                         iteration=iteration,
                         defined_true=sum(
@@ -1178,8 +1155,8 @@ class SolvePipeline:
                     and len(lemma_sink) < self.VERDICT_CACHE_LEMMA_LIMIT
                 ):
                     lemma_sink.append(list(template))
-                if bus.active:
-                    bus.publish(
+                if observer.active:
+                    observer.publish(
                         BlockingClauseAdded(
                             iteration=iteration,
                             blocking_size=len(template),
@@ -1195,8 +1172,8 @@ class SolvePipeline:
                 continue
             verdict = self.check_candidate(problem, alpha, domains)
             if verdict.feasible:
-                if bus.active:
-                    bus.publish(TheoryFeasible(iteration=iteration))
+                if observer.active:
+                    observer.publish(TheoryFeasible(iteration=iteration))
                 model = ABModel(alpha, verdict.theory_model or {})
                 # Final guards: the circuit's output pin must be tt under the
                 # Boolean assignment, and the combined model must pass the
@@ -1208,8 +1185,8 @@ class SolvePipeline:
                     model.boolean, model.theory, tolerance=config.tolerance
                 ):  # pragma: no cover - internal invariant
                     raise AssertionError("accepted model failed the definition check")
-                if bus.active:
-                    bus.publish(
+                if observer.active:
+                    observer.publish(
                         VerdictReached(status="sat", iterations=iteration + 1)
                     )
                 return ABResult(ABStatus.SAT, model=model, stats=stats)
@@ -1224,8 +1201,8 @@ class SolvePipeline:
                 ):
                     lemma_sink.append(list(blocking))
             stats.blocking_clauses += 1
-            if bus.active:
-                bus.publish(
+            if observer.active:
+                observer.publish(
                     BlockingClauseAdded(
                         iteration=iteration,
                         blocking_size=len(blocking),
@@ -1257,9 +1234,7 @@ class SolvePipeline:
         if domains is None:
             domains = problem.variable_domains()
         stats = self.stats
-        with stats.timed(self.translation.name), self.tracer.span(
-            self.translation.name, phase="plan"
-        ), self.profiler.stage(self.translation.name):
+        with self.stage(self.translation.name, phase="plan"):
             plan = self.translation.plan(problem, alpha)
         if len(plan.splits) > self.config.max_equality_splits:
             raise RuntimeError(
@@ -1296,9 +1271,7 @@ class SolvePipeline:
         domains: Mapping[str, str],
     ) -> TheoryVerdict:
         """Check one fully-split constraint conjunction."""
-        with self.stats.timed(self.translation.name), self.tracer.span(
-            self.translation.name, phase="materialize", branch=len(branch)
-        ), self.profiler.stage(self.translation.name):
+        with self.stage(self.translation.name, phase="materialize", branch=len(branch)):
             system, nonlinear_constraints = self.translation.materialize(
                 problem, branch, domains
             )

@@ -400,10 +400,8 @@ class PresolveStage(SolverStage):
         if not self._stale and self._store is not None:
             return self._store
         previous = self._store
-        with self._pipeline.stats.timed(self.name):
-            with self._pipeline.tracer.span(self.name):
-                with self._pipeline.profiler.stage(self.name):
-                    store = self._compute(problem)
+        with self._pipeline.stage(self.name):
+            store = self._compute(problem)
         if previous is not None:
             if previous.fingerprint() == store.fingerprint():
                 # Same deductions: keep downstream caches (and the
@@ -593,14 +591,14 @@ class PresolveStage(SolverStage):
 
     # -- observability ---------------------------------------------------
     def _publish(self, store: BoundStore) -> None:
-        bus = self._pipeline.bus
-        if not bus.active:
+        observer = self._pipeline.observer
+        if not observer.active:
             return
         for var, entry in store._bounds.items():
             if store.provenance.get(var, "declared") == "declared":
                 continue
             low, high = _outward_float_bounds(entry)
-            bus.publish(
+            observer.publish(
                 BoundTightened(
                     variable=var,
                     lower=low,
@@ -609,4 +607,4 @@ class PresolveStage(SolverStage):
                 )
             )
         for var, value in store.fixed.items():
-            bus.publish(PresolveFixedVar(variable=var, value=float(value)))
+            observer.publish(PresolveFixedVar(variable=var, value=float(value)))

@@ -150,9 +150,10 @@ class SolverSession:
             _Frame(len(self._frames) + 1, len(self.problem.cnf.clauses))
         )
         depth = len(self._frames)
-        self.pipeline.tracer.instant("session.push", category="session", depth=depth)
-        if self.pipeline.bus.active:
-            self.pipeline.bus.publish(FramePushed(depth=depth))
+        observer = self.pipeline.observer
+        observer.instant("session.push", category="session", depth=depth)
+        if observer.active:
+            observer.publish(FramePushed(depth=depth))
         return depth
 
     def pop(self) -> None:
@@ -164,9 +165,8 @@ class SolverSession:
         """
         if not self._frames:
             raise IndexError("pop past assertion level 0")
-        with self.pipeline.tracer.span(
-            "session.pop", category="session", depth=len(self._frames)
-        ):
+        observer = self.pipeline.observer
+        with observer.span("session.pop", category="session", depth=len(self._frames)):
             frame = self._frames.pop()
             del self.problem.cnf.clauses[frame.clause_mark :]
             self.pipeline.clauses_changed()
@@ -188,10 +188,10 @@ class SolverSession:
             retracted = len(self._lemmas) - len(kept)
             self.stats.lemmas_retracted += retracted
             self._lemmas = kept
-        if self.pipeline.bus.active:
-            self.pipeline.bus.publish(FramePopped(depth=len(self._frames)))
+        if observer.active:
+            observer.publish(FramePopped(depth=len(self._frames)))
             if retracted:
-                self.pipeline.bus.publish(
+                observer.publish(
                     LemmasRetracted(count=retracted, depth=len(self._frames))
                 )
 
@@ -378,11 +378,13 @@ class SolverSession:
         query_stats.clauses_reused = len(self._lemmas)
         self.pipeline.stats = query_stats
 
-        bus = self.pipeline.bus
-        if bus.active:
-            bus.publish(CheckStarted(depth=self.depth, assumptions=len(assumptions)))
+        observer = self.pipeline.observer
+        if observer.active:
+            observer.publish(
+                CheckStarted(depth=self.depth, assumptions=len(assumptions))
+            )
             if self._lemmas:
-                bus.publish(LemmaReused(count=len(self._lemmas)))
+                observer.publish(LemmaReused(count=len(self._lemmas)))
 
         # Every active frame needs its activation literal assumed, even if
         # the frame has no clauses yet: a lemma learned *during* this query
@@ -398,7 +400,7 @@ class SolverSession:
         self._started = True
 
         prior_incomplete = any(not lemma.definite for lemma in self._lemmas)
-        with self.pipeline.tracer.span(
+        with observer.span(
             "session.check",
             category="session",
             depth=self.depth,

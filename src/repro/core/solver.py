@@ -195,12 +195,8 @@ class ABSolverConfig:
         nonlinear_options: Optional[Dict] = None,
         refuter_options: Optional[Dict] = None,
         seed: Optional[int] = None,
-        trace: Optional[object] = None,
-        tracer: Optional[object] = None,
-        event_bus: Optional[object] = None,
+        observer: Optional[object] = None,
         use_presolve: bool = True,
-        progress_monitor: Optional[object] = None,
-        memory_profiler: Optional[object] = None,
         verdict_cache: Optional[object] = None,
         clause_decay: Optional[float] = None,
         reduce_interval: Optional[int] = None,
@@ -227,35 +223,16 @@ class ABSolverConfig:
         #: solvers accept it; it is injected in
         #: :class:`repro.core.pipeline.SolvePipeline`.
         self.seed = seed
-        #: Optional callable ``trace(event: str, payload: dict)`` invoked at
-        #: each control-loop step; events: ``boolean-model``,
-        #: ``theory-feasible``, ``theory-conflict``, ``verdict``.  Kept for
-        #: backward compatibility — it is bridged onto the typed event bus
-        #: via :class:`repro.obs.events.LegacyTraceSink`.
-        self.trace = trace
-        #: Optional :class:`repro.obs.trace.SpanTracer`.  When set, every
-        #: pipeline stage, session ``check``/``push``/``pop``, and backend
-        #: call records a nested span (export with ``export_chrome`` /
-        #: ``export_jsonl``).  ``None`` selects the no-op fast path.
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.events.EventBus` receiving the typed
-        #: solve events; the pipeline creates a private (sink-less, i.e.
-        #: inactive) bus when ``None``.
-        self.event_bus = event_bus
+        #: Optional :class:`repro.obs.observer.Observer`, the one
+        #: observability setting: its sinks (span tracer, event sinks,
+        #: flight recorder, progress monitor, memory profiler) see every
+        #: stage entry, event and tick of the solve.  ``None`` gives each
+        #: pipeline a private observer with no sinks.
+        self.observer = observer
         #: Toggle for the formula-level presolve stage (stage 0 of the
         #: pipeline).  Certificate recording disables it regardless, so the
         #: recorded lemma stream stays self-contained.
         self.use_presolve = use_presolve
-        #: Optional :class:`repro.obs.progress.ProgressMonitor`.  The
-        #: pipeline ticks it once per control-loop iteration (and the
-        #: parallel coordinator from its collect loop), which feeds the
-        #: ``--progress`` heartbeats and the stall watchdog.
-        self.progress_monitor = progress_monitor
-        #: Optional :class:`repro.obs.profile.MemoryProfiler` (started by
-        #: the caller).  ``None`` selects the shared no-op fast path; a
-        #: live profiler attributes sampled tracemalloc readings to every
-        #: pipeline stage (``--profile-memory``).
-        self.memory_profiler = memory_profiler
         #: Optional :class:`repro.core.verdict_cache.VerdictCache`.  When
         #: set, the pipeline consults it (keyed on the canonical problem
         #: fingerprint plus assumptions) before stage 0 and records

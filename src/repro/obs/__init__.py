@@ -2,57 +2,56 @@
 
 The paper explains ABsolver's performance anecdotally ("many Boolean
 solutions need to be examined first", Sec. 5.2).  This subsystem makes the
-same diagnosis mechanical, with three cooperating pieces threaded through
-the staged pipeline (:mod:`repro.core.pipeline`):
+same diagnosis mechanical.  It has one instrumentation surface,
+:class:`~repro.obs.observer.Observer` — ``ABSolverConfig(observer=...)``
+is the only observability setting — and every diagnostic is a sink
+attached to it.  The staged pipeline (:mod:`repro.core.pipeline`) enters
+each stage with one ``with pipeline.stage(...)``, publishes typed events,
+and ticks progress through the observer; with no sink attached all of it
+is a fast path.
+
+The sinks:
 
 * :mod:`repro.obs.trace` — a low-overhead nested span tracer.  Every
   pipeline stage, session ``check``/``push``/``pop``, and backend call
   opens a span; a recorded solve exports as JSONL or as the Chrome
   ``trace_event`` format, so it renders as a flamegraph in
-  ``chrome://tracing`` / Perfetto.  The disabled tracer
-  (:data:`~repro.obs.trace.NULL_TRACER`) is a shared no-op fast path.
-* :mod:`repro.obs.events` — a typed event bus.  The control loop publishes
-  dataclass events (:class:`~repro.obs.events.CandidateFound`,
+  ``chrome://tracing`` / Perfetto.
+* :mod:`repro.obs.events` — typed dataclass events
+  (:class:`~repro.obs.events.CandidateFound`,
   :class:`~repro.obs.events.ConflictRefined`,
-  :class:`~repro.obs.events.BlockingClauseAdded`, ...) consumed by
-  pluggable sinks; the untyped ``(event, payload)`` trace callback of
-  :class:`~repro.core.solver.ABSolverConfig` survives as one such sink.
-* :mod:`repro.obs.metrics` — a metrics registry of counters and latency
-  histograms.  :class:`repro.core.stats.SolveStatistics` is a thin facade
-  over it, which is how per-stage p50/p95 summaries reach ``--stats-json``.
-
-:mod:`repro.obs.bench_record` writes per-run ``BENCH_<name>.json``
-trajectory records (wall time, per-stage breakdown, counter snapshot, git
-SHA) from the benchmark harness, making the perf trajectory of this
-reproduction machine-readable across PRs.
-
-The deep-diagnostics layer on top (see ``docs/OBSERVABILITY.md``):
-
+  :class:`~repro.obs.events.BlockingClauseAdded`, ...) and the
+  :class:`~repro.obs.events.VerboseSink` / ``CollectingSink`` consumers.
 * :mod:`repro.obs.recorder` — a bounded ring-buffer
-  :class:`~repro.obs.recorder.FlightRecorder` subscribing to the bus and
-  to span closes, dumped as JSONL post-mortems on exception, parallel
+  :class:`~repro.obs.recorder.FlightRecorder` of the observer's events
+  and span closes, dumped as JSONL post-mortems on exception, parallel
   timeout, or ``--flight-record`` request.
 * :mod:`repro.obs.progress` — periodic
   :class:`~repro.obs.progress.ProgressSnapshot` heartbeats plus a
   wall-clock stall watchdog (:class:`~repro.obs.progress.StageStalled`),
   rendered live by ``--progress``.
 * :mod:`repro.obs.profile` — per-stage memory attribution via sampled
-  ``tracemalloc`` (``--profile-memory``), with the
-  :data:`~repro.obs.profile.NULL_PROFILER` no-op fast path.
+  ``tracemalloc`` (``--profile-memory``).
+
+:mod:`repro.obs.metrics` is a metrics registry of counters and latency
+histograms.  :class:`repro.core.stats.SolveStatistics` is a thin facade
+over it, which is how per-stage p50/p95 summaries reach ``--stats-json``.
+:mod:`repro.obs.bench_record` writes per-run ``BENCH_<name>.json``
+trajectory records (wall time, per-stage breakdown, counter snapshot, git
+SHA) from the benchmark harness.  See ``docs/OBSERVABILITY.md``.
 """
 
-from .trace import NULL_TRACER, NullTracer, Span, SpanTracer
+from .observer import Observer
+from .trace import Span, SpanTracer
 from .events import (
     BlockingClauseAdded,
     CandidateFound,
     CheckStarted,
     CollectingSink,
     ConflictRefined,
-    EventBus,
     FramePopped,
     FramePushed,
     IntervalRefuted,
-    LegacyTraceSink,
     LemmaReused,
     LemmasRetracted,
     NonlinearFallback,
@@ -70,14 +69,12 @@ from .bench_record import (
 )
 from .recorder import FlightRecorder
 from .progress import ProgressMonitor, ProgressRenderer, ProgressSnapshot, StageStalled
-from .profile import MemoryProfiler, NullMemoryProfiler, NULL_PROFILER
+from .profile import MemoryProfiler
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
+    "Observer",
     "Span",
     "SpanTracer",
-    "EventBus",
     "SolveEvent",
     "CheckStarted",
     "CandidateFound",
@@ -93,7 +90,6 @@ __all__ = [
     "VerdictReached",
     "CollectingSink",
     "VerboseSink",
-    "LegacyTraceSink",
     "Counter",
     "Histogram",
     "MetricsRegistry",
@@ -108,6 +104,4 @@ __all__ = [
     "ProgressSnapshot",
     "StageStalled",
     "MemoryProfiler",
-    "NullMemoryProfiler",
-    "NULL_PROFILER",
 ]

@@ -1,16 +1,14 @@
-"""Typed solver events and the bus that routes them to pluggable sinks.
+"""Typed solver events and the sinks that consume them.
 
-Before this layer existed the control loop reported progress through one
-untyped callback — ``config.trace(event: str, payload: dict)`` — that
-``cli.py`` string-formatted for ``--verbose``.  The loop now publishes
-frozen dataclass events to an :class:`EventBus`; sinks subscribe either to
-every event or to specific event types.  The legacy callback survives as
-:class:`LegacyTraceSink`, which replays each typed event as the old
-``(name, payload)`` pair (same names, same payload keys), so existing
-``ABSolverConfig(trace=...)`` users see byte-identical traffic.
+The control loop publishes frozen dataclass events to its
+:class:`~repro.obs.observer.Observer`; sinks subscribe there, either to
+every event or to specific event types.  :class:`VerboseSink` renders the
+``--verbose`` log and :class:`CollectingSink` keeps events for tests and
+programmatic analysis.
 
 Publishing is near-free with no sinks attached: the pipeline checks
-:attr:`EventBus.active` before even constructing an event object.
+:attr:`Observer.active <repro.obs.observer.Observer.active>` before even
+constructing an event object.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, IO, List, Optional, Tuple, Type
+from typing import Any, Dict, IO, List, Optional, Type
 
 __all__ = [
     "SolveEvent",
@@ -41,10 +39,8 @@ __all__ = [
     "WorkerFinished",
     "LemmaShared",
     "ParallelCancelled",
-    "EventBus",
     "CollectingSink",
     "VerboseSink",
-    "LegacyTraceSink",
 ]
 
 
@@ -52,9 +48,9 @@ __all__ = [
 class SolveEvent:
     """Base class of every solver event.
 
-    ``legacy_name`` is the event string the pre-bus ``config.trace``
-    callback used for this occurrence; :meth:`payload` rebuilds the legacy
-    payload dict (the dataclass fields, verbatim).
+    ``legacy_name`` is the tag ``--verbose`` prints for this occurrence
+    (the event names of the original ad-hoc trace log); :meth:`payload`
+    is the dataclass fields as a dict, verbatim.
     """
 
     legacy_name = "event"
@@ -262,55 +258,6 @@ class ParallelCancelled(SolveEvent):
     legacy_name = "parallel-cancelled"
 
 
-Sink = Callable[[SolveEvent], None]
-
-
-class EventBus:
-    """Routes published events to subscribed sinks.
-
-    A sink is any callable taking one event.  Subscribing with no event
-    types means "everything"; with types, only those exact classes are
-    delivered (no subclass matching — the event taxonomy is flat).
-    """
-
-    __slots__ = ("_all", "_typed")
-
-    def __init__(self) -> None:
-        self._all: List[Sink] = []
-        self._typed: Dict[Type[SolveEvent], List[Sink]] = {}
-
-    @property
-    def active(self) -> bool:
-        """Whether any sink is attached (publishers fast-path on False)."""
-        return bool(self._all or self._typed)
-
-    def subscribe(self, sink: Sink, *event_types: Type[SolveEvent]) -> Sink:
-        """Attach ``sink``; returns it (handy for decorator-style use)."""
-        if event_types:
-            for event_type in event_types:
-                self._typed.setdefault(event_type, []).append(sink)
-        else:
-            self._all.append(sink)
-        return sink
-
-    def unsubscribe(self, sink: Sink) -> None:
-        """Detach ``sink`` from every subscription it appears in."""
-        if sink in self._all:
-            self._all.remove(sink)
-        for sinks in list(self._typed.values()):
-            if sink in sinks:
-                sinks.remove(sink)
-        self._typed = {t: s for t, s in self._typed.items() if s}
-
-    def publish(self, event: SolveEvent) -> None:
-        for sink in self._all:
-            sink(event)
-        typed = self._typed.get(type(event))
-        if typed:
-            for sink in typed:
-                sink(event)
-
-
 class CollectingSink:
     """Keeps every delivered event in order (tests, programmatic analysis)."""
 
@@ -344,29 +291,3 @@ class VerboseSink:
         )
         stream = self._stream if self._stream is not None else sys.stdout
         print(f"  [{event.legacy_name}] {details}", file=stream)
-
-
-class LegacyTraceSink:
-    """Adapts the bus to the pre-bus ``trace(event, payload)`` callback.
-
-    Only the event types the old control loop emitted are forwarded by
-    default, so a legacy callback sees exactly the traffic it always did;
-    pass ``all_events=True`` to also receive the new event types under
-    their ``legacy_name``.
-    """
-
-    #: The event classes whose legacy names the old loop emitted.
-    LEGACY_EVENTS: Tuple[Type[SolveEvent], ...] = (
-        CandidateFound,
-        TheoryFeasible,
-        BlockingClauseAdded,
-        VerdictReached,
-    )
-
-    def __init__(self, callback: Callable[[str, dict], None], all_events: bool = False):
-        self._callback = callback
-        self._all = all_events
-
-    def __call__(self, event: SolveEvent) -> None:
-        if self._all or type(event) in self.LEGACY_EVENTS:
-            self._callback(event.legacy_name, event.payload())

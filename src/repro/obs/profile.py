@@ -2,7 +2,7 @@
 
 Latency histograms say where the *time* goes; this module says where the
 *allocations* go.  :class:`MemoryProfiler` wraps every pipeline stage call
-in a ``stage(name)`` context: on sampled entries it reads
+in a ``measure(name)`` context: on sampled entries it reads
 ``tracemalloc.get_traced_memory()`` before and after (and the traced peak
 in between, via ``reset_peak``), attributing net growth and peak usage to
 the stage name.  Full tracemalloc on every call would blow the repo's 5%
@@ -12,10 +12,9 @@ the snapshots — the exact entry count is still kept, and the sampled
 net/peak figures scale understandably (``net_kb`` is the summed growth
 over the sampled entries, not an extrapolation).
 
-The disabled path must be free: :data:`NULL_PROFILER` mirrors
-:data:`repro.obs.trace.NULL_TRACER` — a shared stateless object whose
-``stage()`` hands back one preallocated no-op context manager, kept under
-the 5% overhead guard of ``tests/test_obs.py``.
+The profiler is a sink of :class:`repro.obs.observer.Observer`: an
+observer without one takes no memory readings at all, and unsampled
+entries cost one dict increment.
 
 Opt in with ``absolver --profile-memory``: the summary lands in the
 ``memory`` key of ``--stats-json`` and of benchmark trajectory records
@@ -25,48 +24,13 @@ Opt in with ``absolver --profile-memory``: the summary lands in the
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import nullcontext
 from typing import Any, Dict
 
-__all__ = ["MemoryProfiler", "NullMemoryProfiler", "NULL_PROFILER"]
+__all__ = ["MemoryProfiler"]
 
-
-class _NullStageHandle:
-    """The reusable no-op context manager of the disabled profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_STAGE = _NullStageHandle()
-
-
-class NullMemoryProfiler:
-    """Memory profiling disabled: every operation is a shared no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def stage(self, name: str) -> _NullStageHandle:
-        return _NULL_STAGE
-
-    def start(self) -> None:
-        return None
-
-    def stop(self) -> None:
-        return None
-
-    def summary(self) -> Dict[str, Any]:
-        return {}
-
-
-#: The process-wide disabled profiler (the pipeline's default).
-NULL_PROFILER = NullMemoryProfiler()
+#: The handle of an unsampled stage entry (stateless, shared).
+_UNSAMPLED = nullcontext()
 
 
 class _StageHandle:
@@ -97,12 +61,10 @@ class MemoryProfiler:
     ``sample_every=1`` measures every stage entry (exact, slow);
     the default 8 keeps the tracemalloc cost off most entries.  ``start``
     begins tracing (owning the tracemalloc session only if nothing else
-    started it); ``stop`` ends an owned session.  ``stage(name)`` is the
-    pipeline's per-call hook; unsampled entries get the shared no-op
-    handle, so their cost is one dict increment.
+    started it); ``stop`` ends an owned session.  ``measure(name)`` is the
+    observer's per-stage-entry hook; unsampled entries get the shared
+    no-op handle, so their cost is one dict increment.
     """
-
-    enabled = True
 
     def __init__(self, sample_every: int = 8):
         if sample_every < 1:
@@ -130,12 +92,13 @@ class MemoryProfiler:
         self._started = False
         self._owns_tracing = False
 
-    # -- the pipeline hook ----------------------------------------------
-    def stage(self, name: str):
+    # -- the stage-entry hook -------------------------------------------
+    def measure(self, name: str):
+        """Count one entry of stage ``name``; measure it when it is sampled."""
         count = self._entries.get(name, 0)
         self._entries[name] = count + 1
         if not self._started or count % self.sample_every:
-            return _NULL_STAGE
+            return _UNSAMPLED
         return _StageHandle(self, name)
 
     def _record(self, name: str, net_bytes: int, peak_bytes: int) -> None:

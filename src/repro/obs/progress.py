@@ -1,7 +1,7 @@
 """Live progress heartbeats and a wall-clock stall watchdog.
 
 A long solve used to be silent until the verdict.  This module adds two
-typed events to the bus taxonomy and a small state machine emitting them:
+typed events to the event taxonomy and a small state machine emitting them:
 
 * :class:`ProgressSnapshot` — a periodic heartbeat carrying the counters a
   human watches while waiting: Boolean queries done, blocking clauses
@@ -11,13 +11,15 @@ typed events to the bus taxonomy and a small state machine emitting them:
   for longer than the configured budget, i.e. the named stage is sitting
   inside one long backend call.
 
-:class:`ProgressMonitor` is fed by cheap :meth:`~ProgressMonitor.tick`
-calls from the hot loop — :meth:`repro.core.pipeline.SolvePipeline.run_query`
-ticks once per control-loop iteration (the same cadence as the ``poll``
-cancellation hook) and the parallel coordinator ticks from its collect
-loop.  The *first* tick always emits a snapshot (so even sub-interval
-solves produce at least one heartbeat); later ticks emit at most one
-snapshot per ``interval`` seconds.  Stalls are detected two ways: at tick
+:class:`ProgressMonitor` attaches to an
+:class:`~repro.obs.observer.Observer` and is fed by cheap
+:meth:`Observer.tick <repro.obs.observer.Observer.tick>` calls from the hot
+loop — :meth:`repro.core.pipeline.SolvePipeline.run_query` ticks once per
+control-loop iteration (the same cadence as the ``poll`` cancellation
+hook) and the parallel coordinator ticks from its collect loop.  The
+*first* tick always emits a snapshot (so even sub-interval solves produce
+at least one heartbeat); later ticks emit at most one snapshot per
+``interval`` seconds.  Stalls are detected two ways: at tick
 time (the gap since the previous tick exceeded the budget) and, when
 :meth:`~ProgressMonitor.start_watchdog` is running, from a daemon thread —
 the tick-time check alone cannot fire while a stage never returns.
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import IO, Optional
 
-from .events import EventBus, SolveEvent
+from .events import SolveEvent
 
 __all__ = ["ProgressSnapshot", "StageStalled", "ProgressMonitor", "ProgressRenderer"]
 
@@ -73,15 +75,17 @@ class StageStalled(SolveEvent):
 class ProgressMonitor:
     """Turns hot-loop ticks into rate-limited heartbeats + stall alarms.
 
-    Thread-safe: the watchdog thread and the ticking solve loop share the
-    last-tick timestamp under a lock.  One :class:`StageStalled` is
-    published per stall episode (the flag resets on the next tick), so a
-    stage stuck for minutes does not flood the bus.
+    Building a monitor on an observer attaches it: the observer's ticks
+    reach :meth:`tick`, and heartbeats and alarms are published to the
+    observer.  Thread-safe: the watchdog thread and the ticking solve loop
+    share the last-tick timestamp under a lock.  One :class:`StageStalled`
+    is published per stall episode (the flag resets on the next tick), so
+    a stage stuck for minutes does not flood the sinks.
     """
 
     def __init__(
         self,
-        bus: EventBus,
+        observer,
         interval: float = 1.0,
         stall_budget: Optional[float] = None,
         clock=time.monotonic,
@@ -90,7 +94,8 @@ class ProgressMonitor:
             raise ValueError("interval must be >= 0")
         if stall_budget is not None and stall_budget <= 0:
             raise ValueError("stall_budget must be positive")
-        self.bus = bus
+        self.observer = observer
+        observer.progress = self
         self.interval = interval
         self.stall_budget = stall_budget
         self._clock = clock
@@ -137,7 +142,7 @@ class ProgressMonitor:
         if stalled_stage is not None:
             self._publish_stall(stalled_stage, gap, budget)
         if emit:
-            self.bus.publish(
+            self.observer.publish(
                 ProgressSnapshot(
                     elapsed=now - self._epoch,
                     stage=stage,
@@ -152,7 +157,7 @@ class ProgressMonitor:
 
     def _publish_stall(self, stage: str, stalled_for: float, budget: float) -> None:
         self.stalls += 1
-        self.bus.publish(
+        self.observer.publish(
             StageStalled(stage=stage, stalled_for=stalled_for, budget=budget)
         )
 
@@ -208,8 +213,8 @@ class ProgressRenderer:
     def __init__(self, stream: Optional[IO[str]] = None):
         self._stream = stream
 
-    def attach(self, bus: EventBus) -> "ProgressRenderer":
-        bus.subscribe(self, ProgressSnapshot, StageStalled)
+    def attach(self, observer) -> "ProgressRenderer":
+        observer.subscribe(self, ProgressSnapshot, StageStalled)
         return self
 
     def __call__(self, event: SolveEvent) -> None:

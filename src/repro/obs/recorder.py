@@ -1,12 +1,12 @@
 """A bounded flight recorder: the last N solver events, always on, O(1) memory.
 
 Span traces and ``--stats-json`` explain a solve *after* it returns; a hung
-or crashed solve used to leave nothing.  :class:`FlightRecorder` subscribes
-to the :class:`~repro.obs.events.EventBus` (every typed event) and to span
-closes (via :attr:`repro.obs.trace.SpanTracer.span_listener`), keeping only
-the most recent :attr:`~FlightRecorder.capacity` entries in a ring buffer —
-recording costs one dict append per event, and memory never grows past the
-ring, no matter how long the solve runs.
+or crashed solve used to leave nothing.  :class:`FlightRecorder` attaches
+to an :class:`~repro.obs.observer.Observer`, which hands it every typed
+event and every closed span, keeping only the most recent
+:attr:`~FlightRecorder.capacity` entries in a ring buffer — recording
+costs one dict append per event, and memory never grows past the ring, no
+matter how long the solve runs.
 
 On demand — an exception, a parallel timeout, or an explicit
 ``--flight-record`` request — :meth:`dump_jsonl` writes a post-mortem as
@@ -21,7 +21,7 @@ JSONL, one JSON object per line:
    the live "stack trace" of where the solve was stuck.
 
 Parallel workers each run their own recorder; their :meth:`snapshot_lines`
-lists travel back in :attr:`repro.parallel.tasks.WorkerOutcome.flight_dump`
+lists travel back in :attr:`repro.parallel.tasks.WorkerOutcome.observed`
 and the coordinator merges them (each worker line tagged with its worker
 and task ids) into one dump file.  See ``docs/OBSERVABILITY.md``.
 """
@@ -32,9 +32,9 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, List, Union
 
-from .events import EventBus, SolveEvent
+from .events import SolveEvent
 
 __all__ = ["FlightRecorder"]
 
@@ -60,41 +60,29 @@ class FlightRecorder:
         #: Total entries ever recorded (``recorded - len(ring)`` were evicted).
         self.recorded = 0
         self._epoch = time.monotonic()
-        self._bus: Optional[EventBus] = None
-        self._tracer = None
-        self._span_hook = None
+        self._observer = None
         self._stats = None
 
     # -- wiring ---------------------------------------------------------
-    def attach(self, bus: Optional[EventBus] = None, tracer=None, stats=None) -> "FlightRecorder":
-        """Subscribe to a bus and/or hook a tracer's span closes.
+    def attach(self, observer) -> "FlightRecorder":
+        """Record ``observer``'s events and closed spans from now on.
 
-        ``stats`` (a :class:`~repro.core.stats.SolveStatistics`) is only
-        read at dump time; bind it late via :meth:`bind_stats` when the
-        per-query object does not exist yet.
+        Dumps list the spans still open on the observer's tracer.  The
+        counters are read from the statistics bound by :meth:`bind_stats`.
         """
-        if bus is not None:
-            self._bus = bus
-            bus.subscribe(self)
-        if tracer is not None and getattr(tracer, "enabled", False):
-            self._tracer = tracer
-            # One stable bound method, so detach can recognise its own hook.
-            self._span_hook = self._record_span
-            tracer.span_listener = self._span_hook
-        if stats is not None:
-            self._stats = stats
+        self._observer = observer
+        observer.subscribe(self)
+        observer.recorder = self
         return self
 
     def detach(self) -> None:
         """Undo :meth:`attach` (keeps the recorded ring)."""
-        if self._bus is not None:
-            self._bus.unsubscribe(self)
-            self._bus = None
-        if self._tracer is not None:
-            if self._tracer.span_listener is self._span_hook:
-                self._tracer.span_listener = None
-            self._tracer = None
-            self._span_hook = None
+        observer = self._observer
+        if observer is not None:
+            observer.unsubscribe(self)
+            if observer.recorder is self:
+                observer.recorder = None
+            self._observer = None
 
     def bind_stats(self, stats) -> None:
         """Set (or replace) the statistics snapshotted into dumps."""
@@ -106,7 +94,7 @@ class FlightRecorder:
         self._entries.append(entry)
 
     def __call__(self, event: SolveEvent) -> None:
-        """EventBus sink: record one typed solve event."""
+        """Event sink: record one typed solve event."""
         # Payload first so the reserved keys below always win, whatever
         # field names an event declares.
         entry = dict(event.payload())
@@ -115,8 +103,8 @@ class FlightRecorder:
         entry["event"] = type(event).__name__
         self._append(entry)
 
-    def _record_span(self, span) -> None:
-        """SpanTracer ``span_listener``: record one closed span."""
+    def record_span(self, span) -> None:
+        """Record one closed span (the observer calls this on every close)."""
         entry = {
             "t": time.monotonic() - self._epoch,
             "kind": "span",
@@ -184,7 +172,7 @@ class FlightRecorder:
                         },
                     }
                 )
-        tracer = self._tracer
+        tracer = self._observer.tracer if self._observer is not None else None
         if tracer is not None:
             lines.append({"kind": "active-spans", "spans": tracer.open_spans()})
         return lines

@@ -18,10 +18,11 @@ Two exports:
   microsecond ``ts``/``dur``).  Open the file in ``chrome://tracing`` or
   https://ui.perfetto.dev and the solve renders as a flamegraph.
 
-Disabled tracing must be near-free because the spans sit on solver hot
-paths: :data:`NULL_TRACER` is a shared :class:`NullTracer` whose ``span()``
-returns one reusable no-op context manager — no allocation, no clock read.
-``tests/test_obs.py`` guards the overhead with a dedicated benchmark test.
+The tracer is a sink of :class:`repro.obs.observer.Observer`: the
+observer opens and closes its spans (``observer.span(...)`` and every
+stage entry), so an observer without a tracer records nothing and reads
+no clock.  ``tests/test_obs.py`` guards the traced overhead with a
+dedicated benchmark test.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import threading
 import time
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Span", "SpanTracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "SpanTracer"]
 
 
 class Span:
@@ -88,61 +89,6 @@ class Span:
         )
 
 
-class _SpanHandle:
-    """Context manager for one live span of a :class:`SpanTracer`."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "SpanTracer", span: Span):
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._close(self._span, exc_type is not None)
-
-
-class _NullHandle:
-    """The reusable no-op context manager handed out by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_HANDLE = _NullHandle()
-
-
-class NullTracer:
-    """Tracing disabled: every operation is a shared no-op.
-
-    This is the object on the solver hot path by default, so it does the
-    absolute minimum: ``span()`` hands back one preallocated context
-    manager and ``instant()`` returns immediately.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    spans: Tuple[Span, ...] = ()
-
-    def span(self, name: str, category: str = "solver", **args: Any) -> _NullHandle:
-        return _NULL_HANDLE
-
-    def instant(self, name: str, category: str = "event", **args: Any) -> None:
-        return None
-
-
-#: The process-wide disabled tracer (shared, stateless, allocation-free).
-NULL_TRACER = NullTracer()
-
-
 class SpanTracer:
     """Records nested spans; exports JSONL and Chrome ``trace_event`` JSON.
 
@@ -150,18 +96,14 @@ class SpanTracer:
     small ``tid``), and per-thread stacks keep nesting depths correct when
     a future backend solves on a worker thread.  All bookkeeping is plain
     ``list.append`` — tracing a solve costs two clock reads and one small
-    allocation per span.
+    allocation per span.  Spans are opened and closed by an
+    :class:`~repro.obs.observer.Observer` (``with observer.span(...)``).
     """
-
-    enabled = True
 
     def __init__(self, process_name: str = "absolver"):
         self.process_name = process_name
         self.spans: List[Span] = []
         self.instants: List[Span] = []
-        #: Optional callable invoked with each span as it closes (the
-        #: flight recorder's hook).  ``None`` keeps the close path free.
-        self.span_listener = None
         self._epoch = time.perf_counter()
         self._stacks: Dict[int, List[Span]] = {}
         self._tids: Dict[int, int] = {}
@@ -177,8 +119,10 @@ class SpanTracer:
             self._tids[ident] = tid
         return tid
 
-    def span(self, name: str, category: str = "solver", **args: Any) -> _SpanHandle:
-        """Open a nested span; use as a context manager."""
+    def open(
+        self, name: str, category: str = "solver", args: Optional[Dict[str, Any]] = None
+    ) -> Span:
+        """Start a nested span on the calling thread; end it with :meth:`close`."""
         ident = threading.get_ident()
         stack = self._stacks.get(ident)
         if stack is None:
@@ -187,9 +131,10 @@ class SpanTracer:
             name, category, self._now_us(), len(stack), self._tid(ident), args or None
         )
         stack.append(span)
-        return _SpanHandle(self, span)
+        return span
 
-    def _close(self, span: Span, errored: bool) -> None:
+    def close(self, span: Span, errored: bool = False) -> None:
+        """End ``span`` (and any span left open inside it) and keep it."""
         span.duration_us = self._now_us() - span.start_us
         span.error = errored
         stack = self._stacks[threading.get_ident()]
@@ -200,9 +145,6 @@ class SpanTracer:
         if stack:
             stack.pop()
         self.spans.append(span)
-        listener = self.span_listener
-        if listener is not None:
-            listener(span)
 
     def instant(self, name: str, category: str = "event", **args: Any) -> None:
         """Record a zero-duration marker (rendered as an arrow in Perfetto)."""

@@ -52,13 +52,12 @@ from ..core.solver import ABModel, ABResult, ABSolverConfig, ABStatus
 from ..core.stats import SolveStatistics
 from ..obs.events import (
     CubeDispatched,
-    EventBus,
     LemmaShared,
     ParallelCancelled,
     WorkerFinished,
 )
+from ..obs.observer import Observer
 from ..obs.recorder import FlightRecorder
-from ..obs.trace import NULL_TRACER
 from .cubes import build_cubes
 from .portfolio import portfolio_specs
 from .tasks import ConfigSpec, SolveTask, WorkerOutcome
@@ -134,8 +133,10 @@ class ParallelSolver:
         #: runs never split (child task ids would depend on arrival order).
         self.split_budget = split_budget
 
-        self.tracer = getattr(self.config, "tracer", None) or NULL_TRACER
-        self.bus = getattr(self.config, "event_bus", None) or EventBus()
+        #: The config's observer (or a private one with no sinks): the
+        #: coordinator's spans, events and progress ticks go here, and a
+        #: tracer on it makes workers send their spans home.
+        self.observer = self.config.observer or Observer()
 
         #: Flight-recorder dump path.  Truthy enables the coordinator-side
         #: :class:`~repro.obs.recorder.FlightRecorder` *and* per-worker
@@ -146,8 +147,7 @@ class ParallelSolver:
         self.flight_recorder: Optional[FlightRecorder] = None
         if flight_record:
             self.flight_recorder = FlightRecorder(name="coordinator").attach(
-                bus=self.bus,
-                tracer=self.tracer if self.tracer is not NULL_TRACER else None,
+                self.observer
             )
         self._worker_dumps: List[Tuple[int, int, List[Dict[str, Any]]]] = []
         self._auto_dump_reason: Optional[str] = None
@@ -287,7 +287,7 @@ class ParallelSolver:
     # ------------------------------------------------------------------
     def solve(self, problem, assumptions: Sequence[int] = ()) -> ABResult:
         """Decide satisfiability of ``problem`` across the pool."""
-        with self.tracer.span(
+        with self.observer.span(
             "parallel.solve", category="parallel", mode=self.mode, jobs=self.jobs
         ):
             tasks = self._build_check_tasks(problem, assumptions)
@@ -306,7 +306,7 @@ class ParallelSolver:
         ``timeout`` returns the models found so far.  Both modes shard by
         cubes — a portfolio race would only replicate the enumeration.
         """
-        with self.tracer.span(
+        with self.observer.span(
             "parallel.all_solutions", category="parallel", jobs=self.jobs
         ):
             gen = self._prepare_generation()
@@ -317,7 +317,7 @@ class ParallelSolver:
             )
             cubes = build_cubes(problem, depth)
             spec = ConfigSpec.from_config(self.config)
-            trace = self.tracer is not NULL_TRACER
+            observe = self._observe_workers()
             tasks = [
                 SolveTask(
                     task_id=index,
@@ -326,10 +326,9 @@ class ParallelSolver:
                     problem=problem,
                     spec=spec,
                     cube=cube,
-                    trace=trace,
+                    observe=observe,
                     model_limit=limit,
                     share_lemmas=False,  # enumeration shares no check loop
-                    flight_record=bool(self.flight_record),
                 )
                 for index, cube in enumerate(cubes)
             ]
@@ -378,8 +377,8 @@ class ParallelSolver:
         so Perfetto renders one lane per worker next to the coordinator.
         """
         events: List[Dict[str, Any]] = []
-        if self.tracer is not NULL_TRACER:
-            events.extend(self.tracer.to_chrome_events())
+        if self.observer.tracer is not None:
+            events.extend(self.observer.tracer.to_chrome_events())
         events.extend(self._last_worker_events)
         return events
 
@@ -401,6 +400,12 @@ class ParallelSolver:
     # ------------------------------------------------------------------
     # Task building and joining
     # ------------------------------------------------------------------
+    def _observe_workers(self) -> bool:
+        """Whether workers record spans and a flight-recorder ring: when
+        this solver traces or flight-records (each side keeps what it
+        needs from the pair that comes home)."""
+        return self.observer.tracer is not None or self.flight_recorder is not None
+
     def _prepare_generation(self) -> int:
         self._ensure_pool()
         self._auto_dump_reason = None
@@ -408,7 +413,7 @@ class ParallelSolver:
 
     def _build_check_tasks(self, problem, assumptions: Sequence[int]) -> List[SolveTask]:
         gen = self._prepare_generation()
-        trace = self.tracer is not NULL_TRACER
+        observe = self._observe_workers()
         base_spec = ConfigSpec.from_config(self.config)
         tasks: List[SolveTask] = []
         if self.mode == "portfolio":
@@ -421,9 +426,8 @@ class ParallelSolver:
                         problem=problem,
                         spec=spec,
                         assumptions=assumptions,
-                        trace=trace,
+                        observe=observe,
                         share_lemmas=self.share_lemmas,
-                        flight_record=bool(self.flight_record),
                     )
                 )
         else:
@@ -444,10 +448,9 @@ class ParallelSolver:
                         spec=base_spec.copy(label=f"cube-{index}"),
                         assumptions=tuple(assumptions) + tuple(cube),
                         cube=cube,
-                        trace=trace,
+                        observe=observe,
                         share_lemmas=self.share_lemmas,
                         split_budget=budget,
-                        flight_record=bool(self.flight_record),
                     )
                 )
         return tasks
@@ -556,17 +559,17 @@ class ParallelSolver:
             )
             for task in tasks
         ]
-        self._last_worker_events = [
-            event
-            for outcome in sorted(outcomes.values(), key=lambda o: o.task_id)
-            if outcome.trace_events
-            for event in outcome.trace_events
-        ]
-        self._worker_dumps = [
-            (outcome.worker_id, outcome.task_id, outcome.flight_dump)
-            for outcome in sorted(outcomes.values(), key=lambda o: o.task_id)
-            if outcome.flight_dump
-        ]
+        ordered = sorted(outcomes.values(), key=lambda o: o.task_id)
+        self._last_worker_events = []
+        self._worker_dumps = []
+        for outcome in ordered:
+            if outcome.observed is None:
+                continue
+            spans, ring = outcome.observed
+            if self.observer.tracer is not None:
+                self._last_worker_events.extend(spans)
+            if self.flight_recorder is not None:
+                self._worker_dumps.append((outcome.worker_id, outcome.task_id, ring))
         self.last_stats = stats
         self.stats.merge(stats)
         return stats
@@ -630,11 +633,10 @@ class ParallelSolver:
         early_stop=None,
     ) -> Tuple[Dict[int, WorkerOutcome], List[WorkerOutcome], bool]:
         gen = tasks[0].gen if tasks else self._generation
-        bus = self.bus
-        monitor = getattr(self.config, "progress_monitor", None)
+        observer = self.observer
         for task in tasks:
-            if bus.active:
-                bus.publish(
+            if observer.active:
+                observer.publish(
                     CubeDispatched(task=task.task_id, literals=len(task.cube))
                 )
             self._task_queue.put(task)
@@ -655,14 +657,13 @@ class ParallelSolver:
 
         while len(outcomes) < len(tasks):
             now = time.monotonic()
-            if monitor is not None:
-                # The monitor rate-limits itself, so ticking every loop
-                # pass is cheap; queue depth is the undecided task count.
-                monitor.tick(
-                    "parallel",
-                    cube_queue_depth=len(tasks) - len(outcomes),
-                    lemmas_shared=self._lemmas_shared,
-                )
+            # The monitor rate-limits itself, so ticking every loop pass is
+            # cheap; queue depth is the undecided task count.
+            observer.tick(
+                "parallel",
+                cube_queue_depth=len(tasks) - len(outcomes),
+                lemmas_shared=self._lemmas_shared,
+            )
             if deadline is not None and not timed_out and now >= deadline:
                 timed_out = True
                 cancelled = True
@@ -711,14 +712,13 @@ class ParallelSolver:
                             ),
                             assumptions=tuple(parent.assumptions) + tuple(extra),
                             cube=subcube,
-                            trace=parent.trace,
+                            observe=parent.observe,
                             share_lemmas=parent.share_lemmas,
                             split_budget=parent.split_budget,
-                            flight_record=parent.flight_record,
                         )
                         tasks.append(child)
-                        if bus.active:
-                            bus.publish(
+                        if observer.active:
+                            observer.publish(
                                 CubeDispatched(
                                     task=child.task_id,
                                     literals=len(child.cube),
@@ -727,8 +727,8 @@ class ParallelSolver:
                         self._task_queue.put(child)
             outcomes[outcome.task_id] = outcome
             arrival.append(outcome)
-            if bus.active:
-                bus.publish(
+            if observer.active:
+                observer.publish(
                     WorkerFinished(
                         task=outcome.task_id,
                         worker=outcome.worker_id,
@@ -785,8 +785,8 @@ class ParallelSolver:
     def _cancel(self, reason: str, pending: int) -> None:
         self._bump_generation()
         self._cancellations += 1
-        if self.bus.active:
-            self.bus.publish(ParallelCancelled(reason=reason, pending=pending))
+        if self.observer.active:
+            self.observer.publish(ParallelCancelled(reason=reason, pending=pending))
 
     def _handle_lemma(self, message, gen: int, shared) -> None:
         _, stamped_gen, worker_id, clause = message
@@ -798,8 +798,8 @@ class ParallelSolver:
             return
         shared[key] = list(clause)
         self._lemmas_shared += 1
-        if self.bus.active:
-            self.bus.publish(LemmaShared(size=len(clause)))
+        if self.observer.active:
+            self.observer.publish(LemmaShared(size=len(clause)))
         for index, lemma_queue in enumerate(self._lemma_queues):
             if index != worker_id:
                 lemma_queue.put((gen, list(clause)))

@@ -4,17 +4,18 @@ Everything that crosses the process boundary lives here:
 
 * :class:`ConfigSpec` — a plain-data mirror of
   :class:`~repro.core.solver.ABSolverConfig` without the unpicklable
-  observability objects (tracer, event bus, legacy trace callback).  The
-  worker rebuilds a real config — attaching its *own* per-process
-  :class:`~repro.obs.trace.SpanTracer` when tracing was requested.
+  observer.  The worker rebuilds a real config — with its *own*
+  per-process :class:`~repro.obs.observer.Observer` when the task is
+  observed.
 * :class:`SolveTask` — one unit of work: the problem, the cube (assumption
   literals for ``check`` tasks, unit clauses for ``all_models`` shards),
   the config to run it under, and the generation stamp used for
   cancellation (a task whose ``gen`` no longer matches the shared
   generation counter is skipped or abandoned).
 * :class:`WorkerOutcome` — the reply: verdict, witness model(s), the
-  worker's :class:`~repro.core.stats.SolveStatistics`, and its Chrome
-  trace events, ready for lossless merging on the coordinator side.
+  worker's :class:`~repro.core.stats.SolveStatistics`, and what its
+  observer recorded (Chrome trace events, flight-recorder ring), ready
+  for lossless merging on the coordinator side.
 
 Messages on the result queue are tagged tuples: ``("result", outcome)``
 and ``("lemma", gen, worker_id, clause)``.
@@ -129,7 +130,7 @@ class ConfigSpec:
             label=label,
         )
 
-    def to_config(self, tracer=None, event_bus=None):
+    def to_config(self, observer=None):
         """Rebuild a real ``ABSolverConfig`` inside the worker process."""
         from ..core.solver import ABSolverConfig
 
@@ -156,8 +157,7 @@ class ConfigSpec:
             reduce_interval=self.reduce_interval,
             use_presolve=self.use_presolve,
             verdict_cache=verdict_cache,
-            tracer=tracer,
-            event_bus=event_bus,
+            observer=observer,
         )
 
     def copy(self, **overrides) -> "ConfigSpec":
@@ -184,11 +184,10 @@ class SolveTask:
         "assumptions",
         "cube",
         "spec",
-        "trace",
+        "observe",
         "model_limit",
         "share_lemmas",
         "split_budget",
-        "flight_record",
     )
 
     #: ``kind`` values.
@@ -204,11 +203,10 @@ class SolveTask:
         spec: ConfigSpec,
         assumptions: Sequence[int] = (),
         cube: Sequence[int] = (),
-        trace: bool = False,
+        observe: bool = False,
         model_limit: Optional[int] = None,
         share_lemmas: bool = True,
         split_budget: int = 0,
-        flight_record: bool = False,
     ):
         self.task_id = task_id
         self.gen = gen
@@ -220,17 +218,16 @@ class SolveTask:
         #: The cube this task owns, for reporting; ALL_MODELS tasks assert
         #: these as unit clauses to shard the enumeration space.
         self.cube = tuple(cube)
-        self.trace = trace
+        #: Whether the worker runs the task under its own observer, with a
+        #: span tracer and a :class:`repro.obs.recorder.FlightRecorder`
+        #: attached; both come home in :attr:`WorkerOutcome.observed`.
+        self.observe = observe
         self.model_limit = model_limit
         self.share_lemmas = share_lemmas
         #: Conflict budget after which a CHECK task abandons the cube and
         #: returns a :attr:`WorkerOutcome.SPLIT` outcome carrying two
         #: subcubes instead of a verdict.  ``0`` disables self-splitting.
         self.split_budget = split_budget
-        #: Run a per-worker :class:`repro.obs.recorder.FlightRecorder`
-        #: around this task; its dump travels back in
-        #: :attr:`WorkerOutcome.flight_dump` for the coordinator to merge.
-        self.flight_record = flight_record
 
     def __repr__(self) -> str:
         return (
@@ -251,11 +248,10 @@ class WorkerOutcome:
         "models",
         "reason",
         "stats",
-        "trace_events",
+        "observed",
         "error",
         "label",
         "subcubes",
-        "flight_dump",
     )
 
     #: ``status`` values beyond the verdict strings "sat"/"unsat"/"unknown".
@@ -276,11 +272,10 @@ class WorkerOutcome:
         models: Optional[List] = None,
         reason: str = "",
         stats=None,
-        trace_events: Optional[List[Dict[str, Any]]] = None,
+        observed: Optional[Tuple[List[Dict[str, Any]], ...]] = None,
         error: str = "",
         label: str = "",
         subcubes: Optional[List[Tuple[int, ...]]] = None,
-        flight_dump: Optional[List[Dict[str, Any]]] = None,
     ):
         self.task_id = task_id
         self.worker_id = worker_id
@@ -290,16 +285,16 @@ class WorkerOutcome:
         self.models = models
         self.reason = reason
         self.stats = stats
-        self.trace_events = trace_events
+        #: For observed tasks, what the worker's observer recorded: the pair
+        #: ``(spans, ring)`` of Chrome trace events and flight-recorder
+        #: snapshot lines (see
+        #: :meth:`repro.obs.recorder.FlightRecorder.snapshot_lines`).
+        self.observed = observed
         self.error = error
         self.label = label
         #: For :attr:`SPLIT` outcomes: the replacement cubes (each already
         #: including the parent cube's literals).
         self.subcubes = subcubes
-        #: Flight-recorder snapshot lines of this task's worker-side run
-        #: (see :meth:`repro.obs.recorder.FlightRecorder.snapshot_lines`),
-        #: present when the task asked for :attr:`SolveTask.flight_record`.
-        self.flight_dump = flight_dump
 
     def __repr__(self) -> str:
         return (

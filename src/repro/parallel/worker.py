@@ -16,7 +16,8 @@
    derived, and adopt foreign lemmas (broadcast by the coordinator) at
    every pipeline iteration via the ``poll`` hook.
 5. Reply with a :class:`~repro.parallel.tasks.WorkerOutcome` carrying the
-   verdict, models, per-worker statistics, and Chrome trace events.
+   verdict, models, per-worker statistics, and what the task's observer
+   recorded (Chrome trace events, flight-recorder ring).
 
 Indefinite lemmas (candidates the nonlinear stage could neither satisfy
 nor refute) are *not* shared: they are "we could not decide" markers, not
@@ -57,7 +58,7 @@ from typing import Dict, List
 
 from ..core.session import SolverSession
 from ..core.solver import ABSolver, ABStatus
-from ..obs.events import EventBus
+from ..obs.observer import Observer
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import SpanTracer
 from .cubes import refine_cube_bounds, split_cube
@@ -102,15 +103,14 @@ def _problem_fingerprint(problem) -> str:
     return problem.fingerprint()
 
 
-def _session_for(task: SolveTask, tracer=None, bus=None) -> SolverSession:
+def _session_for(task: SolveTask, observer=None) -> SolverSession:
     """The persistent session for this task, building it on first use.
 
-    Traced and flight-recorded tasks always get a fresh session so their
-    Chrome events / recorder ring stay scoped to the one task being
-    debugged.
+    Observed tasks always get a fresh session so their Chrome events /
+    recorder ring stay scoped to the one task being debugged.
     """
-    if task.trace or bus is not None:
-        session = SolverSession(task.spec.to_config(tracer=tracer, event_bus=bus))
+    if observer is not None:
+        session = SolverSession(task.spec.to_config(observer))
         session.assert_problem(task.problem)
         return session
     key = (_spec_fingerprint(task.spec), _problem_fingerprint(task.problem))
@@ -142,8 +142,8 @@ def _drain_lemmas(session: SolverSession, lemma_queue, gen: int) -> None:
             session.import_lemmas([clause], lazy=True)
 
 
-def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_value, tracer, bus=None):
-    session = _session_for(task, tracer, bus)
+def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_value, observer):
+    session = _session_for(task, observer)
 
     # The cube's decision literals often imply tighter variable boxes than
     # the declared bounds; apply them in a scratch frame so the in-session
@@ -217,8 +217,8 @@ def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_v
     )
 
 
-def _run_all_models(task: SolveTask, worker_id: int, gen_value, tracer, bus=None):
-    config = task.spec.to_config(tracer=tracer, event_bus=bus)
+def _run_all_models(task: SolveTask, worker_id: int, gen_value, observer):
+    config = task.spec.to_config(observer)
     # The problem arrived pickled, so it is worker-local: asserting the
     # cube literals as unit clauses restricts this worker to its disjoint
     # shard of the enumeration space.
@@ -245,29 +245,25 @@ def _run_all_models(task: SolveTask, worker_id: int, gen_value, tracer, bus=None
 
 
 def _execute(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_value):
-    tracer = (
-        SpanTracer(process_name=f"absolver-worker-{worker_id}")
-        if task.trace or task.flight_record
-        else None
-    )
-    bus = None
+    observer = None
     recorder = None
-    if task.flight_record:
-        # Per-worker black box: a private bus + recorder scoped to this
-        # task, whose ring travels home in the outcome for the
-        # coordinator to merge into the post-mortem dump.
-        bus = EventBus()
-        recorder = FlightRecorder(name=f"worker-{worker_id}")
-        recorder.attach(bus=bus, tracer=tracer)
+    if task.observe:
+        # Per-worker observer scoped to this task: its spans and its
+        # flight-recorder ring travel home in the outcome for the
+        # coordinator to merge into its trace and post-mortem.
+        observer = Observer(
+            tracer=SpanTracer(process_name=f"absolver-worker-{worker_id}")
+        )
+        recorder = FlightRecorder(name=f"worker-{worker_id}").attach(observer)
         recorder.note("task-start", task_id=task.task_id, task_kind=task.kind,
                       gen=task.gen, label=task.spec.label, cube=list(task.cube))
     try:
         if task.kind == SolveTask.CHECK:
             outcome = _run_check(
-                task, worker_id, result_queue, lemma_queue, gen_value, tracer, bus
+                task, worker_id, result_queue, lemma_queue, gen_value, observer
             )
         elif task.kind == SolveTask.ALL_MODELS:
-            outcome = _run_all_models(task, worker_id, gen_value, tracer, bus)
+            outcome = _run_all_models(task, worker_id, gen_value, observer)
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
     except Exception:
@@ -281,11 +277,12 @@ def _execute(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_val
         )
         if recorder is not None:
             recorder.note("worker-exception", error=outcome.error.strip().splitlines()[-1])
-    if tracer is not None and task.trace:
-        outcome.trace_events = tracer.to_chrome_events()
     if recorder is not None:
         recorder.bind_stats(outcome.stats)
-        outcome.flight_dump = recorder.snapshot_lines(reason=outcome.status)
+        outcome.observed = (
+            observer.tracer.to_chrome_events(),
+            recorder.snapshot_lines(reason=outcome.status),
+        )
         recorder.detach()
     return outcome
 

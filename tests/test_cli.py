@@ -1,5 +1,8 @@
 """Tests for the `absolver` command-line front end."""
 
+import json
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -191,3 +194,30 @@ class TestAllModels:
         path = tmp_path / "u.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
         assert main([str(path), "--all-models"]) == 20
+
+
+class TestFlightRecord:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the injected worker failure reaches workers only by fork",
+    )
+    def test_parallel_worker_error_keeps_merged_dump(
+        self, unsat_file, tmp_path, monkeypatch
+    ):
+        # The coordinator writes the merged post-mortem (its ring plus every
+        # worker's) before raising the worker error; the CLI must not
+        # overwrite it with the coordinator's ring alone on the way out.
+        from repro.parallel import worker
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(worker, "_run_check", fail)
+        target = tmp_path / "flight.jsonl"
+        with pytest.raises(RuntimeError, match="parallel worker"):
+            main([unsat_file, "--jobs", "2", "--flight-record", str(target)])
+        lines = [json.loads(line) for line in target.read_text().splitlines()]
+        assert lines[0]["reason"] == "worker-error"
+        tagged = [line for line in lines if "worker" in line]
+        assert tagged, "worker lines missing from the flight dump"
+        assert any(line.get("note") == "worker-exception" for line in tagged)

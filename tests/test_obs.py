@@ -1,5 +1,7 @@
-"""Tests for the observability layer: span tracer, typed event bus, metrics
-registry, the SolveStatistics facade, bench records, and the overhead guard."""
+"""Tests for the observability layer: the observer and its sinks (span
+tracer, event sinks, flight recorder, progress monitor, memory profiler),
+the metrics registry, the SolveStatistics facade, bench records, and the
+overhead guard."""
 
 import io
 import json
@@ -18,7 +20,6 @@ from repro.obs.events import (
     CheckStarted,
     CollectingSink,
     ConflictRefined,
-    EventBus,
     FramePopped,
     FramePushed,
     LemmaReused,
@@ -27,7 +28,8 @@ from repro.obs.events import (
     VerdictReached,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profile import MemoryProfiler, NULL_PROFILER
+from repro.obs.observer import Observer
+from repro.obs.profile import MemoryProfiler
 from repro.obs.progress import (
     ProgressMonitor,
     ProgressRenderer,
@@ -35,7 +37,7 @@ from repro.obs.progress import (
     StageStalled,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import NULL_TRACER, SpanTracer
+from repro.obs.trace import SpanTracer
 
 
 def _sat_problem():
@@ -75,13 +77,18 @@ def _all_stage_problem():
 # ----------------------------------------------------------------------
 # Span tracer
 # ----------------------------------------------------------------------
+def _traced():
+    tracer = SpanTracer()
+    return Observer(tracer=tracer), tracer
+
+
 class TestSpanTracer:
     def test_nesting_depth_and_containment(self):
-        tracer = SpanTracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        observer, tracer = _traced()
+        with observer.span("outer"):
+            with observer.span("inner"):
                 pass
-            with tracer.span("sibling"):
+            with observer.span("sibling"):
                 pass
         spans = {span.name: span for span in tracer.spans}
         assert spans["outer"].depth == 0
@@ -94,46 +101,36 @@ class TestSpanTracer:
         assert tracer.open_depth == 0
 
     def test_exception_marks_span_and_unwinds(self):
-        tracer = SpanTracer()
+        observer, tracer = _traced()
         with pytest.raises(ValueError):
-            with tracer.span("outer"):
-                with tracer.span("broken"):
+            with observer.span("outer"):
+                with observer.span("broken"):
                     raise ValueError("boom")
         names = [span.name for span in tracer.spans]
         assert names == ["broken", "outer"]
         assert all(span.error for span in tracer.spans)
         assert tracer.open_depth == 0
         # The tracer stays usable after the exception, at depth 0.
-        with tracer.span("after"):
+        with observer.span("after"):
             pass
         assert tracer.spans[-1].name == "after"
         assert tracer.spans[-1].depth == 0
         assert not tracer.spans[-1].error
 
-    def test_null_tracer_is_shared_noop(self):
-        assert not NULL_TRACER.enabled
-        handle_a = NULL_TRACER.span("x", anything=1)
-        handle_b = NULL_TRACER.span("y")
-        assert handle_a is handle_b  # one preallocated no-op handle
-        with handle_a:
-            pass
-        NULL_TRACER.instant("marker")
-        assert NULL_TRACER.spans == ()
-
     def test_args_and_instants_recorded(self):
-        tracer = SpanTracer()
-        with tracer.span("linear", backend="simplex", rows=3):
-            tracer.instant("push", depth=1)
+        observer, tracer = _traced()
+        with observer.span("linear", backend="simplex", rows=3):
+            observer.instant("push", depth=1)
         assert tracer.spans[0].args == {"backend": "simplex", "rows": 3}
         assert tracer.instants[0].name == "push"
         assert tracer.instants[0].depth == 1  # nested under the open span
 
     def test_chrome_export_schema(self, tmp_path):
-        tracer = SpanTracer()
-        with tracer.span("outer"):
-            with tracer.span("inner", detail=1):
+        observer, tracer = _traced()
+        with observer.span("outer"):
+            with observer.span("inner", detail=1):
                 pass
-        tracer.instant("mark")
+        observer.instant("mark")
         target = tmp_path / "trace.json"
         tracer.export_chrome(str(target))
         payload = json.loads(target.read_text())
@@ -150,10 +147,10 @@ class TestSpanTracer:
         assert all("dur" in event and event["dur"] >= 0 for event in complete)
 
     def test_jsonl_export(self, tmp_path):
-        tracer = SpanTracer()
-        with tracer.span("a"):
+        observer, tracer = _traced()
+        with observer.span("a"):
             pass
-        with tracer.span("b", tag=7):
+        with observer.span("b", tag=7):
             pass
         target = tmp_path / "spans.jsonl"
         tracer.export_jsonl(str(target))
@@ -163,26 +160,26 @@ class TestSpanTracer:
 
 
 # ----------------------------------------------------------------------
-# Event bus
+# Event routing
 # ----------------------------------------------------------------------
 class TestEventBus:
     def test_inactive_until_subscribed(self):
-        bus = EventBus()
-        assert not bus.active
+        observer = Observer()
+        assert not observer.active
         sink = CollectingSink()
-        bus.subscribe(sink)
-        assert bus.active
-        bus.unsubscribe(sink)
-        assert not bus.active
+        observer.subscribe(sink)
+        assert observer.active
+        observer.unsubscribe(sink)
+        assert not observer.active
 
     def test_typed_subscription(self):
-        bus = EventBus()
+        observer = Observer()
         verdicts = CollectingSink()
         everything = CollectingSink()
-        bus.subscribe(verdicts, VerdictReached)
-        bus.subscribe(everything)
-        bus.publish(CandidateFound(iteration=0, defined_true=1))
-        bus.publish(VerdictReached(status="sat", iterations=1))
+        observer.subscribe(verdicts, VerdictReached)
+        observer.subscribe(everything)
+        observer.publish(CandidateFound(iteration=0, defined_true=1))
+        observer.publish(VerdictReached(status="sat", iterations=1))
         assert [type(e) for e in verdicts.events] == [VerdictReached]
         assert len(everything.events) == 2
 
@@ -198,10 +195,10 @@ class TestEventBus:
 
 class TestSolveEventStream:
     def _solve_collecting(self, problem, **config_kwargs):
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink)
-        result = ABSolver(ABSolverConfig(event_bus=bus, **config_kwargs)).solve(problem)
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink())
+        config = ABSolverConfig(observer=observer, **config_kwargs)
+        result = ABSolver(config).solve(problem)
         return result, sink.events
 
     def test_conflict_refinement_loop_ordering(self):
@@ -218,6 +215,7 @@ class TestSolveEventStream:
         # BlockingClauseAdded triple, in that order, same iteration.
         blocks = [e for e in events if isinstance(e, BlockingClauseAdded)]
         assert blocks
+        assert all(block.blocking_size >= 1 for block in blocks)
         for block in blocks:
             at = events.index(block)
             candidates = [
@@ -238,15 +236,15 @@ class TestSolveEventStream:
     def test_sat_stream_ends_with_feasible_verdict(self):
         result, events = self._solve_collecting(_sat_problem())
         assert result.is_sat
+        assert any(isinstance(e, CandidateFound) for e in events)
         assert isinstance(events[-1], VerdictReached) and events[-1].status == "sat"
         feasible = [e for e in events if isinstance(e, TheoryFeasible)]
         assert len(feasible) == 1
 
     def test_session_lifecycle_events(self):
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink)
-        session = SolverSession(ABSolverConfig(event_bus=bus))
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink())
+        session = SolverSession(ABSolverConfig(observer=observer))
         session.assert_problem(_sat_problem())
         session.check()
         session.push()
@@ -262,28 +260,6 @@ class TestSolveEventStream:
         reused = [e for e in sink.events if isinstance(e, LemmaReused)]
         for event in reused:
             assert event.count > 0
-
-    def test_legacy_trace_bridge_is_faithful(self):
-        """config.trace sees exactly the historical names and payloads."""
-        legacy = []
-        config = ABSolverConfig(
-            trace=lambda name, payload: legacy.append((name, payload)),
-            use_presolve=False,
-        )
-        result = ABSolver(config).solve(_unsat_problem())
-        assert result.is_unsat
-        names = [name for name, _ in legacy]
-        assert set(names) <= {
-            "boolean-model",
-            "theory-feasible",
-            "theory-conflict",
-            "verdict",
-        }
-        assert "boolean-model" in names
-        assert names[-1] == "verdict"
-        conflict_payloads = [p for n, p in legacy if n == "theory-conflict"]
-        assert conflict_payloads
-        assert set(conflict_payloads[0]) == {"iteration", "blocking_size", "definite"}
 
     def test_verbose_sink_format(self):
         stream = io.StringIO()
@@ -302,8 +278,8 @@ class TestTracedSolve:
     def test_all_five_stages_appear_nested(self):
         # Presolve off: it would deduce the conflicting variable's phase up
         # front and skip the refine stage this test wants to observe.
-        tracer = SpanTracer()
-        config = ABSolverConfig(tracer=tracer, use_presolve=False)
+        observer, tracer = _traced()
+        config = ABSolverConfig(observer=observer, use_presolve=False)
         result = ABSolver(config).solve(_all_stage_problem())
         assert result.is_sat
         names = {span.name for span in tracer.spans}
@@ -316,16 +292,16 @@ class TestTracedSolve:
                 assert span.end_us <= check.end_us + 1.0  # float slack
 
     def test_backend_names_attached(self):
-        tracer = SpanTracer()
-        ABSolver(ABSolverConfig(tracer=tracer)).solve(_sat_problem())
+        observer, tracer = _traced()
+        ABSolver(ABSolverConfig(observer=observer)).solve(_sat_problem())
         boolean = next(s for s in tracer.spans if s.name == "boolean")
         linear = next(s for s in tracer.spans if s.name == "linear")
         assert boolean.args["backend"] == "cdcl"
         assert linear.args["backend"] == "simplex"
 
     def test_session_push_pop_traced(self):
-        tracer = SpanTracer()
-        session = SolverSession(ABSolverConfig(tracer=tracer))
+        observer, tracer = _traced()
+        session = SolverSession(ABSolverConfig(observer=observer))
         session.assert_problem(_sat_problem())
         session.check()
         session.push()
@@ -534,11 +510,9 @@ class TestFlightRecorder:
         assert [note["index"] for note in notes] == list(range(84, 100))
 
     def test_dump_schema(self):
-        bus = EventBus()
-        tracer = SpanTracer()
-        recorder = FlightRecorder(name="unit").attach(bus=bus, tracer=tracer)
-        config = ABSolverConfig(event_bus=bus, tracer=tracer)
-        result = ABSolver(config).solve(_sat_problem())
+        observer, _ = _traced()
+        recorder = FlightRecorder(name="unit").attach(observer)
+        result = ABSolver(ABSolverConfig(observer=observer)).solve(_sat_problem())
         recorder.bind_stats(result.stats)
         lines = self._dump(recorder, reason="unit-test")
         header = lines[0]
@@ -559,10 +533,10 @@ class TestFlightRecorder:
             assert line["t"] >= 0
 
     def test_active_spans_capture_the_stuck_stack(self):
-        tracer = SpanTracer()
-        recorder = FlightRecorder().attach(tracer=tracer)
-        with tracer.span("outer"):
-            with tracer.span("inner", backend="simplex"):
+        observer, _ = _traced()
+        recorder = FlightRecorder().attach(observer)
+        with observer.span("outer"):
+            with observer.span("inner", backend="simplex"):
                 lines = self._dump(recorder, reason="stall")
         active = next(line for line in lines if line["kind"] == "active-spans")
         names = [span["name"] for span in active["spans"]]
@@ -579,15 +553,14 @@ class TestFlightRecorder:
         assert entry["t"] >= 0
 
     def test_detach_stops_recording(self):
-        bus = EventBus()
-        tracer = SpanTracer()
-        recorder = FlightRecorder().attach(bus=bus, tracer=tracer)
-        bus.publish(VerdictReached(status="sat", iterations=1))
+        observer, _ = _traced()
+        recorder = FlightRecorder().attach(observer)
+        observer.publish(VerdictReached(status="sat", iterations=1))
         recorder.detach()
-        assert not bus.active
-        assert tracer.span_listener is None
-        bus.publish(VerdictReached(status="sat", iterations=2))
-        with tracer.span("after"):
+        assert not observer.active
+        assert observer.recorder is None
+        observer.publish(VerdictReached(status="sat", iterations=2))
+        with observer.span("after"):
             pass
         assert recorder.recorded == 1
 
@@ -606,20 +579,18 @@ class TestFlightRecorder:
 # ----------------------------------------------------------------------
 class TestProgress:
     def test_first_tick_always_emits(self):
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink, ProgressSnapshot)
-        monitor = ProgressMonitor(bus, interval=3600.0)
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink(), ProgressSnapshot)
+        monitor = ProgressMonitor(observer, interval=3600.0)
         monitor.tick("boolean", iteration=0, boolean_queries=1)
         assert monitor.snapshots == 1
         assert sink.events[0].stage == "boolean"
 
     def test_interval_rate_limits(self):
         clock = FakeClock()
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink, ProgressSnapshot)
-        monitor = ProgressMonitor(bus, interval=1.0, clock=clock)
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink(), ProgressSnapshot)
+        monitor = ProgressMonitor(observer, interval=1.0, clock=clock)
         for _ in range(10):
             monitor.tick("boolean")
             clock.advance(0.3)
@@ -630,10 +601,9 @@ class TestProgress:
 
     def test_stall_detected_at_tick_time(self):
         clock = FakeClock()
-        bus = EventBus()
-        stalls = CollectingSink()
-        bus.subscribe(stalls, StageStalled)
-        monitor = ProgressMonitor(bus, interval=0.0, stall_budget=5.0, clock=clock)
+        observer = Observer()
+        stalls = observer.subscribe(CollectingSink(), StageStalled)
+        monitor = ProgressMonitor(observer, interval=0.0, stall_budget=5.0, clock=clock)
         monitor.tick("linear")
         clock.advance(20.0)
         monitor.tick("linear")
@@ -644,10 +614,9 @@ class TestProgress:
         assert event.budget == 5.0
 
     def test_watchdog_fires_once_per_episode(self):
-        bus = EventBus()
-        stalls = CollectingSink()
-        bus.subscribe(stalls, StageStalled)
-        monitor = ProgressMonitor(bus, interval=0.0, stall_budget=0.05)
+        observer = Observer()
+        stalls = observer.subscribe(CollectingSink(), StageStalled)
+        monitor = ProgressMonitor(observer, interval=0.0, stall_budget=0.05)
         monitor.tick("nonlinear")
         monitor.start_watchdog(poll_interval=0.02)
         try:
@@ -663,11 +632,13 @@ class TestProgress:
         from repro.benchgen import watertank_unroll_family
 
         family = watertank_unroll_family(4)
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink, ProgressSnapshot)
-        monitor = ProgressMonitor(bus, interval=0.0)
-        config = ABSolverConfig(event_bus=bus, progress_monitor=monitor)
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink(), ProgressSnapshot)
+        monitor = ProgressMonitor(observer, interval=0.0)
+        # Difference logic settles the depth-4 unroll in tens of
+        # milliseconds (16 Boolean queries), still ticking presolve and
+        # several loop iterations; exact simplex takes seconds.
+        config = ABSolverConfig(linear="difference", observer=observer)
         depth = family.max_depth
         result = ABSolver(config).solve(
             family.problem_at_depth(depth),
@@ -704,11 +675,10 @@ class TestProgress:
         )
 
     def test_validation(self):
-        bus = EventBus()
         with pytest.raises(ValueError):
-            ProgressMonitor(bus, interval=-1.0)
+            ProgressMonitor(Observer(), interval=-1.0)
         with pytest.raises(ValueError):
-            ProgressMonitor(bus, stall_budget=0.0)
+            ProgressMonitor(Observer(), stall_budget=0.0)
 
 
 class FakeClock:
@@ -728,24 +698,15 @@ class FakeClock:
 # Memory profiler
 # ----------------------------------------------------------------------
 class TestMemoryProfiler:
-    def test_null_profiler_is_shared_noop(self):
-        assert not NULL_PROFILER.enabled
-        handle_a = NULL_PROFILER.stage("linear")
-        handle_b = NULL_PROFILER.stage("boolean")
-        assert handle_a is handle_b
-        with handle_a:
-            pass
-        assert NULL_PROFILER.summary() == {}
-
     def test_attributes_growth_to_stages(self):
         profiler = MemoryProfiler(sample_every=1)
         profiler.start()
         try:
             keep = []
             for _ in range(4):
-                with profiler.stage("linear"):
+                with profiler.measure("linear"):
                     keep.append(bytearray(64 * 1024))
-                with profiler.stage("boolean"):
+                with profiler.measure("boolean"):
                     pass
             summary = profiler.summary()
         finally:
@@ -763,7 +724,7 @@ class TestMemoryProfiler:
         profiler.start()
         try:
             for _ in range(20):
-                with profiler.stage("boolean"):
+                with profiler.measure("boolean"):
                     pass
             summary = profiler.summary()
         finally:
@@ -774,7 +735,7 @@ class TestMemoryProfiler:
 
     def test_unstarted_profiler_still_counts(self):
         profiler = MemoryProfiler()
-        with profiler.stage("linear"):
+        with profiler.measure("linear"):
             pass
         assert profiler.summary()["stages"]["linear"] == {
             "entries": 1,
@@ -787,7 +748,7 @@ class TestMemoryProfiler:
         profiler = MemoryProfiler(sample_every=1)
         profiler.start()
         try:
-            config = ABSolverConfig(memory_profiler=profiler)
+            config = ABSolverConfig(observer=Observer(profiler=profiler))
             result = ABSolver(config).solve(_sat_problem())
             assert result.is_sat
             stages = profiler.summary()["stages"]
@@ -798,14 +759,103 @@ class TestMemoryProfiler:
 
 
 # ----------------------------------------------------------------------
+# The observer itself: fast paths, the one config field, composed sinks
+# ----------------------------------------------------------------------
+class TestObserver:
+    def test_span_without_tracer_is_shared_noop(self):
+        observer = Observer()
+        handle_a = observer.span("x", anything=1)
+        handle_b = Observer().span("y")
+        assert handle_a is handle_b  # one preallocated no-op handle
+        with handle_a:
+            pass
+        observer.instant("marker")
+
+    def test_stage_without_sinks_only_times(self):
+        stats = SolveStatistics()
+        with Observer().stage(stats, "linear", {"rows": 3}):
+            pass
+        assert stats.stage_summaries()["linear"]["count"] == 1
+        # With an (unstarted) profiler attached the entry is also counted.
+        profiler = MemoryProfiler()
+        with Observer(profiler=profiler).stage(stats, "linear", {}):
+            pass
+        assert profiler.summary()["stages"]["linear"]["entries"] == 1
+        assert stats.stage_summaries()["linear"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "field", ["trace", "tracer", "event_bus", "progress_monitor", "memory_profiler"]
+    )
+    def test_config_has_one_observability_field(self, field):
+        with pytest.raises(TypeError):
+            ABSolverConfig(**{field: None})
+
+    def test_every_sink_at_once_sees_what_each_sees_alone(self):
+        """One solve with all five sinks attached: each receives what it
+        receives alone, and the solve itself is unchanged."""
+
+        def solve(observer=None):
+            # Presolve off: the solve then visits all five loop stages.
+            config = ABSolverConfig(use_presolve=False, observer=observer)
+            return ABSolver(config).solve(_all_stage_problem())
+
+        def counters(result):
+            return {
+                key: value
+                for key, value in result.stats.as_dict().items()
+                if not key.startswith("time_")
+            }
+
+        solve()  # warm the interning table, so intern_hits compare equal
+        plain = solve()
+
+        spans_alone = SpanTracer()
+        solve(Observer(tracer=spans_alone))
+        events_alone = Observer()
+        events_sink = events_alone.subscribe(CollectingSink())
+        solve(events_alone)
+        ticks_alone = Observer()
+        ticks_sink = ticks_alone.subscribe(CollectingSink(), ProgressSnapshot)
+        ProgressMonitor(ticks_alone, interval=0.0)
+        solve(ticks_alone)
+
+        tracer = SpanTracer()
+        profiler = MemoryProfiler(sample_every=1)
+        observer = Observer(tracer=tracer, profiler=profiler)
+        sink = observer.subscribe(CollectingSink())
+        recorder = FlightRecorder().attach(observer)
+        ProgressMonitor(observer, interval=0.0)
+        profiler.start()
+        try:
+            result = solve(observer)
+            memory = profiler.summary()
+        finally:
+            profiler.stop()
+
+        assert result.status is plain.status
+        assert counters(result) == counters(plain)
+        assert [s.name for s in tracer.spans] == [s.name for s in spans_alone.spans]
+        solve_events = [
+            type(e) for e in sink.events if not isinstance(e, ProgressSnapshot)
+        ]
+        assert solve_events == [type(e) for e in events_sink.events]
+        assert [e.stage for e in sink.of_type(ProgressSnapshot)] == [
+            e.stage for e in ticks_sink.events
+        ]
+        ring = {line["kind"] for line in recorder.snapshot_lines()}
+        assert {"span", "event"} <= ring
+        assert "boolean" in memory["stages"]
+
+
+# ----------------------------------------------------------------------
 # Overhead guard
 # ----------------------------------------------------------------------
-def _midsize_solve(tracer=None, bus=None):
+def _midsize_solve(observer=None):
     """One mid-size difference-logic solve (the FISCHER unroll at depth 6)."""
     from repro.benchgen import fischer_unroll_family
 
     family = fischer_unroll_family(6)
-    config = ABSolverConfig(linear="difference", tracer=tracer, event_bus=bus)
+    config = ABSolverConfig(linear="difference", observer=observer)
     result = ABSolver(config).solve(
         family.problem_at_depth(6), assumptions=family.check_assumptions(6)
     )
@@ -813,12 +863,26 @@ def _midsize_solve(tracer=None, bus=None):
     return result
 
 
+def _best_of_alternating(runs, make_base, make_other):
+    """Best-of-``runs`` wall time per side, alternating base and other solves
+    one by one so a host speed change hits both sides alike."""
+    best = {"base": float("inf"), "other": float("inf")}
+    for _ in range(runs):
+        for side, make in (("base", make_base), ("other", make_other)):
+            observer = make()
+            started = time.perf_counter()
+            _midsize_solve(observer)
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best["base"], best["other"]
+
+
 class TestOverheadGuard:
     def test_null_span_fast_path_is_cheap(self):
-        """The disabled tracer's span() must be allocation-free and fast."""
+        """A span on an observer without a tracer must be allocation-free and fast."""
+        observer = Observer()
         started = time.perf_counter()
         for _ in range(100_000):
-            with NULL_TRACER.span("stage"):
+            with observer.span("stage"):
                 pass
         elapsed = time.perf_counter() - started
         # Generous even for slow CI runners: 100k no-op spans in under half
@@ -828,25 +892,16 @@ class TestOverheadGuard:
     def test_tracing_overhead_within_five_percent(self):
         """Instrumentation cost on a mid-size solve stays under 5%.
 
-        The traced-off path is the shipped default (NULL_TRACER + inactive
-        bus); running the same solve fully traced within 5% of it bounds
-        what the instrumentation hooks can cost — and a fortiori the
-        traced-off solve sits within 5% of pre-instrumentation wall time.
-        Best-of-5 strips scheduler noise.
+        The traced-off path is the shipped default (an observer with no
+        sinks); running the same solve fully traced within 5% of it bounds
+        what the instrumentation can cost — and a fortiori the traced-off
+        solve sits within 5% of pre-instrumentation wall time.  Best-of-5
+        strips scheduler noise.
         """
         _midsize_solve()  # warm imports and code paths
-
-        def best_of(runs, make_tracer):
-            best = float("inf")
-            for _ in range(runs):
-                tracer = make_tracer()
-                started = time.perf_counter()
-                _midsize_solve(tracer)
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        untraced = best_of(5, lambda: None)
-        traced = best_of(5, SpanTracer)
+        untraced, traced = _best_of_alternating(
+            5, lambda: None, lambda: Observer(tracer=SpanTracer())
+        )
         # 5% relative margin plus a small absolute cushion so a sub-50ms
         # baseline does not turn scheduler jitter into flakes.
         assert traced <= untraced * 1.05 + 0.005, (
@@ -857,28 +912,23 @@ class TestOverheadGuard:
     def test_recorder_overhead_within_five_percent(self):
         """A flight recorder on a fully traced solve stays under 5% extra.
 
-        Both sides run traced with an active bus, so the comparison
+        Both sides run traced with an active observer, so the comparison
         isolates what the *recorder* adds: one ring append per event and
         per span close.  Best-of-5 strips scheduler noise.
         """
         _midsize_solve()  # warm imports and code paths
 
-        def best_of(runs, recorded):
-            best = float("inf")
-            for _ in range(runs):
-                tracer = SpanTracer()
-                bus = EventBus()
-                if recorded:
-                    FlightRecorder().attach(bus=bus, tracer=tracer)
-                else:
-                    bus.subscribe(lambda event: None)  # bus active either way
-                started = time.perf_counter()
-                _midsize_solve(tracer, bus)
-                best = min(best, time.perf_counter() - started)
-            return best
+        def traced(recorded):
+            observer = Observer(tracer=SpanTracer())
+            if recorded:
+                FlightRecorder().attach(observer)
+            else:
+                observer.subscribe(lambda event: None)  # active either way
+            return observer
 
-        plain = best_of(5, recorded=False)
-        recorded = best_of(5, recorded=True)
+        plain, recorded = _best_of_alternating(
+            5, lambda: traced(False), lambda: traced(True)
+        )
         assert recorded <= plain * 1.05 + 0.005, (
             f"recorded {recorded * 1000:.1f}ms vs plain {plain * 1000:.1f}ms "
             "exceeds the 5% flight-recorder budget"

@@ -118,20 +118,32 @@ class TestCubeSplitting:
 
 class TestDynamicSplitting:
     def test_hard_cube_splits_and_verdict_stays_correct(self):
-        # A tiny split budget forces every nontrivial cube to be abandoned
+        # A tiny split budget forces every top-level cube to be abandoned
         # and re-split; the join must still reach the sequential verdict
         # and count the splits.  Presolve off: its per-cube refinements can
         # settle cubes inside the budget, leaving nothing to split.
-        problem = planted_problem(6).problem
+        problem = planted_problem(4).problem
+        config = ABSolverConfig(use_presolve=False)
+        split_budget = 1
+        # Precondition: each top-level cube, solved alone, polls (one poll
+        # per candidate) more often than the budget allows, so no cube can
+        # finish -- and stop the solve first-win -- before it splits.
+        for cube in build_cubes(problem, 1):
+            polls = []
+            session = SolverSession(config)
+            session.assert_problem(problem)
+            session.check(cube, poll=lambda: polls.append(cube) or True)
+            assert len(polls) > split_budget, cube
         with ParallelSolver(
-            ABSolverConfig(use_presolve=False),
+            config,
             jobs=2,
             mode="cube",
             cube_depth=1,
-            split_budget=1,
+            split_budget=split_budget,
         ) as solver:
             result = solver.solve(problem)
         assert result.is_sat
+        assert result.status is ABSolver(config).solve(problem).status
         split = solver.last_stats.registry.counter("cubes_split").value
         dispatched = solver.last_stats.registry.counter("cubes_dispatched").value
         assert split >= 1
@@ -564,13 +576,13 @@ class TestFlightRecording:
             kind="no-such-kind",
             problem=small_problem(),
             spec=ConfigSpec(),
-            flight_record=True,
+            observe=True,
         )
         outcome = _execute(task, 0, None, None, None)
         assert outcome.status == WorkerOutcome.ERROR
-        assert outcome.flight_dump is not None
-        _check_dump_schema(outcome.flight_dump)
-        notes = [l for l in outcome.flight_dump if l["kind"] == "note"]
+        _, ring = outcome.observed
+        _check_dump_schema(ring)
+        notes = [l for l in ring if l["kind"] == "note"]
         assert notes[0]["note"] == "task-start" and notes[0]["task_kind"] == "no-such-kind"
         assert any(l["note"] == "worker-exception" for l in notes)
 
@@ -582,14 +594,14 @@ class TestFlightRecording:
             assert solver.write_flight_dump() is None
 
     def test_coordinator_progress_ticks(self):
-        from repro.obs.events import EventBus
+        from repro.obs.observer import Observer
         from repro.obs.progress import ProgressMonitor, ProgressSnapshot
 
-        bus = EventBus()
+        observer = Observer()
         seen = []
-        bus.subscribe(seen.append, ProgressSnapshot)
-        monitor = ProgressMonitor(bus, interval=0.0)
-        config = ABSolverConfig(progress_monitor=monitor)
+        observer.subscribe(seen.append, ProgressSnapshot)
+        monitor = ProgressMonitor(observer, interval=0.0)
+        config = ABSolverConfig(observer=observer)
         with ParallelSolver(
             config=config, jobs=2, mode="cube", cube_depth=1
         ) as solver:

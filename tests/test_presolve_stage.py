@@ -34,10 +34,10 @@ from repro.core.presolve import BoundStore, PresolveStage, propagate_rows
 from repro.obs.events import (
     BoundTightened,
     CollectingSink,
-    EventBus,
     PresolveFixedVar,
     PresolveInfeasible,
 )
+from repro.obs.observer import Observer
 
 RANDOM_SEEDS = list(range(30))
 PLANTED_SEEDS = list(range(100, 125))
@@ -300,11 +300,10 @@ class TestInfeasibleShortCircuit:
 
 class TestEvents:
     def _collect(self, problem, **kwargs):
-        bus = EventBus()
-        sink = CollectingSink()
-        bus.subscribe(sink)
+        observer = Observer()
+        sink = observer.subscribe(CollectingSink())
         result = ABSolver(
-            ABSolverConfig(event_bus=bus, **kwargs)
+            ABSolverConfig(observer=observer, **kwargs)
         ).solve(problem)
         return result, sink.events
 

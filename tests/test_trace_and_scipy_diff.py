@@ -1,58 +1,16 @@
-"""Tests for solver tracing, plus a scipy differential check of the simplex."""
+"""Tests for the ``--verbose`` event log, plus a scipy differential check of
+the simplex."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ABProblem, ABSolver, ABSolverConfig, parse_constraint
 from repro.core.expr import Relation
 from repro.linear import LinearConstraint, LinearSystem, LPStatus, SimplexSolver
 
 
 class TestTrace:
-    def collect_events(self, problem, **config_kwargs):
-        events = []
-        config = ABSolverConfig(
-            trace=lambda event, payload: events.append((event, payload)),
-            **config_kwargs,
-        )
-        result = ABSolver(config).solve(problem)
-        return result, events
-
-    def test_sat_run_emits_lifecycle(self):
-        problem = ABProblem()
-        problem.add_clause([1])
-        problem.define(1, "real", parse_constraint("x >= 0"))
-        result, events = self.collect_events(problem)
-        assert result.is_sat
-        names = [event for event, _ in events]
-        assert "boolean-model" in names
-        assert "theory-feasible" in names
-        assert names[-1] == "verdict"
-        assert events[-1][1]["status"] == "sat"
-
-    def test_conflict_events(self):
-        problem = ABProblem()
-        problem.add_clause([1])
-        problem.add_clause([2])
-        problem.define(1, "real", parse_constraint("x >= 5"))
-        problem.define(2, "real", parse_constraint("x <= 3"))
-        # Presolve off so the contradiction reaches the theory-conflict path
-        # instead of being proven up front.
-        result, events = self.collect_events(problem, use_presolve=False)
-        assert result.is_unsat
-        conflicts = [payload for event, payload in events if event == "theory-conflict"]
-        assert conflicts
-        assert all(payload["blocking_size"] >= 1 for payload in conflicts)
-        assert events[-1][1]["status"] == "unsat"
-
-    def test_no_trace_by_default(self):
-        problem = ABProblem()
-        problem.add_clause([1])
-        # simply must not crash when trace is None
-        assert ABSolver().solve(problem).is_sat
-
     def test_cli_verbose(self, tmp_path, capsys):
         from repro.cli import main
 
