@@ -12,8 +12,8 @@ tank controller) twice each:
   classic mode — every depth re-translates every atom and relearns every
   theory lemma from scratch;
 * **session**: one :class:`~repro.core.session.SolverSession`, each depth
-  asserting only its delta — learned clauses, theory lemmas, simplex
-  warm-start points, and the translation cache persist across checks;
+  asserting only its delta — learned clauses, theory lemmas and the
+  translation cache persist across checks;
 * **replay**: a *fresh* session primed with the definite theory lemmas the
   session sweep derived, imported lazily
   (``import_lemmas(..., lazy=True)``) — the clauses become blocking
@@ -25,10 +25,12 @@ tank controller) twice each:
 The end-of-session report table shows the sweep times, the speedups, and
 the reuse counters (``clauses_reused``, ``translation_cache_hits``,
 ``warm_start_hits``, ``blocking_template_hits``); the report *asserts*
-that the session sweep is strictly faster than one-shot and that the
-reuse counters are nonzero.  Both families are pure difference logic, so
-the sweeps run with ``linear="difference"`` (Bellman-Ford negative-cycle
-conflict cores).
+that the session sweep is strictly faster than one-shot and that
+``clauses_reused``, ``translation_cache_hits`` and the replay's
+``blocking_template_hits`` are nonzero.  Both families are pure difference
+logic, so the sweeps run with ``linear="difference"`` (Bellman-Ford
+negative-cycle conflict cores) and never reach the simplex: its warm
+starts (``warm_start_hits``) are reported, not asserted.
 
 Because difference logic never reaches the nonlinear stage, the committed
 record used to show ``nonlinear_calls: 0`` — dead counters.  A third
@@ -264,8 +266,6 @@ def _report():
             failures.append(f"{name}: no clause reuse across checks")
         if stats.translation_cache_hits <= 0:
             failures.append(f"{name}: translation cache never hit")
-        if stats.warm_start_hits <= 0:
-            failures.append(f"{name}: simplex warm starts never hit")
         if replay_stats is not None and replay_stats.blocking_template_hits <= 0:
             failures.append(f"{name}: lemma replay never hit a blocking template")
     report_rows(

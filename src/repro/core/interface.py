@@ -516,10 +516,13 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
 
     Components inside the QF_RDL fragment (``x - y REL c``) are decided by
     Bellman–Ford negative-cycle search; a detected cycle *is* an IIS, so
-    conflict refinement is free.  Components outside the fragment fall back
-    to the exact simplex / branch-and-bound path.  This adapter is the
-    "reuse of expert knowledge" demonstration: selecting it makes the
-    FISCHER family dramatically cheaper without touching the control loop.
+    conflict refinement is free: :meth:`check` keeps the refuting cycle's
+    tags, and the :meth:`refine` of that same system returns them without
+    a second Bellman–Ford run.  Components outside the fragment fall back
+    to the exact simplex / branch-and-bound path, which ``warm_start``
+    configures.  This adapter is the "reuse of expert knowledge"
+    demonstration: selecting it makes the FISCHER family dramatically
+    cheaper without touching the control loop.
     """
 
     name = "difference"
@@ -537,40 +540,47 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         )
         from ..linear.difference import DifferenceLogicSolver, is_difference_system
 
-        self._difference = DifferenceLogicSolver(warm_start=warm_start)
+        self._difference = DifferenceLogicSolver()
         self._is_difference_system = is_difference_system
+        #: ``(system, cycle tags)`` of the last check a negative cycle refuted.
+        self._refuted: Optional[Tuple[LinearSystem, List[int]]] = None
 
-    @property
-    def warm_start_hits(self) -> int:
-        """Warm-cache hits across both engines (Bellman–Ford + simplex)."""
-        return self._simplex.warm_hits + self._difference.warm_hits
-
-    def invalidate_caches(self) -> None:
-        """Drop warm-start state in both the simplex and difference engines."""
-        super().invalidate_caches()
-        self._difference.clear_warm_cache()
-
-    def set_warm_context(self, context: Optional[object]) -> None:
-        super().set_warm_context(context)
-        self._difference.warm_context = context
+    def check(self, system: LinearSystem) -> LPResult:
+        self._refuted = None
+        merged_point: Dict[str, object] = {}
+        for component in system.split_components():
+            if not self._is_difference_system(component):
+                result = self._solve_exact(component)
+            else:
+                result = self._difference.check(component)
+                if result.status is LPStatus.INFEASIBLE:
+                    self._refuted = (system, self._cycle_tags(component, result))
+            if result.status is not LPStatus.FEASIBLE:
+                return result
+            merged_point.update(result.point)
+        return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
 
     def _check_component(self, component: LinearSystem) -> LPResult:
         if self._is_difference_system(component):
             return self._difference.check(component)
         return super()._check_component(component)
 
+    @staticmethod
+    def _cycle_tags(component: LinearSystem, result: LPResult) -> List[int]:
+        """Origin tags of a cycle core, whose indices index ``component``."""
+        assert result.core_indices is not None
+        tags = (component.rows[i].tag for i in result.core_indices)
+        return [tag for tag in tags if isinstance(tag, int)]
+
     def refine(self, system: LinearSystem) -> Refinement:
+        refuted, self._refuted = self._refuted, None
+        if refuted is not None and refuted[0] is system:
+            return Refinement(refuted[1], minimal=True)
         for component in system.split_components():
             if self._is_difference_system(component):
                 result = self._difference.check(component)
                 if result.status is LPStatus.INFEASIBLE:
-                    assert result.core_indices is not None
-                    tags = [
-                        component.rows[i].tag
-                        for i in result.core_indices
-                        if isinstance(component.rows[i].tag, int)
-                    ]
-                    return Refinement(tags, minimal=True)
+                    return Refinement(self._cycle_tags(component, result), minimal=True)
         return super().refine(system)
 
 

@@ -14,37 +14,35 @@ to the exact simplex on rows outside the fragment.
 
 Strict inequalities are handled with lexicographic weights ``(c, s)`` where
 ``s`` counts strict edges: a cycle is infeasible iff its total weight is
-negative, or zero with at least one strict edge.
+negative, or zero with at least one strict edge.  Bellman–Ford runs on one
+exact integer per edge that encodes this order (see
+:class:`DifferenceLogicSolver`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from ..core.expr import Relation
 from .lp import LinearConstraint, LinearSystem
-from .simplex import LPResult, LPStatus, SimplexSolver
+from .simplex import LPResult, LPStatus
 
 __all__ = ["DifferenceLogicSolver", "is_difference_row", "is_difference_system"]
-
-_ZERO = Fraction(0)
 
 #: Virtual source vertex used for single-variable bounds ``x <= c``.
 _SOURCE = "__zero__"
 
+#: One graph edge: ``(tail, head, weight numerator, weight denominator,
+#: strict, row index)``.
+_Edge = Tuple[str, str, int, int, bool, int]
 
-class _Edge:
-    """Edge u -> v with weight w, strictness flag, and the source row index."""
+#: The graph Bellman–Ford relaxes: ``(tail id, head id, integer weight)``.
+_Graph = List[Tuple[int, int, int]]
 
-    __slots__ = ("u", "v", "weight", "strict", "row_index")
-
-    def __init__(self, u: str, v: str, weight: Fraction, strict: bool, row_index: int):
-        self.u = u
-        self.v = v
-        self.weight = weight
-        self.strict = strict
-        self.row_index = row_index
+#: Coefficient lists of the non-trivial rows inside the fragment.
+_FRAGMENT_COEFFS = ([1], [-1], [1, -1], [-1, 1])
 
 
 def is_difference_row(row: LinearConstraint) -> bool:
@@ -63,14 +61,10 @@ def is_difference_row(row: LinearConstraint) -> bool:
     ... )
     False
     """
-    coeffs = list(row.coeffs.values())
-    if len(coeffs) == 0:
+    if not row.coeffs:
         return True  # trivial row; verdict checked directly
-    if len(coeffs) == 1:
-        return abs(coeffs[0]) == 1
-    if len(coeffs) == 2:
-        return sorted(coeffs) == [Fraction(-1), Fraction(1)]
-    return False
+    coeffs = [c.numerator if c.denominator == 1 else 0 for c in row.coeffs.values()]
+    return coeffs in _FRAGMENT_COEFFS
 
 
 def is_difference_system(system: LinearSystem) -> bool:
@@ -83,193 +77,104 @@ def is_difference_system(system: LinearSystem) -> bool:
 class DifferenceLogicSolver:
     """Feasibility + negative-cycle cores for difference constraint systems.
 
-    ``warm_start`` enables two canonical-keyed certificate caches, both
-    keyed on the structural signature of the rows (normalized coefficients
-    + relations, bounds excluded — :meth:`SimplexSolver._structural_signature`):
-
-    * **feasible points** — after a feasible check the witness potentials
-      are cached, and a later check with the same structure re-validates
-      the point with exact arithmetic, an O(rows) scan that skips the
-      O(V·E) Bellman–Ford run when it succeeds (same scheme as
-      :meth:`SimplexSolver.check`);
-    * **infeasible cores** — after an infeasible check the negative
-      cycle's row shapes are cached, and a later check with the same
-      structure re-runs Bellman–Ford on *only the rows matching those
-      shapes* (a handful of rows instead of the whole component).  This
-      is the cache that pays in the lazy-SMT loop, where almost every
-      candidate check is a refutation: the same few-atom conflict recurs
-      across unroll depths with shifted bounds, and re-deriving it needs
-      only the tiny subgraph.
-
-    ``warm_hits`` counts both kinds of skip; verdicts are unaffected
-    because a failed validation always falls through to the full solve,
-    and a successful core re-validation returns a genuine negative cycle
-    of the *current* rows (so conflict cores stay sound).
+    Each check is one Bellman–Ford pass in exact integer arithmetic.  Edge
+    weights are scaled by the LCM ``L`` of the bound denominators, and the
+    strictness of an edge is folded into the same integer: weight ``w``
+    becomes ``w·L·M − s`` (``s`` is 1 for a strict edge, else 0) with
+    ``M = |V|·|E| + 1``.  Each distance Bellman–Ford builds is a walk that
+    gained at most one strict edge per relaxation, and a run makes at most
+    ``|V|·|E|`` relaxations, so strict counts stay below ``M`` and integer
+    order on distances is exactly the lexicographic ``(weight, −strict)``
+    order.  The integers are decoded back to ``(weight, strict)`` only to
+    build a feasible point.
     """
 
-    #: Cap on cached warm-start certificates (structural signatures).
-    WARM_CACHE_LIMIT = 512
-
-    def __init__(self, warm_start: bool = False):
-        self.warm_start = warm_start
-        self.warm_hits = 0
-        #: Opaque scope token mixed into the warm-cache key (see
-        #: :attr:`repro.linear.simplex.SimplexSolver.warm_context`).
-        self.warm_context: Optional[object] = None
-        self._warm_points: Dict[object, Dict[str, Fraction]] = {}
-        self._warm_cores: Dict[object, frozenset] = {}
-
-    def clear_warm_cache(self) -> None:
-        """Drop every cached feasible point and infeasible core."""
-        self._warm_points.clear()
-        self._warm_cores.clear()
-
     def check(self, system: LinearSystem) -> LPResult:
-        """Decide feasibility; INFEASIBLE results carry the cycle as core."""
+        """Decide feasibility; INFEASIBLE results carry the cycle as core.
+
+        Raises ``ValueError`` when the system is outside the fragment.
+        """
         if not is_difference_system(system):
             raise ValueError("system is outside the difference-logic fragment")
-        signature: Optional[object] = None
-        if self.warm_start:
-            signature = (
-                self.warm_context,
-                SimplexSolver._structural_signature(system.rows),
-            )
-            cached = self._warm_points.get(signature)
-            if cached is not None and SimplexSolver._point_satisfies(
-                system.rows, cached
-            ):
-                self.warm_hits += 1
-                return LPResult(LPStatus.FEASIBLE, dict(cached))
-            cached_core = self._warm_cores.get(signature)
-            if cached_core is not None:
-                revived = self._revalidate_core(system.rows, cached_core)
-                if revived is not None:
-                    self.warm_hits += 1
-                    return LPResult(LPStatus.INFEASIBLE, core_indices=revived)
         edges: List[_Edge] = []
-        vertices: Set[str] = {_SOURCE}
         for index, row in enumerate(system.rows):
             if row.is_trivial():
                 if not row.trivially_true():
                     return LPResult(LPStatus.INFEASIBLE, core_indices=[index])
                 continue
-            for edge in self._edges_of(row, index):
-                edges.append(edge)
-                vertices.add(edge.u)
-                vertices.add(edge.v)
+            edges.extend(self._edges_of(row, index))
 
-        distance, predecessor, updated_vertex = self._bellman_ford(edges, vertices)
+        vertex_ids: Dict[str, int] = {_SOURCE: 0}
+        for tail, head, *_ in edges:
+            vertex_ids.setdefault(tail, len(vertex_ids))
+            vertex_ids.setdefault(head, len(vertex_ids))
+        num_vertices = len(vertex_ids)
+        scale = lcm(*(edge[3] for edge in edges))
+        multiplier = num_vertices * len(edges) + 1
+        graph = [
+            (
+                vertex_ids[tail],
+                vertex_ids[head],
+                numerator * (scale // denominator) * multiplier - strict,
+            )
+            for tail, head, numerator, denominator, strict, _ in edges
+        ]
+
+        distance, predecessor, updated_vertex = self._bellman_ford(graph, num_vertices)
 
         if updated_vertex is not None:
-            cycle = self._extract_cycle(updated_vertex, predecessor, len(vertices))
-            core = sorted({edge.row_index for edge in cycle})
-            if signature is not None:
-                if len(self._warm_cores) >= self.WARM_CACHE_LIMIT:
-                    self._warm_cores.clear()
-                self._warm_cores[signature] = frozenset(
-                    self._row_key(system.rows[i]) for i in core
-                )
-            return LPResult(LPStatus.INFEASIBLE, core_indices=core)
+            cycle = self._extract_cycle(updated_vertex, predecessor, graph)
+            return LPResult(
+                LPStatus.INFEASIBLE, core_indices=sorted({edges[k][5] for k in cycle})
+            )
 
-        # Feasible: distances are a model.  Strict edges hold with margin
-        # because the lexicographic strict count is respected: shift each
-        # distance by -s * eps for a small enough eps.
-        eps = self._strictness_epsilon(edges, distance)
-        point: Dict[str, Fraction] = {}
-        for vertex in vertices:
-            if vertex == _SOURCE:
-                continue
-            weight, strict_count = distance[vertex]
-            value = weight - eps * strict_count
-            # Solution orientation: constraints are v - u <= w along edges
-            # u->v is d(v) <= d(u) + w; x's value is d(x) - d(source).
-            point[vertex] = value - (distance[_SOURCE][0] - eps * distance[_SOURCE][1])
-        if signature is not None:
-            if len(self._warm_points) >= self.WARM_CACHE_LIMIT:
-                self._warm_points.clear()
-            self._warm_points[signature] = dict(point)
+        # Feasible: distances are a model.  Decode D = A·M − s (A = w·L);
+        # strict edges hold with margin once each distance is shifted by
+        # -s * eps for a small enough eps.
+        scaled = [-(-d // multiplier) for d in distance]
+        strict_counts = [a * multiplier - d for a, d in zip(scaled, distance)]
+        eps = self._strictness_epsilon(graph, scaled, strict_counts, scale, multiplier)
+        # Solution orientation: constraints are v - u <= w along edges
+        # u->v is d(v) <= d(u) + w; x's value is d(x) - d(source).
+        point = {
+            vertex: Fraction(scaled[i] - scaled[0], scale)
+            - eps * (strict_counts[i] - strict_counts[0])
+            for vertex, i in vertex_ids.items()
+            if vertex != _SOURCE
+        }
         return LPResult(LPStatus.FEASIBLE, point)
 
     # ------------------------------------------------------------------
     @staticmethod
     def _bellman_ford(
-        edges: Sequence[_Edge], vertices: Set[str]
-    ) -> Tuple[
-        Dict[str, Tuple[Fraction, int]], Dict[str, Optional[_Edge]], Optional[str]
-    ]:
+        graph: _Graph, num_vertices: int
+    ) -> Tuple[List[int], List[int], Optional[int]]:
         """Bellman–Ford from the virtual source (implicit 0-edges to every
-        vertex, i.e. all distances start at 0).
+        vertex, i.e. all distances start at 0) over integer-weighted edges
+        ``(tail, head, weight)``.
 
-        Returns ``(distance, predecessor, updated_vertex)``;
-        ``updated_vertex`` is non-None iff a relaxation still fired in the
-        final round, which witnesses a negative cycle reachable through it.
+        Returns ``(distance, predecessor, updated_vertex)``; ``predecessor``
+        holds edge indices (-1 for none), and ``updated_vertex`` is non-None
+        iff a relaxation still fired in the final round, which witnesses a
+        negative cycle reachable through it.
         """
-        distance: Dict[str, Tuple[Fraction, int]] = {v: (_ZERO, 0) for v in vertices}
-        predecessor: Dict[str, Optional[_Edge]] = {v: None for v in vertices}
-
-        def less(a: Tuple[Fraction, int], b: Tuple[Fraction, int]) -> bool:
-            # Lexicographic: smaller weight first, then more strict edges
-            # (strict edges shrink the feasible value, modelled as -1 each).
-            return a[0] < b[0] or (a[0] == b[0] and a[1] > b[1])
-
-        updated_vertex: Optional[str] = None
-        for _ in range(len(vertices)):
+        distance = [0] * num_vertices
+        predecessor = [-1] * num_vertices
+        updated_vertex: Optional[int] = None
+        for _ in range(num_vertices):
             updated_vertex = None
-            for edge in edges:
-                du = distance[edge.u]
-                candidate = (du[0] + edge.weight, du[1] + (1 if edge.strict else 0))
-                if less(candidate, distance[edge.v]):
-                    distance[edge.v] = candidate
-                    predecessor[edge.v] = edge
-                    updated_vertex = edge.v
+            for k, (tail, head, weight) in enumerate(graph):
+                candidate = distance[tail] + weight
+                if candidate < distance[head]:
+                    distance[head] = candidate
+                    predecessor[head] = k
+                    updated_vertex = head
             if updated_vertex is None:
                 break
         return distance, predecessor, updated_vertex
 
     @staticmethod
-    def _row_key(row: LinearConstraint) -> object:
-        """One row's slice of the structural signature: normalized
-        coefficients + relation, bound excluded (matches the per-row
-        canonicalization in :meth:`SimplexSolver._structural_signature`)."""
-        items = sorted(row.coeffs.items())
-        if items:
-            scale = abs(items[0][1])
-            if scale not in (0, 1):
-                items = [(var, coeff / scale) for var, coeff in items]
-        return (tuple(items), row.relation)
-
-    def _revalidate_core(
-        self, rows: Sequence[LinearConstraint], core_keys: frozenset
-    ) -> Optional[List[int]]:
-        """Re-derive a negative cycle from only the rows matching a cached
-        core's shapes.
-
-        Every selected row is a real constraint of the *current* system, so
-        any negative cycle found in the subgraph is a sound conflict core
-        regardless of how the bounds moved since the core was cached.
-        Returns the core's row indices, or None when the subgraph is clean
-        (caller falls through to the full solve).
-        """
-        edges: List[_Edge] = []
-        vertices: Set[str] = {_SOURCE}
-        matched = False
-        for index, row in enumerate(rows):
-            if row.is_trivial() or self._row_key(row) not in core_keys:
-                continue
-            matched = True
-            for edge in self._edges_of(row, index):
-                edges.append(edge)
-                vertices.add(edge.u)
-                vertices.add(edge.v)
-        if not matched:
-            return None
-        _, predecessor, updated_vertex = self._bellman_ford(edges, vertices)
-        if updated_vertex is None:
-            return None
-        cycle = self._extract_cycle(updated_vertex, predecessor, len(vertices))
-        return sorted({edge.row_index for edge in cycle})
-
-    def _edges_of(self, row: LinearConstraint, index: int) -> List[_Edge]:
+    def _edges_of(row: LinearConstraint, index: int) -> List[_Edge]:
         """Translate one row into graph edges.
 
         ``x - y <= c`` is the edge ``y -> x`` with weight c (then
@@ -284,54 +189,58 @@ class DifferenceLogicSolver:
             positive, negative = (var_a, var_b) if coeff_a == 1 else (var_b, var_a)
 
         relation = row.relation
-        bound = row.bound
+        numerator, denominator = row.bound.numerator, row.bound.denominator
         edges: List[_Edge] = []
         if relation in (Relation.LE, Relation.LT, Relation.EQ):
-            edges.append(_Edge(negative, positive, bound, relation is Relation.LT, index))
+            edges.append(
+                (negative, positive, numerator, denominator, relation is Relation.LT, index)
+            )
         if relation in (Relation.GE, Relation.GT, Relation.EQ):
-            edges.append(_Edge(positive, negative, -bound, relation is Relation.GT, index))
+            edges.append(
+                (positive, negative, -numerator, denominator, relation is Relation.GT, index)
+            )
         return edges
 
     @staticmethod
-    def _extract_cycle(
-        start: str, predecessor: Dict[str, Optional[_Edge]], num_vertices: int
-    ) -> List[_Edge]:
+    def _extract_cycle(start: int, predecessor: List[int], graph: _Graph) -> List[int]:
+        """Edge indices of the negative cycle behind ``start``."""
         # Walk back far enough to be inside the cycle, then collect it.
         vertex = start
-        for _ in range(num_vertices):
-            edge = predecessor[vertex]
-            assert edge is not None
-            vertex = edge.u
-        cycle: List[_Edge] = []
+        for _ in range(len(predecessor)):
+            vertex = graph[predecessor[vertex]][0]
+        cycle: List[int] = []
         cursor = vertex
         while True:
             edge = predecessor[cursor]
-            assert edge is not None
             cycle.append(edge)
-            cursor = edge.u
+            cursor = graph[edge][0]
             if cursor == vertex:
                 break
         return cycle
 
     @staticmethod
     def _strictness_epsilon(
-        edges: Sequence[_Edge], distance: Dict[str, Tuple[Fraction, int]]
+        graph: _Graph,
+        scaled: List[int],
+        strict_counts: List[int],
+        scale: int,
+        multiplier: int,
     ) -> Fraction:
         """An eps > 0 small enough that strict constraints get real slack.
 
-        For every edge with residual slack ``d(u) + w - d(v) > 0`` the shift
-        by ``-eps * strict_count`` must not overshoot; eps = min residual /
+        ``scaled`` holds each distance's weight times ``scale``.  For every
+        edge with residual slack ``d(u) + w - d(v) > 0`` the shift by
+        ``-eps * strict_count`` must not overshoot; eps = min residual /
         (2 * (max strict count + 1)) is safe, with a fallback of 1.
         """
-        min_residual: Optional[Fraction] = None
+        min_residual: Optional[int] = None
         max_strict = 1
-        for edge in edges:
-            du, su = distance[edge.u]
-            dv, sv = distance[edge.v]
-            residual = du + edge.weight - dv
+        for tail, head, weight in graph:
+            # -(-x // M) recovers w·L from the edge's w·L·M − strict.
+            residual = scaled[tail] - (-weight // multiplier) - scaled[head]
             if residual > 0 and (min_residual is None or residual < min_residual):
                 min_residual = residual
-            max_strict = max(max_strict, su + 1, sv + 1)
+            max_strict = max(max_strict, strict_counts[tail] + 1, strict_counts[head] + 1)
         if min_residual is None:
             return Fraction(1)
-        return min_residual / (2 * max_strict)
+        return Fraction(min_residual, scale * 2 * max_strict)

@@ -1,11 +1,13 @@
 """Tests for the difference-logic (Bellman–Ford) solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.expr import parse_constraint
+from repro.core.expr import Relation, parse_constraint
+from repro.core.interface import DifferenceLinearAdapter
 from repro.linear import (
     DifferenceLogicSolver,
     LinearConstraint,
@@ -105,59 +107,6 @@ class TestFeasibility:
         assert SimplexSolver().check(LinearSystem(core_rows)).status is LPStatus.INFEASIBLE
 
 
-class TestWarmCertificates:
-    def test_feasible_point_cache_hits_on_rerun(self):
-        solver = DifferenceLogicSolver(warm_start=True)
-        system = LinearSystem([row("x - y <= 3"), row("y <= 1")])
-        assert solver.check(system).status is LPStatus.FEASIBLE
-        assert solver.warm_hits == 0
-        assert solver.check(system).status is LPStatus.FEASIBLE
-        assert solver.warm_hits == 1
-
-    def test_infeasible_core_cache_hits_across_bound_shift(self):
-        solver = DifferenceLogicSolver(warm_start=True)
-        # Same structure, different bounds, both with a negative cycle:
-        # the second check should revive the cached core's shape instead
-        # of running Bellman-Ford over the whole system.
-        first = LinearSystem(
-            [row("a <= 10"), row("x - y <= -2"), row("y - x <= 1")]
-        )
-        second = LinearSystem(
-            [row("a <= 99"), row("x - y <= -7"), row("y - x <= 2")]
-        )
-        assert solver.check(first).status is LPStatus.INFEASIBLE
-        assert solver.warm_hits == 0
-        result = solver.check(second)
-        assert result.status is LPStatus.INFEASIBLE
-        assert solver.warm_hits == 1
-        # The revived core must be a genuine infeasible subset of the
-        # *current* rows, not of the rows it was cached from.
-        core_rows = [second.rows[i] for i in result.core_indices]
-        assert SimplexSolver().check(LinearSystem(core_rows)).status is (
-            LPStatus.INFEASIBLE
-        )
-
-    def test_stale_core_falls_through_to_full_solve(self):
-        solver = DifferenceLogicSolver(warm_start=True)
-        infeasible = LinearSystem([row("x - y <= -2"), row("y - x <= 1")])
-        assert solver.check(infeasible).status is LPStatus.INFEASIBLE
-        # Same structure but the bounds now admit a solution: the cached
-        # core must fail re-validation and the verdict must flip cleanly.
-        feasible = LinearSystem([row("x - y <= 2"), row("y - x <= 1")])
-        result = solver.check(feasible)
-        assert result.status is LPStatus.FEASIBLE
-        assert feasible.check_point(result.point)
-        assert solver.warm_hits == 0
-
-    def test_clear_warm_cache_drops_both_caches(self):
-        solver = DifferenceLogicSolver(warm_start=True)
-        solver.check(LinearSystem([row("x - y <= 3")]))
-        solver.check(LinearSystem([row("x - y <= -1"), row("y - x <= 0")]))
-        assert solver._warm_points and solver._warm_cores
-        solver.clear_warm_cache()
-        assert not solver._warm_points and not solver._warm_cores
-
-
 @st.composite
 def random_difference_system(draw):
     num_vars = draw(st.integers(2, 5))
@@ -169,12 +118,12 @@ def random_difference_system(draw):
         relation = draw(st.sampled_from(["<=", "<", ">=", ">", "="]))
         if kind == 0:
             a = draw(st.sampled_from(names))
-            rows.append(row(f"{a} {relation} {bound}"))
+            rows.append(row(f"{a} {relation} {bound}", tag=len(rows) + 1))
         else:
             a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
             if a == b:
                 continue
-            rows.append(row(f"{a} - {b} {relation} {bound}"))
+            rows.append(row(f"{a} - {b} {relation} {bound}", tag=len(rows) + 1))
     return LinearSystem(rows)
 
 
@@ -193,19 +142,256 @@ class TestAgreementWithSimplex:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(random_difference_system(), min_size=2, max_size=5))
-    def test_warm_certificates_never_change_verdicts(self, systems):
-        # One warm solver across a sequence of related systems: every
-        # verdict (and core, when infeasible) must match a cold simplex.
-        warm = DifferenceLogicSolver(warm_start=True)
+    def test_adapter_state_never_changes_verdicts(self, systems):
+        # One adapter across a sequence of related systems, driven the way
+        # the lazy loop drives it (check, then refine on a conflict): every
+        # verdict must match a cold simplex and every core must be
+        # infeasible on its own.
+        adapter = DifferenceLinearAdapter()
         for system in systems:
-            bf = warm.check(system)
+            result = adapter.check(system)
             lp = SimplexSolver().check(system)
-            assert bf.status == lp.status
-            if bf.status is LPStatus.FEASIBLE:
-                assert system.check_point(bf.point)
+            assert result.status == lp.status
+            if result.status is LPStatus.FEASIBLE:
+                assert system.check_point(result.point)
             else:
-                core_rows = [system.rows[i] for i in bf.core_indices]
+                tags = adapter.refine(system).conflicting_tags
+                core_rows = [system.rows[tag - 1] for tag in tags]
                 assert (
                     SimplexSolver().check(LinearSystem(core_rows)).status
                     is LPStatus.INFEASIBLE
                 )
+
+
+# ----------------------------------------------------------------------
+# Fraction reference: the Bellman–Ford loop over (Fraction, strict count)
+# distances that the integer kernel replaced, kept to pin that the kernel
+# returns identical verdicts, cores and points.
+# ----------------------------------------------------------------------
+_REF_SOURCE = "__zero__"
+
+
+def _reference_edges(row, index):
+    items = sorted(row.coeffs.items())
+    if len(items) == 1:
+        var, coeff = items[0]
+        positive, negative = (var, _REF_SOURCE) if coeff == 1 else (_REF_SOURCE, var)
+    else:
+        (var_a, coeff_a), (var_b, _) = items
+        positive, negative = (var_a, var_b) if coeff_a == 1 else (var_b, var_a)
+    edges = []
+    if row.relation in (Relation.LE, Relation.LT, Relation.EQ):
+        edges.append((negative, positive, row.bound, row.relation is Relation.LT, index))
+    if row.relation in (Relation.GE, Relation.GT, Relation.EQ):
+        edges.append((positive, negative, -row.bound, row.relation is Relation.GT, index))
+    return edges
+
+
+def _reference_bellman_ford(edges, vertices):
+    distance = {v: (Fraction(0), 0) for v in vertices}
+    predecessor = {v: None for v in vertices}
+
+    def less(a, b):
+        return a[0] < b[0] or (a[0] == b[0] and a[1] > b[1])
+
+    updated_vertex = None
+    for _ in range(len(vertices)):
+        updated_vertex = None
+        for edge in edges:
+            u, v, weight, strict, _ = edge
+            du = distance[u]
+            candidate = (du[0] + weight, du[1] + (1 if strict else 0))
+            if less(candidate, distance[v]):
+                distance[v] = candidate
+                predecessor[v] = edge
+                updated_vertex = v
+        if updated_vertex is None:
+            break
+    return distance, predecessor, updated_vertex
+
+
+def _reference_check(system):
+    """``(status, core_indices, point)`` from the Fraction reference."""
+    edges, vertices = [], {_REF_SOURCE}
+    for index, r in enumerate(system.rows):
+        if r.is_trivial():
+            if not r.trivially_true():
+                return LPStatus.INFEASIBLE, [index], {}
+            continue
+        for edge in _reference_edges(r, index):
+            edges.append(edge)
+            vertices.update(edge[:2])
+    distance, predecessor, updated_vertex = _reference_bellman_ford(edges, vertices)
+    if updated_vertex is not None:
+        vertex = updated_vertex
+        for _ in range(len(vertices)):
+            vertex = predecessor[vertex][0]
+        cycle, cursor = [], vertex
+        while True:
+            edge = predecessor[cursor]
+            cycle.append(edge)
+            cursor = edge[0]
+            if cursor == vertex:
+                break
+        return LPStatus.INFEASIBLE, sorted({edge[4] for edge in cycle}), {}
+    min_residual, max_strict = None, 1
+    for u, v, weight, _, _ in edges:
+        (du, su), (dv, sv) = distance[u], distance[v]
+        residual = du + weight - dv
+        if residual > 0 and (min_residual is None or residual < min_residual):
+            min_residual = residual
+        max_strict = max(max_strict, su + 1, sv + 1)
+    eps = Fraction(1) if min_residual is None else min_residual / (2 * max_strict)
+    source_value = distance[_REF_SOURCE][0] - eps * distance[_REF_SOURCE][1]
+    point = {
+        vertex: weight - eps * strict - source_value
+        for vertex, (weight, strict) in distance.items()
+        if vertex != _REF_SOURCE
+    }
+    return LPStatus.FEASIBLE, None, point
+
+
+_RELATIONS = [Relation.LE, Relation.LT, Relation.GE, Relation.GT, Relation.EQ]
+
+
+def _seeded_difference_system(rng):
+    """2-6 variables, 1-14 rows over all five relations, bounds with
+    denominators in {1, 2, 3, 7}; unit rows, difference rows, the odd
+    trivial row, and planted zero-weight cycles (strict or not)."""
+    names = [f"v{i}" for i in range(rng.randint(2, 6))]
+    rows = []
+
+    def bound():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7]))
+
+    num_rows = rng.randint(1, 14)
+    while len(rows) < num_rows:
+        kind = rng.random()
+        a, b = rng.sample(names, 2)
+        if kind < 0.25:
+            coeffs = {a: Fraction(rng.choice([1, -1]))}
+        elif kind < 0.27:
+            coeffs = {}
+        elif kind < 0.4:
+            # x - y REL c and y - x REL' -c: a zero-weight cycle, infeasible
+            # iff one of the two relations is strict.
+            c = bound()
+            for coeffs, rhs in (({a: 1, b: -1}, c), ({b: 1, a: -1}, -c)):
+                relation = rng.choice([Relation.LE, Relation.LT])
+                rows.append(LinearConstraint(coeffs, relation, rhs))
+            continue
+        else:
+            coeffs = {a: Fraction(1), b: Fraction(-1)}
+        rows.append(LinearConstraint(coeffs, rng.choice(_RELATIONS), bound()))
+    return LinearSystem(rows)
+
+
+class TestIntegerKernelMatchesFractionReference:
+    def test_two_thousand_seeded_systems(self):
+        rng = random.Random(20070416)
+        statuses = set()
+        for _ in range(2000):
+            system = _seeded_difference_system(rng)
+            status, core, point = _reference_check(system)
+            result = DifferenceLogicSolver().check(system)
+            assert result.status is status
+            assert result.core_indices == core
+            assert result.point == point
+            statuses.add(status)
+        assert statuses == {LPStatus.FEASIBLE, LPStatus.INFEASIBLE}
+
+    def test_zero_weight_cycles(self):
+        for strict_rows, status in ((0, LPStatus.FEASIBLE), (1, LPStatus.INFEASIBLE)):
+            system = LinearSystem(
+                [
+                    row("x - y < 1" if strict_rows else "x - y <= 1"),
+                    row("y - z = 2"),
+                    row("z - x <= -3"),
+                ]
+            )
+            expected = _reference_check(system)
+            result = DifferenceLogicSolver().check(system)
+            assert result.status is status is expected[0]
+            assert (result.core_indices, result.point) == expected[1:]
+
+
+# ----------------------------------------------------------------------
+# Cycle handoff: the adapter's refine reuses the cycle check just found.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def bellman_ford_runs(monkeypatch):
+    runs = []
+    kernel = DifferenceLogicSolver._bellman_ford
+
+    def spy(graph, num_vertices):
+        runs.append(len(graph))
+        return kernel(graph, num_vertices)
+
+    monkeypatch.setattr(DifferenceLogicSolver, "_bellman_ford", staticmethod(spy))
+    return runs
+
+
+def _cycle_system():
+    # The cycle's rows are system rows 0 and 2 but component rows 0 and 1,
+    # so a core returned with component indices would name tag 6.
+    return LinearSystem(
+        [row("x - y <= -2", tag=5), row("a <= 10", tag=6), row("y - x <= 1", tag=7)]
+    )
+
+
+def _rows_infeasible(system, tags):
+    rows = [r for r in system.rows if r.tag in tags]
+    return SimplexSolver().check(LinearSystem(rows)).status is LPStatus.INFEASIBLE
+
+
+class TestCycleHandoff:
+    def test_refine_of_checked_system_reuses_cycle(self, bellman_ford_runs):
+        adapter = DifferenceLinearAdapter()
+        system = _cycle_system()
+        assert adapter.check(system).status is LPStatus.INFEASIBLE
+        refinement = adapter.refine(system)
+        assert len(bellman_ford_runs) == 1
+        assert refinement.minimal
+        assert sorted(refinement.conflicting_tags) == [5, 7]
+        assert _rows_infeasible(system, refinement.conflicting_tags)
+
+    def test_refine_of_other_system_derives_its_core(self, bellman_ford_runs):
+        adapter = DifferenceLinearAdapter()
+        assert adapter.check(_cycle_system()).status is LPStatus.INFEASIBLE
+        other = LinearSystem([row("p - q <= -1", tag=11), row("q - p < 1", tag=12)])
+        refinement = adapter.refine(other)
+        assert len(bellman_ford_runs) == 2
+        assert sorted(refinement.conflicting_tags) == [11, 12]
+        assert _rows_infeasible(other, refinement.conflicting_tags)
+        # A structurally equal copy is another system, too.
+        copy = _cycle_system()
+        assert adapter.check(_cycle_system()).status is LPStatus.INFEASIBLE
+        assert sorted(adapter.refine(copy).conflicting_tags) == [5, 7]
+        assert len(bellman_ford_runs) == 4
+
+    def test_feasible_check_drops_the_kept_cycle(self, bellman_ford_runs):
+        adapter = DifferenceLinearAdapter()
+        refuted = _cycle_system()
+        assert adapter.check(refuted).status is LPStatus.INFEASIBLE
+        feasible = LinearSystem([row("x - y <= 2", tag=1), row("y - x <= 1", tag=2)])
+        assert adapter.check(feasible).status is LPStatus.FEASIBLE
+        refinement = adapter.refine(refuted)
+        assert len(bellman_ford_runs) == 3
+        assert sorted(refinement.conflicting_tags) == [5, 7]
+
+    def test_simplex_component_failing_first_takes_iis_path(self, bellman_ford_runs):
+        adapter = DifferenceLinearAdapter()
+        system = LinearSystem(
+            [
+                row("x + y >= 5", tag=1),
+                row("x <= 1", tag=2),
+                row("y <= 1", tag=3),
+                row("p - q <= 1", tag=4),
+            ]
+        )
+        assert adapter.check(system).status is LPStatus.INFEASIBLE
+        assert bellman_ford_runs == []
+        refinement = adapter.refine(system)
+        assert refinement.minimal
+        assert sorted(refinement.conflicting_tags) == [1, 2, 3]
+        assert _rows_infeasible(system, refinement.conflicting_tags)

@@ -326,9 +326,14 @@ class TestCacheRegression:
         assert refined[1] < refined[0]
         assert session.check().is_sat
 
-    def test_warm_start_hits_in_difference_adapter(self):
+    def test_warm_start_hits_in_difference_simplex_fallback(self):
+        # A row outside the difference fragment sends its component to the
+        # adapter's simplex fallback, which keeps the simplex warm start.
         session = SolverSession(ABSolverConfig(linear="difference"))
-        session.assert_problem(_base_problem())
+        problem = _base_problem()
+        problem.define(3, "real", parse_constraint("2*x + y <= 5"))
+        problem.add_clause([3])
+        session.assert_problem(problem)
         assert session.check().is_sat
         assert session.check().is_sat
         assert session.stats.warm_start_hits >= 1
