@@ -6,10 +6,9 @@ solves Boolean as well as linear problems, the Sudoku puzzle can be tackled
 more efficiently as a mixed problem and the encoding is more natural as it
 can make use of integers."
 
-The bench solves the same puzzle three ways:
+The bench solves the same puzzle two ways:
 
-* mixed Boolean + integer-linear (order encoding, the Table 3 路 route),
-* mixed + LP presolve,
+* mixed Boolean + integer-linear (order encoding, the Table 3 route),
 * the classical pure-SAT encoding ([6, 12]) on our CDCL engine.
 
 Both must produce the same (unique) grid; the report shows the sizes and
@@ -43,20 +42,6 @@ def bench_encoding_mixed(benchmark):
     started = time.perf_counter()
     grid, stats = benchmark.pedantic(run, rounds=1, iterations=1)
     _measured["mixed"] = (time.perf_counter() - started, stats.num_clauses, grid)
-
-
-def bench_encoding_mixed_presolve(benchmark):
-    def run():
-        problem = sudoku_problem(_PUZZLE)
-        result = ABSolver(
-            ABSolverConfig(boolean="lsat", linear="simplex-presolve")
-        ).solve(problem)
-        assert result.is_sat
-        return decode_solution(result.model.theory), problem.stats()
-
-    started = time.perf_counter()
-    grid, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    _measured["mixed+presolve"] = (time.perf_counter() - started, stats.num_clauses, grid)
 
 
 def bench_encoding_pure_sat(benchmark):

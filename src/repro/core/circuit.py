@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .expr import Constraint
+from .expr import ARITHMETIC_ERRORS, Constraint
 from .problem import ABProblem
 from .tristate import FF, TT, UNKNOWN, Tri, tri, tri_all, tri_any
 
@@ -203,7 +203,7 @@ class ComparisonGate(Gate):
         if needed and needed <= set(valuation.theory):
             try:
                 return tri(self.constraint.evaluate(valuation.theory, valuation.tolerance))
-            except Exception:
+            except ARITHMETIC_ERRORS:
                 return UNKNOWN
         return valuation.alpha.get(self.pin_name, UNKNOWN)
 

@@ -68,6 +68,7 @@ __all__ = [
     "Constraint",
     "NonlinearExpressionError",
     "EvaluationError",
+    "ARITHMETIC_ERRORS",
     "ExprParseError",
     "LinearForm",
     "parse_expression",
@@ -87,6 +88,12 @@ class NonlinearExpressionError(Exception):
 
 class EvaluationError(Exception):
     """Raised when an expression cannot be evaluated (free var, div by zero)."""
+
+
+#: What evaluating an expression, pointwise or over intervals, raises where
+#: it is undefined or out of range.  Callers that read "undefined" as "no
+#: verdict" catch these and let every other exception surface.
+ARITHMETIC_ERRORS = (EvaluationError, ValueError, OverflowError, ZeroDivisionError)
 
 
 class ExprParseError(Exception):

@@ -387,8 +387,9 @@ class SimplexLinearAdapter(LinearSolverInterface):
 
     Systems are first partitioned into connected components of shared
     variables and solved independently — exact, and it keeps the dense
-    tableau small on loosely-coupled systems (each Sudoku cell's rows form
-    their own component).
+    tableau small on loosely-coupled systems.  Each Sudoku cell's rows form
+    their own one-variable component, which the simplex decides in closed
+    form without a tableau (:meth:`~repro.linear.simplex.SimplexSolver.check`).
 
     Args:
         refine_minimal: compute IIS conflict cores via the deletion filter
@@ -396,15 +397,6 @@ class SimplexLinearAdapter(LinearSolverInterface):
             full-assignment conflicts instead).
         max_bb_nodes: node budget of the branch-and-bound search used when
             a component has integer variables.
-        use_presolve: historical flag, now a no-op shim.  Presolve runs
-            once per query as a formula-level pipeline stage
-            (:class:`repro.core.presolve.PresolveStage`) whose shared
-            :class:`~repro.core.presolve.BoundStore` already tightened the
-            bound rows this adapter receives; re-running the per-LP-call
-            reduction here would only re-derive the same facts.  Accepted
-            so existing configs (``--linear simplex-presolve``) keep
-            working; disable the stage itself with
-            ``ABSolverConfig(use_presolve=False)`` / ``--no-presolve``.
         warm_start: cache feasible points under a canonical structural key
             and answer re-checks by exact revalidation (on by default —
             stale entries are revalidated before use, so the cache is
@@ -421,12 +413,10 @@ class SimplexLinearAdapter(LinearSolverInterface):
         self,
         refine_minimal: bool = True,
         max_bb_nodes: int = 100_000,
-        use_presolve: bool = False,
         warm_start: bool = True,
         engine: str = "exact",
     ):
         self.refine_minimal = refine_minimal
-        self.use_presolve = use_presolve
         if engine == "numpy":
             from ..linear.numpy_simplex import NumpySimplexSolver
 
@@ -478,11 +468,6 @@ class SimplexLinearAdapter(LinearSolverInterface):
         return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
 
     def _check_component(self, component: LinearSystem) -> LPResult:
-        # The per-call presolve that used to live here moved to the
-        # formula-level PresolveStage (see the use_presolve note above).
-        return self._solve_exact(component)
-
-    def _solve_exact(self, component: LinearSystem) -> LPResult:
         if component.integer_variables():
             return self._branch_bound.check(component)
         return self._simplex.check(component)
@@ -550,7 +535,7 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         merged_point: Dict[str, object] = {}
         for component in system.split_components():
             if not self._is_difference_system(component):
-                result = self._solve_exact(component)
+                result = super()._check_component(component)
             else:
                 result = self._difference.check(component)
                 if result.status is LPStatus.INFEASIBLE:

@@ -1,11 +1,12 @@
 """Formula-level presolve: stage 0 of the solve pipeline.
 
-Before this stage existed, presolve lived inside the ``simplex-presolve``
-engine variant and re-derived the same bound tightenings on every LP call
-— thousands of times per solve — while the CDCL, interval, and cube layers
-saw none of it.  :class:`PresolveStage` runs the deduction **once per
-query** (and incrementally per :class:`~repro.core.session.SolverSession`
-frame, via cache invalidation hooks) and publishes the result as a
+Presolve is a formula-level deduction, not an LP-call reduction: the
+CDCL, interval, and cube layers all consume what it derives, while the
+linear engine decides single-variable bound systems in closed form
+(:meth:`repro.linear.simplex.SimplexSolver.check`).
+:class:`PresolveStage` runs the deduction **once per query** (and
+incrementally per :class:`~repro.core.session.SolverSession` frame, via
+cache invalidation hooks) and publishes the result as a
 :class:`BoundStore` that every downstream layer consumes:
 
 * the theory translation appends the store's tightened bound rows to each
@@ -21,7 +22,7 @@ Everything the store deduces is *implied* by the asserted formula: the
 declared bounds, plus the constraints of definition literals that Boolean
 unit propagation over the (guard-free) CNF forces in every model.  Bound
 propagation runs over those forced rows with exact :class:`~fractions.
-Fraction` arithmetic (the same substrate as :mod:`repro.linear.presolve`),
+Fraction` arithmetic (:class:`_Bounds` and the row-image helpers below),
 the HC4 contractor narrows over the forced nonlinear constraints, and unit
 deduction phases un-forced definitions whose constraint is redundant or
 impossible over the tightened box.  Because every fact is implied, the
@@ -42,7 +43,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..linear.lp import LinearConstraint
-from ..linear.presolve import _Bounds, _row_impossible, _row_redundant
 from ..obs.events import BoundTightened, PresolveFixedVar
 from .expr import Constraint, Relation
 from .interface import SolverStage
@@ -70,6 +70,107 @@ def _to_fraction(value: float) -> Fraction:
     return Fraction(value).limit_denominator(_DENOMINATOR_CAP)
 
 
+class _Bounds:
+    """Mutable (lower, strict_lower, upper, strict_upper) per variable."""
+
+    __slots__ = ("lower", "lower_strict", "upper", "upper_strict")
+
+    def __init__(self):
+        self.lower: Optional[Fraction] = None
+        self.lower_strict = False
+        self.upper: Optional[Fraction] = None
+        self.upper_strict = False
+
+    def tighten_lower(self, value: Fraction, strict: bool) -> None:
+        if self.lower is None or value > self.lower or (
+            value == self.lower and strict and not self.lower_strict
+        ):
+            self.lower = value
+            self.lower_strict = strict
+
+    def tighten_upper(self, value: Fraction, strict: bool) -> None:
+        if self.upper is None or value < self.upper or (
+            value == self.upper and strict and not self.upper_strict
+        ):
+            self.upper = value
+            self.upper_strict = strict
+
+    @property
+    def infeasible(self) -> bool:
+        if self.lower is None or self.upper is None:
+            return False
+        if self.lower > self.upper:
+            return True
+        if self.lower == self.upper and (self.lower_strict or self.upper_strict):
+            return True
+        return False
+
+    @property
+    def fixed_value(self) -> Optional[Fraction]:
+        if (
+            self.lower is not None
+            and self.lower == self.upper
+            and not self.lower_strict
+            and not self.upper_strict
+        ):
+            return self.lower
+        return None
+
+
+def _row_bounds_image(
+    row: LinearConstraint, bounds: Dict[str, _Bounds]
+) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """Interval image of the row's lhs over current bounds (None = inf)."""
+    low: Optional[Fraction] = Fraction(0)
+    high: Optional[Fraction] = Fraction(0)
+    for var, coeff in row.coeffs.items():
+        entry = bounds.get(var)
+        var_low = entry.lower if entry else None
+        var_high = entry.upper if entry else None
+        if coeff > 0:
+            contribution_low, contribution_high = var_low, var_high
+        else:
+            contribution_low, contribution_high = var_high, var_low
+        if low is not None:
+            low = None if contribution_low is None else low + coeff * contribution_low
+        if high is not None:
+            high = None if contribution_high is None else high + coeff * contribution_high
+    return low, high
+
+
+def _row_redundant(
+    row: LinearConstraint, bounds: Dict[str, _Bounds]
+) -> bool:
+    low, high = _row_bounds_image(row, bounds)
+    relation, bound = row.relation, row.bound
+    if relation is Relation.LE:
+        return high is not None and high <= bound
+    if relation is Relation.LT:
+        return high is not None and high < bound
+    if relation is Relation.GE:
+        return low is not None and low >= bound
+    if relation is Relation.GT:
+        return low is not None and low > bound
+    return False  # equalities are never dropped as redundant here
+
+
+def _row_impossible(row: LinearConstraint, bounds: Dict[str, _Bounds]) -> bool:
+    low, high = _row_bounds_image(row, bounds)
+    relation, bound = row.relation, row.bound
+    if relation in (Relation.LE, Relation.LT):
+        if low is not None and (low > bound or (low == bound and relation is Relation.LT)):
+            return True
+    if relation in (Relation.GE, Relation.GT):
+        if high is not None and (high < bound or (high == bound and relation is Relation.GT)):
+            return True
+    if relation is Relation.EQ:
+        if low is not None and low > bound:
+            return True
+        if high is not None and high < bound:
+            return True
+    return False
+
+
 def _outward_float_bounds(
     entry: _Bounds,
 ) -> Tuple[Optional[float], Optional[float]]:
@@ -92,9 +193,9 @@ class BoundStore:
 
     The store is computed once by :class:`PresolveStage` and then treated
     as immutable by its consumers.  Bounds are exact
-    :class:`~fractions.Fraction` endpoints with strictness flags (the
-    :class:`repro.linear.presolve._Bounds` substrate); consumers pick the
-    representation they need — exact singleton rows for the LP layers
+    :class:`~fractions.Fraction` endpoints with strictness flags
+    (:class:`_Bounds`); consumers pick the representation they need —
+    exact singleton rows for the LP layers
     (:meth:`bound_rows`), an outward-rounded float box for interval and
     nonlinear code (:meth:`float_box`).
     """

@@ -17,7 +17,7 @@ import hashlib
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..sat.cnf import CNF
-from .expr import Constraint, Relation
+from .expr import ARITHMETIC_ERRORS, Constraint, Relation
 
 __all__ = ["Definition", "ABProblem", "ProblemStats"]
 
@@ -239,7 +239,7 @@ class ABProblem:
                         alt.evaluate(theory_model, tolerance)
                         for alt in constraint.negated_alternatives()
                     )
-            except Exception:
+            except ARITHMETIC_ERRORS:
                 return False
             if definition.domain == "int":
                 for theory_var in constraint.variables():

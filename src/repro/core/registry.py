@@ -92,16 +92,6 @@ def _build_default_registry() -> SolverRegistry:
     registry.register(DOMAIN_LINEAR, "difference", DifferenceLinearAdapter)
     registry.register(
         DOMAIN_LINEAR,
-        "simplex-presolve",
-        lambda **options: SimplexLinearAdapter(use_presolve=True, **options),
-    )
-    registry.register(
-        DOMAIN_LINEAR,
-        "simplex-warm",
-        lambda **options: SimplexLinearAdapter(warm_start=True, **options),
-    )
-    registry.register(
-        DOMAIN_LINEAR,
         "simplex-numpy",
         lambda **options: SimplexLinearAdapter(engine="numpy", **options),
     )

@@ -155,8 +155,7 @@ class ABSolverConfig:
             ``cdcl-pre``, ``dpll``, ``lsat``).
         linear: registry name of the linear engine (``simplex``,
             ``simplex-numpy`` — float64 filter with exact certification,
-            ``simplex-presolve``, ``simplex-warm``, ``difference``,
-            ``branch-bound``).
+            ``difference``, ``branch-bound``).
         nonlinear: ordered registry names tried in turn (``newton``,
             ``auglag``, ``scipy-slsqp``).
         refine_conflicts: shrink theory conflicts to an IIS before

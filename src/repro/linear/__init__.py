@@ -6,7 +6,6 @@ from .simplex import LPStatus, LPResult, SimplexSolver, check_feasibility, optim
 from .iis import extract_iis, is_infeasible_subset
 from .branch_bound import BranchAndBoundSolver, solve_mixed_integer
 from .difference import DifferenceLogicSolver, is_difference_row, is_difference_system
-from .presolve import PresolveResult, presolve
 
 __all__ = [
     "LinearConstraint",
@@ -24,6 +23,4 @@ __all__ = [
     "DifferenceLogicSolver",
     "is_difference_row",
     "is_difference_system",
-    "PresolveResult",
-    "presolve",
 ]

@@ -12,6 +12,11 @@ Strict inequalities are decided with the standard infinitesimal trick: a
 fresh epsilon variable is added, every ``<`` / ``>`` row is weakened by
 epsilon, and epsilon is maximized (capped at 1).  The strict system is
 feasible iff the optimum is positive.
+
+A system whose non-trivial rows all mention one variable (each Sudoku
+cell) needs no tableau: :meth:`SimplexSolver.check` decides it as an exact
+interval intersection under the same epsilon cap, returning the status,
+point and objective the tableau would.
 """
 
 from __future__ import annotations
@@ -149,8 +154,11 @@ class SimplexSolver:
     def check(self, system: LinearSystem) -> LPResult:
         """Decide feasibility of the system (strict inequalities included).
 
-        On infeasibility the result carries Farkas-certified ``core_indices``
-        (positions in ``system.rows``) whenever the certificate is available.
+        On infeasibility the result carries ``core_indices`` (positions in
+        ``system.rows``) whenever a certificate is available: the Farkas
+        support of the tableau, or a crossing pair of rows for a system over
+        one variable, which is decided in closed form
+        (:meth:`_solve_single_variable`).
         """
         trivial = self._check_trivial_rows(system)
         if trivial is not None:
@@ -172,7 +180,10 @@ class SimplexSolver:
                 self.warm_hits += 1
                 return LPResult(LPStatus.FEASIBLE, dict(cached), _ZERO)
         has_strict = any(row.relation in (Relation.LT, Relation.GT) for row in rows)
-        if not has_strict:
+        variables = {var for row in rows for var in row.coeffs}
+        if len(variables) == 1:
+            result = self._solve_single_variable(rows, variables.pop(), has_strict)
+        elif not has_strict:
             result = self._solve(rows, objective=None, maximize=False)
         else:
             # Maximize epsilon; strictly feasible iff optimum > 0 (handled
@@ -196,6 +207,60 @@ class SimplexSolver:
     def clear_warm_cache(self) -> None:
         """Drop every cached warm-start point (session ``pop`` hook)."""
         self._warm_points.clear()
+
+    @staticmethod
+    def _solve_single_variable(
+        rows: Sequence[LinearConstraint], var: str, epsilon_mode: bool
+    ) -> LPResult:
+        """Closed form of :meth:`_solve` for non-trivial rows over one variable.
+
+        Each row reads ``a*var + s*eps <= c`` as in :meth:`_normalized_le_form`
+        (``s = 1`` on a strict row).  With ``p = c/a`` and ``q = s/|a|`` it
+        bounds ``var`` above by ``p - q*eps`` when ``a > 0`` and below by
+        ``p + q*eps`` when ``a < 0``.  An upper row ``u`` and a lower row ``l``
+        admit exactly the ``eps`` with ``eps*(q_u + q_l) <= p_u - p_l``, so the
+        tableau's optimum is ``eps* = min(1, (p_u - p_l)/(q_u + q_l))`` over the
+        pairs, and its vertex is 0 clipped into the interval at ``eps*``
+        (Bland's rule moves ``var`` from the all-slack basis to the nearest
+        bound).  A refutation is one crossing pair, which is irreducible: a
+        single non-trivial row over one variable is satisfiable.
+        """
+        uppers: List[Tuple[Fraction, Fraction, int]] = []
+        lowers: List[Tuple[Fraction, Fraction, int]] = []
+        for index, row in enumerate(rows):
+            coeff = row.coeffs[var]
+            relation = row.relation
+            strict = relation in (Relation.LT, Relation.GT)
+            bound = (row.bound / coeff, _ONE / abs(coeff) if strict else _ZERO, index)
+            upper = relation in (Relation.LE, Relation.LT, Relation.EQ)
+            lower = relation in (Relation.GE, Relation.GT, Relation.EQ)
+            if coeff < 0:
+                upper, lower = lower, upper
+            if upper:
+                uppers.append(bound)
+            if lower:
+                lowers.append(bound)
+        eps = _ONE if epsilon_mode else _ZERO
+        if uppers and lowers:
+            high = min(uppers, key=lambda bound: bound[0])
+            low = max(lowers, key=lambda bound: bound[0])
+            if low[0] > high[0]:
+                return LPResult(LPStatus.INFEASIBLE, core_indices=sorted((high[2], low[2])))
+            if epsilon_mode:
+                crossing: List[int] = []
+                for p_u, q_u, i_u in uppers:
+                    for p_l, q_l, i_l in lowers:
+                        k = q_u + q_l
+                        if k > 0 and p_u - p_l < eps * k:
+                            eps, crossing = (p_u - p_l) / k, [i_u, i_l]
+                if eps <= 0:
+                    return LPResult(LPStatus.INFEASIBLE, core_indices=sorted(crossing))
+        value = _ZERO
+        if lowers:
+            value = max(value, max(p + q * eps for p, q, _ in lowers))
+        if uppers:
+            value = min(value, min(p - q * eps for p, q, _ in uppers))
+        return LPResult(LPStatus.FEASIBLE, {var: value}, eps)
 
     @staticmethod
     def _structural_signature(rows: Sequence[LinearConstraint]) -> object:

@@ -24,6 +24,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.expr import (
+    ARITHMETIC_ERRORS,
     Add,
     Call,
     Const,
@@ -227,7 +228,7 @@ def hc4_revise(constraint: Constraint, box: Box) -> Optional[Box]:
     try:
         _forward(constraint.lhs, working, cache)
         _forward(constraint.rhs, working, cache)
-    except Exception:
+    except ARITHMETIC_ERRORS:
         return dict(box)  # undefined somewhere: no contraction, no verdict
     rhs_image = cache[id(constraint.rhs)]
     lhs_required = _required_interval(constraint.relation, rhs_image)
@@ -241,7 +242,7 @@ def hc4_revise(constraint: Constraint, box: Box) -> Optional[Box]:
         _backward(constraint.rhs, rhs_required, box=working, cache=cache)
     except _Infeasible:
         return None
-    except Exception:
+    except ARITHMETIC_ERRORS:
         return dict(box)
     return working
 

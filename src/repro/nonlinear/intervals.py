@@ -19,6 +19,7 @@ import math
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..core.expr import (
+    ARITHMETIC_ERRORS,
     Add,
     Call,
     Const,
@@ -243,7 +244,7 @@ def check_constraint_interval(
     try:
         lhs = eval_interval(constraint.lhs, env)
         rhs = eval_interval(constraint.rhs, env)
-    except (EvaluationError, ValueError, OverflowError, ZeroDivisionError):
+    except ARITHMETIC_ERRORS:
         # Undefined somewhere on the box (NaN from inf*0, domain error, ...):
         # no verdict is possible.
         return UNKNOWN

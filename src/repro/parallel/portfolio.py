@@ -59,7 +59,7 @@ def portfolio_specs(base: ConfigSpec, jobs: int) -> List[ConfigSpec]:
         base.copy(
             label="presolve",
             boolean=presolve_boolean,
-            linear="simplex-presolve" if base.linear != "simplex-presolve" else "simplex",
+            linear="simplex",
             seed=base_seed + 2,
             boolean_options=presolve_options,
         )

@@ -115,17 +115,6 @@ class TestLinearAdapters:
         general = LinearSystem([row("x + y <= 4", tag=1)])
         assert adapter.check(general).status is LPStatus.FEASIBLE
 
-    def test_presolve_adapter_equivalence(self):
-        plain = SimplexLinearAdapter()
-        presolved = SimplexLinearAdapter(use_presolve=True)
-        for system_factory in (self.feasible_system, self.infeasible_system):
-            a = plain.check(system_factory())
-            b = presolved.check(system_factory())
-            assert a.status == b.status
-        system = self.feasible_system()
-        result = presolved.check(system)
-        assert system.check_point(result.point)
-
 
 class TestNonlinearAdapters:
     def test_newton_applicability_filter(self):

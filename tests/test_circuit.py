@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import parse_constraint
+from repro.core.expr import Constraint
 from repro.core.circuit import (
     AndGate,
     Circuit,
@@ -79,6 +80,15 @@ class TestComparisonGate:
         gate = ComparisonGate("1", parse_constraint("1 / x > 0"))
         circuit = Circuit(gate)
         assert circuit.evaluate(theory={"x": 0.0}) is UNKNOWN
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(self, env, tolerance=0.0):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr(Constraint, "evaluate", broken)
+        circuit = Circuit(ComparisonGate("1", parse_constraint("x >= 0")))
+        with pytest.raises(RuntimeError):
+            circuit.evaluate(theory={"x": 1.0})
 
 
 class TestFromABProblem:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.expr import parse_constraint
+from repro.nonlinear import contract
 from repro.nonlinear.contract import contract_box, hc4_revise
 from repro.nonlinear.intervals import Interval
 from repro.nonlinear.refute import IntervalRefuter, RefuteStatus
@@ -122,6 +123,34 @@ class TestContractBox:
         assert result is not None
         assert result["y"].lo >= 8 - 1e-5
         assert result["y"].hi <= 12 + 1e-5
+
+
+def _internal_error(*args, **kwargs):
+    raise RuntimeError("internal error")
+
+
+class TestUndefinedArithmetic:
+    """Undefined arithmetic leaves the box alone; any other error surfaces."""
+
+    def test_forward_division_by_zero_keeps_the_box(self):
+        start = box(x=(-1, 1), y=(-1, 1))
+        assert hc4_revise(parse_constraint("y / x >= 1"), start) == start
+
+    def test_backward_overflow_keeps_the_box(self):
+        # The backward pass never divides by an interval holding zero; its
+        # undefined case is a float overflow (squaring 1e200 for sqrt).
+        start = box(x=(0, math.inf))
+        assert hc4_revise(parse_constraint("sqrt(x) >= 1e200"), start) == start
+
+    def test_forward_internal_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(contract, "eval_interval", _internal_error)
+        with pytest.raises(RuntimeError):
+            hc4_revise(parse_constraint("y / x >= 1"), box(x=(-1, 1), y=(-1, 1)))
+
+    def test_backward_internal_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(contract, "_backward", _internal_error)
+        with pytest.raises(RuntimeError):
+            hc4_revise(parse_constraint("x <= 3"), box(x=(-10, 10)))
 
 
 class TestSoundness:

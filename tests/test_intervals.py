@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.expr import parse_constraint, parse_expression
 from repro.core.tristate import FF, TT, UNKNOWN
+from repro.nonlinear import intervals
 from repro.nonlinear.intervals import Interval, check_constraint_interval, eval_interval
 
 
@@ -126,6 +127,14 @@ class TestConstraintVerdicts:
     def test_undefined_is_unknown(self):
         c = parse_constraint("1 / x > 0")
         assert check_constraint_interval(c, {"x": Interval(-1, 1)}) is UNKNOWN
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(expr, env):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr(intervals, "eval_interval", broken)
+        with pytest.raises(RuntimeError):
+            check_constraint_interval(parse_constraint("x > 0"), {"x": Interval(1, 2)})
 
     def test_infinite_box(self):
         c = parse_constraint("x^2 >= 0")

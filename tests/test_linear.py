@@ -1,5 +1,6 @@
 """Tests for the linear substrate: simplex, IIS, branch & bound, components."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from repro.linear import (
     optimize,
     solve_mixed_integer,
 )
+from repro.linear.simplex import EPSILON_VAR, LPResult
 
 
 def row(text, tag=None):
@@ -303,3 +305,122 @@ class TestSimplexProperties:
             # cross-check infeasibility via the Farkas core
             assert result.core_indices
             assert is_infeasible_subset([sys_.rows[i] for i in result.core_indices])
+
+
+class _TableauSimplex(SimplexSolver):
+    """Reference: ``SimplexSolver.check`` before the single-variable closed
+    form, so every system goes through the two-phase tableau."""
+
+    def check(self, system):
+        trivial = self._check_trivial_rows(system)
+        if trivial is not None:
+            if trivial.status is LPStatus.INFEASIBLE:
+                core = [
+                    index
+                    for index, row in enumerate(system.rows)
+                    if row.is_trivial() and not row.trivially_true()
+                ][:1]
+                return LPResult(LPStatus.INFEASIBLE, core_indices=core)
+            return trivial
+        positions = [i for i, row in enumerate(system.rows) if not row.is_trivial()]
+        rows = [system.rows[i] for i in positions]
+        signature = None
+        if self.warm_start:
+            signature = (self.warm_context, self._structural_signature(rows))
+            cached = self._warm_points.get(signature)
+            if cached is not None and self._point_satisfies(rows, cached):
+                self.warm_hits += 1
+                return LPResult(LPStatus.FEASIBLE, dict(cached), Fraction(0))
+        has_strict = any(row.relation in (Relation.LT, Relation.GT) for row in rows)
+        if not has_strict:
+            result = self._solve(rows, objective=None, maximize=False)
+        else:
+            result = self._solve(
+                rows,
+                objective={EPSILON_VAR: Fraction(1)},
+                maximize=True,
+                epsilon_mode=True,
+            )
+        if result.status is LPStatus.INFEASIBLE and result.core_indices is not None:
+            result.core_indices = sorted(positions[i] for i in result.core_indices)
+        if result.status is LPStatus.FEASIBLE:
+            result.point.pop(EPSILON_VAR, None)
+            if signature is not None:
+                if len(self._warm_points) >= self.WARM_CACHE_LIMIT:
+                    self._warm_points.clear()
+                self._warm_points[signature] = dict(result.point)
+        return result
+
+
+def _random_single_variable_system(rng):
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.1:
+            rows.append(LinearConstraint({}, Relation.LE, Fraction(rng.randint(0, 2))))
+            continue
+        coeff = Fraction(rng.choice((1, 2, 3, 5)) * rng.choice((1, -1)), rng.choice((1, 2, 3)))
+        bound = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 7)))
+        rows.append(LinearConstraint({"x": coeff}, rng.choice(list(Relation)), bound))
+    if all(row.is_trivial() for row in rows):
+        rows.append(LinearConstraint({"x": Fraction(1)}, Relation.GE, Fraction(0)))
+    rng.shuffle(rows)
+    domains = {"x": "int"} if rng.random() < 0.3 else {}
+    return LinearSystem(rows, domains)
+
+
+class TestSingleVariableClosedForm:
+    """One-variable systems skip the tableau; the answers must not change."""
+
+    @staticmethod
+    def assert_matches_tableau(sys_):
+        closed = SimplexSolver().check(sys_)
+        tableau = _TableauSimplex().check(sys_)
+        assert (closed.status, closed.point, closed.objective) == (
+            tableau.status,
+            tableau.point,
+            tableau.objective,
+        ), [str(r) for r in sys_.rows]
+        if closed.status is LPStatus.INFEASIBLE:
+            core = [sys_.rows[i] for i in closed.core_indices]
+            assert is_infeasible_subset(core, solver=_TableauSimplex())
+            for core_row in core:
+                assert not is_infeasible_subset([core_row], solver=_TableauSimplex())
+        if sys_.integer_variables():
+            integral = BranchAndBoundSolver().check(sys_)
+            reference = BranchAndBoundSolver(simplex=_TableauSimplex()).check(sys_)
+            assert (integral.status, integral.point) == (reference.status, reference.point)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_systems_match_the_tableau(self, seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            self.assert_matches_tableau(_random_single_variable_system(rng))
+
+    @pytest.mark.parametrize(
+        "texts, domains, feasible",
+        [
+            (("x >= 5", "x <= 3"), None, False),
+            (("x > 3", "x <= 3"), None, False),
+            (("x >= 3", "x <= 3", "x < 3"), None, False),
+            (("x = 3",), None, True),
+            (("2*x = 1",), {"x": "int"}, False),
+        ],
+    )
+    def test_bound_cases(self, texts, domains, feasible):
+        sys_ = system(*texts, domains=domains)
+        self.assert_matches_tableau(sys_)
+        assert (solve_mixed_integer(sys_).status is LPStatus.FEASIBLE) == feasible
+
+    def test_multi_variable_system_takes_the_tableau(self, monkeypatch):
+        calls = []
+        tableau = SimplexSolver._solve
+
+        def spy(self, rows, *args, **kwargs):
+            calls.append(len(rows))
+            return tableau(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(SimplexSolver, "_solve", spy)
+        assert check_feasibility(system("x >= 1", "x < 3")).is_feasible
+        assert calls == []
+        assert check_feasibility(system("x + y <= 4", "x >= 1", "y > 1")).is_feasible
+        assert calls == [3]

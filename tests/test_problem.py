@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import parse_constraint
+from repro.core.expr import Constraint
 from repro.core.problem import ABProblem, Definition
 
 
@@ -115,3 +116,14 @@ class TestCheckModel:
         problem.add_clause([1])
         problem.define(1, "real", parse_constraint("1 / x > 0"))
         assert not problem.check_model({1: True}, {"x": 0.0})
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(self, env, tolerance=0.0):
+            raise RuntimeError("internal error")
+
+        problem = ABProblem()
+        problem.add_clause([1])
+        problem.define(1, "real", parse_constraint("x > 0"))
+        monkeypatch.setattr(Constraint, "evaluate", broken)
+        with pytest.raises(RuntimeError):
+            problem.check_model({1: True}, {"x": 1.0})

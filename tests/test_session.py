@@ -15,7 +15,6 @@ from repro import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_cons
 from repro.benchgen import watertank_unroll_family
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.cli import main
-from repro.core.registry import DOMAIN_LINEAR, default_registry
 from repro.core.solver import ABModel, ABStatus
 from repro.core.stats import SolveStatistics
 
@@ -334,18 +333,6 @@ class TestCacheRegression:
         problem.define(3, "real", parse_constraint("2*x + y <= 5"))
         problem.add_clause([3])
         session.assert_problem(problem)
-        assert session.check().is_sat
-        assert session.check().is_sat
-        assert session.stats.warm_start_hits >= 1
-
-
-class TestWarmStartAdapter:
-    def test_registry_lists_simplex_warm(self):
-        assert "simplex-warm" in default_registry.available(DOMAIN_LINEAR)
-
-    def test_warm_start_session(self):
-        session = SolverSession(ABSolverConfig(linear="simplex-warm"))
-        session.assert_problem(_base_problem())
         assert session.check().is_sat
         assert session.check().is_sat
         assert session.stats.warm_start_hits >= 1
