@@ -35,9 +35,14 @@ starts (``warm_start_hits``) are reported, not asserted.
 Because difference logic never reaches the nonlinear stage, the committed
 record used to show ``nonlinear_calls: 0`` — dead counters.  A third
 sweep over the Table 1 nonlinear micro-benchmarks
-(:data:`repro.benchgen.nonlinear_micro.MICRO_BENCHMARKS`) is merged into
-the record so ``nonlinear_calls`` (and, for the UNSAT micro,
-``interval_refutations``) are exercised and asserted nonzero.
+(:data:`repro.benchgen.nonlinear_micro.MICRO_BENCHMARKS`) plus one
+instance of this bench's own is merged into the record, so
+``nonlinear_calls`` and ``interval_refutations`` are exercised and
+asserted nonzero.  Table 1's UNSAT row is settled by stage 0's interval
+contraction before the refuter runs, so the refuter's instance is
+``annulus_product``: ``1 <= x*x + y*y <= 4`` and ``x*y >= 2.5``, UNSAT
+because ``2xy <= x*x + y*y <= 4``.  Contraction alone cannot see that;
+branch-and-prune can.
 
 Environment knobs:
 
@@ -47,7 +52,7 @@ Environment knobs:
 import os
 import time
 
-from repro import ABSolver, ABSolverConfig, SolverSession
+from repro import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_constraint
 from repro.benchgen import fischer_unroll_family, watertank_unroll_family
 from repro.benchgen.nonlinear_micro import MICRO_BENCHMARKS
 
@@ -194,8 +199,24 @@ def bench_incremental_watertank(benchmark):
     _run_family("watertank", benchmark)
 
 
+def _annulus_product_problem() -> ABProblem:
+    """A nonlinear conflict that needs branch-and-prune; expected: UNSAT."""
+    problem = ABProblem(name="annulus_product")
+    texts = ["x * x + y * y >= 1", "x * x + y * y <= 4", "x * y >= 2.5"]
+    for var, text in enumerate(texts, start=1):
+        problem.define(var, "real", parse_constraint(text))
+        problem.add_clause([var])
+    problem.set_bounds("x", -10.0, 10.0)
+    problem.set_bounds("y", -10.0, 10.0)
+    return problem
+
+
+#: Table 1's micros plus the instance that reaches the interval refuter.
+_MICRO_SWEEP = {**MICRO_BENCHMARKS, "annulus_product": (_annulus_product_problem, "unsat")}
+
+
 def bench_nonlinear_micros(benchmark):
-    """Table 1 nonlinear micros, merged into the unroll record.
+    """Table 1 nonlinear micros and ``annulus_product``, merged into the unroll record.
 
     The unroll families are pure difference logic, so without this sweep
     the committed record reports ``nonlinear_calls: 0`` — the nonlinear
@@ -206,7 +227,7 @@ def bench_nonlinear_micros(benchmark):
         stats = None
         verdicts = {}
         started = time.perf_counter()
-        for name, (factory, expected) in sorted(MICRO_BENCHMARKS.items()):
+        for name, (factory, expected) in sorted(_MICRO_SWEEP.items()):
             solver = ABSolver(ABSolverConfig())
             result = solver.solve(factory())
             assert result.status.value == expected, (

@@ -8,10 +8,11 @@ Three small instances exercising the nonlinear pipeline:
   one definition to one Boolean variable, so the Boolean variable count is
   11 where the paper reports 8 — noted in EXPERIMENTS.md).
 * ``nonlinear_unsat`` — two nonlinear constraints whose conjunction is
-  infeasible (``x^2 + y^2 < 1`` and ``x + y > 2``); the correct answer is
-  UNSAT, which requires the interval refutation machinery (a local NLP
-  solver alone can never conclude it).  MathSAT/CVC-Lite-style solvers
-  reject the instance.
+  infeasible (``x * x + y * y < 1`` and ``(x + y) * (x + y) > 8``); the
+  correct answer is UNSAT, which needs interval reasoning (a local NLP
+  solver alone can never conclude it).  Stage 0's interval contraction
+  settles it: the first constraint bounds ``x + y`` to ``[-2, 2]``, whose
+  square is at most 4.  MathSAT/CVC-Lite-style solvers reject the instance.
 * ``div_operator`` — 4 linear range constraints plus one constraint using
   the division operator (the paper highlights that adding ``/`` took
   "less than an hour of programming effort").

@@ -770,7 +770,11 @@ class Pow(Expr):
         return (self.base,)
 
     def evaluate(self, env: Mapping[str, Number]) -> float:
-        return self.base.evaluate(env) ** self.exponent
+        value = self.base.evaluate(env)
+        try:
+            return value**self.exponent
+        except OverflowError as exc:
+            raise EvaluationError(f"({value})^{self.exponent} overflows") from exc
 
     def diff(self, var: str) -> Expr:
         if self.exponent == 0:
@@ -846,8 +850,8 @@ class Call(Expr):
         value = self.arg.evaluate(env)
         try:
             return FUNCTION_TABLE[self.function](value)
-        except ValueError as exc:
-            raise EvaluationError(f"{self.function}({value}) is undefined") from exc
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{self.function}({value}) is undefined or out of range") from exc
 
     def diff(self, var: str) -> Expr:
         if self.function == "abs":
@@ -1089,14 +1093,17 @@ def _simplify(expr: Expr) -> Expr:
         if expr.exponent == 1:
             return base
         if isinstance(base, Const):
-            return Const(base.value**expr.exponent)
+            try:
+                return Const(base.value**expr.exponent)
+            except OverflowError:
+                return Pow(base, expr.exponent)
         return Pow(base, expr.exponent)
     if isinstance(expr, Call):
         arg = expr.arg.simplify()
         if isinstance(arg, Const):
             try:
                 return Const(FUNCTION_TABLE[expr.function](float(arg.value)))
-            except ValueError:
+            except (ValueError, OverflowError):
                 return Call(expr.function, arg)
         return Call(expr.function, arg)
     if isinstance(expr, _Binary):

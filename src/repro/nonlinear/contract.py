@@ -6,11 +6,15 @@ effective by *shrinking* boxes before splitting.  HC4-revise is the
 classical constraint-propagation contractor:
 
 1. **forward pass** — evaluate the interval image of every AST node
-   bottom-up;
+   bottom-up, once each: :func:`~repro.nonlinear.intervals.eval_interval`
+   with the pass's cache as its memo;
 2. **backward pass** — intersect the root with the relation's feasible set
    (``[c, +inf)`` for ``>= c`` etc.) and project the narrowing down through
    inverse operations (``T = A + B`` gives ``A' = A ∩ (T - B)``, and so on)
    until the leaves — the variable domains — are narrowed.
+
+A structural square ``e * e`` is evaluated and inverted like ``e^2``, so
+``x * x < 1`` narrows ``x`` to ``[-1, 1]``.
 
 Contraction is *sound*: no point satisfying the constraint inside the box
 is ever removed; an empty intersection proves the constraint has no
@@ -21,7 +25,7 @@ interval arithmetic as evaluation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..core.expr import (
     ARITHMETIC_ERRORS,
@@ -50,15 +54,6 @@ _EVERYTHING = Interval(-math.inf, math.inf)
 
 class _Infeasible(Exception):
     """Internal: the constraint admits no solution in the box."""
-
-
-def _forward(expr: Expr, box: Mapping[str, Interval], cache: Dict[int, Interval]) -> Interval:
-    image = eval_interval(expr, box)
-    cache[id(expr)] = image
-    for child in expr.children():
-        if id(child) not in cache:
-            _forward(child, box, cache)
-    return image
 
 
 def _required_interval(relation: Relation, rhs: Interval) -> Interval:
@@ -106,6 +101,9 @@ def _backward(
         _backward(expr.rhs, cache[id(expr.lhs)] - narrowed, box, cache)
         return
     if isinstance(expr, Mul):
+        if expr.lhs == expr.rhs:
+            _backward_even_power(expr.lhs, 2, narrowed, box, cache)
+            return
         left, right = cache[id(expr.lhs)], cache[id(expr.rhs)]
         if not right.contains(0.0):
             _backward(expr.lhs, narrowed / right, box, cache)
@@ -137,32 +135,37 @@ def _backward_pow(expr: Pow, target: Interval, box: Box, cache: Dict[int, Interv
         _backward(expr.base, target, box, cache)
         return
     if n % 2 == 1:
-        root = Interval(_signed_root(target.lo, n), _signed_root(target.hi, n))
+        root = Interval(_odd_root(target.lo, n, -1.0), _odd_root(target.hi, n, 1.0))
         _backward(expr.base, root, box, cache)
         return
-    # even power: image must be >= 0
+    _backward_even_power(expr.base, n, target, box, cache)
+
+
+def _backward_even_power(
+    base: Expr, n: int, target: Interval, box: Box, cache: Dict[int, Interval]
+) -> None:
+    """Narrow ``base`` so that ``base^n`` (n even) fits inside ``target``."""
     positive = target.intersect(Interval(0.0, math.inf))
     if positive is None:
         raise _Infeasible()
     magnitude = positive.hi ** (1.0 / n) if math.isfinite(positive.hi) else math.inf
     magnitude *= 1 + 1e-12
-    base = cache[id(expr.base)]
-    if base.lo >= 0:
-        low = positive.lo ** (1.0 / n) if positive.lo > 0 else 0.0
-        _backward(expr.base, Interval(low * (1 - 1e-12), magnitude), box, cache)
-    elif base.hi <= 0:
-        low = positive.lo ** (1.0 / n) if positive.lo > 0 else 0.0
-        _backward(expr.base, Interval(-magnitude, -low * (1 - 1e-12)), box, cache)
+    low = positive.lo ** (1.0 / n) if positive.lo > 0 else 0.0
+    image = cache[id(base)]
+    if image.lo >= 0:
+        _backward(base, Interval(low * (1 - 1e-12), magnitude), box, cache)
+    elif image.hi <= 0:
+        _backward(base, Interval(-magnitude, -low * (1 - 1e-12)), box, cache)
     else:
-        _backward(expr.base, Interval(-magnitude, magnitude), box, cache)
+        _backward(base, Interval(-magnitude, magnitude), box, cache)
 
 
-def _signed_root(value: float, n: int) -> float:
+def _odd_root(value: float, n: int, direction: float) -> float:
+    """The real n-th root (n odd), padded down (-1.0, lower end) or up (+1.0)."""
     if not math.isfinite(value):
         return value
-    result = abs(value) ** (1.0 / n)
-    result *= 1 + 1e-12
-    return math.copysign(result, value) if value != 0 else 0.0
+    root = math.copysign(abs(value) ** (1.0 / n), value)
+    return root + direction * 1e-12 * abs(root)
 
 
 def _backward_call(expr: Call, target: Interval, box: Box, cache: Dict[int, Interval]) -> None:
@@ -226,11 +229,10 @@ def hc4_revise(constraint: Constraint, box: Box) -> Optional[Box]:
     working = dict(box)
     cache: Dict[int, Interval] = {}
     try:
-        _forward(constraint.lhs, working, cache)
-        _forward(constraint.rhs, working, cache)
+        eval_interval(constraint.lhs, working, cache)
+        rhs_image = eval_interval(constraint.rhs, working, cache)
     except ARITHMETIC_ERRORS:
         return dict(box)  # undefined somewhere: no contraction, no verdict
-    rhs_image = cache[id(constraint.rhs)]
     lhs_required = _required_interval(constraint.relation, rhs_image)
     try:
         _backward(constraint.lhs, lhs_required, box=working, cache=cache)

@@ -7,6 +7,10 @@ float round-off cannot have produced a spurious model.  Intervals are also
 used as a cheap pre-filter: a constraint whose interval image over the
 variable bounds cannot intersect the feasible side is pruned early.
 
+A structural square ``e * e`` (both operands the same node) is evaluated as
+``e^2``: over ``[-b, b]`` its image is ``[0, b*b]``, not the ``[-b*b, b*b]``
+of two independent factors.  Every interval consumer gets the tight image.
+
 Outward rounding is approximated by widening each elementary operation by a
 relative ULP factor; for the well-scaled control problems of the paper this
 is a sound-in-practice certificate (a fully rigorous implementation would use
@@ -198,37 +202,50 @@ def _trig_interval(name: str, arg: Interval) -> Interval:
     return Interval(result_lo, result_hi)._widened()
 
 
-def eval_interval(expr: Expr, env: Mapping[str, Interval]) -> Interval:
+def eval_interval(
+    expr: Expr, env: Mapping[str, Interval], memo: Optional[Dict[int, Interval]] = None
+) -> Interval:
     """Evaluate an expression over an interval box.
+
+    ``memo`` (valid for one box) maps ``id(node)`` to the node's image; each
+    node is evaluated once and stored there, so shared subterms cost one.
 
     Raises :class:`EvaluationError` (or ZeroDivisionError) when the image is
     not defined over the whole box — callers treat that as "cannot certify".
     """
+    if memo is not None and id(expr) in memo:
+        return memo[id(expr)]
     if isinstance(expr, Const):
-        return Interval.point(float(expr.value))
-    if isinstance(expr, Var):
+        image = Interval.point(float(expr.value))
+    elif isinstance(expr, Var):
         try:
-            return env[expr.name]
+            image = env[expr.name]
         except KeyError:
             raise EvaluationError(f"variable {expr.name!r} has no interval") from None
-    if isinstance(expr, Neg):
-        return -eval_interval(expr.arg, env)
-    if isinstance(expr, Add):
-        return eval_interval(expr.lhs, env) + eval_interval(expr.rhs, env)
-    if isinstance(expr, Sub):
-        return eval_interval(expr.lhs, env) - eval_interval(expr.rhs, env)
-    if isinstance(expr, Mul):
-        return eval_interval(expr.lhs, env) * eval_interval(expr.rhs, env)
-    if isinstance(expr, Div):
+    elif isinstance(expr, Neg):
+        image = -eval_interval(expr.arg, env, memo)
+    elif isinstance(expr, Add):
+        image = eval_interval(expr.lhs, env, memo) + eval_interval(expr.rhs, env, memo)
+    elif isinstance(expr, Sub):
+        image = eval_interval(expr.lhs, env, memo) - eval_interval(expr.rhs, env, memo)
+    elif isinstance(expr, Mul) and expr.lhs == expr.rhs:
+        image = eval_interval(expr.lhs, env, memo).power(2)
+    elif isinstance(expr, Mul):
+        image = eval_interval(expr.lhs, env, memo) * eval_interval(expr.rhs, env, memo)
+    elif isinstance(expr, Div):
         try:
-            return eval_interval(expr.lhs, env) / eval_interval(expr.rhs, env)
+            image = eval_interval(expr.lhs, env, memo) / eval_interval(expr.rhs, env, memo)
         except ZeroDivisionError as exc:
             raise EvaluationError(str(exc)) from exc
-    if isinstance(expr, Pow):
-        return eval_interval(expr.base, env).power(expr.exponent)
-    if isinstance(expr, Call):
-        return _apply_function(expr.function, eval_interval(expr.arg, env))
-    raise EvaluationError(f"unsupported node {type(expr).__name__}")
+    elif isinstance(expr, Pow):
+        image = eval_interval(expr.base, env, memo).power(expr.exponent)
+    elif isinstance(expr, Call):
+        image = _apply_function(expr.function, eval_interval(expr.arg, env, memo))
+    else:
+        raise EvaluationError(f"unsupported node {type(expr).__name__}")
+    if memo is not None:
+        memo[id(expr)] = image
+    return image
 
 
 def check_constraint_interval(

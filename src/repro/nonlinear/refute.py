@@ -2,12 +2,16 @@
 
 The augmented-Lagrangian engine (like IPOPT) is a *local* method: failing to
 find a feasible point proves nothing.  To let ABsolver return definite UNSAT
-answers on nonlinear conflicts — the paper's ``nonlinear_unsat`` benchmark
-answers UNSAT in 0.26 s — we pair it with a certificate-producing refuter:
-recursively bisect the variable box and discard sub-boxes on which some
-constraint is certainly false (three-valued interval check).  If every
-sub-box dies, the constraint set is infeasible *over the box*; combined with
-declared sensor-range bounds this is a sound UNSAT verdict.
+answers on nonlinear conflicts we pair it with a certificate-producing
+refuter: recursively bisect the variable box, narrow each sub-box with the
+HC4 contractor, and discard sub-boxes on which some constraint is certainly
+false (three-valued interval check).  If every sub-box dies, the constraint
+set is infeasible *over the box*; combined with declared sensor-range bounds
+this is a sound UNSAT verdict.
+
+Stage 0 (:mod:`repro.core.presolve`) runs the same contractor on the whole
+box first and settles conflicts like the paper's ``nonlinear_unsat``; the
+refuter is for conflicts that need splitting, and for certified runs.
 
 The search is budgeted (depth and box count); exhausting the budget returns
 UNKNOWN, never a wrong answer.
@@ -19,11 +23,12 @@ import enum
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.expr import Constraint, Mul, Pow, Expr, Var
+from ..core.expr import Constraint
 from ..core.tristate import FF, TT, UNKNOWN
+from .contract import contract_box
 from .intervals import Interval, check_constraint_interval
 
-__all__ = ["RefuteStatus", "RefuteResult", "IntervalRefuter", "squares_to_powers"]
+__all__ = ["RefuteStatus", "RefuteResult", "IntervalRefuter"]
 
 
 class RefuteStatus(enum.Enum):
@@ -55,42 +60,6 @@ class RefuteResult:
         return f"RefuteResult({self.status.value}, boxes={self.boxes_explored})"
 
 
-def squares_to_powers(expr: Expr) -> Expr:
-    """Rewrite structural squares ``e * e`` into ``e^2`` bottom-up.
-
-    Interval evaluation of ``x * x`` suffers the dependency problem (it sees
-    two independent occurrences and yields ``[-b*b, b*b]``); ``x^2`` evaluates
-    tightly as ``[0, b*b]``.  This rewrite makes common physics terms
-    (squared velocities etc.) refutable.
-    """
-    children = expr.children()
-    if not children:
-        return expr
-    if isinstance(expr, Mul):
-        lhs = squares_to_powers(expr.lhs)
-        rhs = squares_to_powers(expr.rhs)
-        if lhs == rhs:
-            return Pow(lhs, 2)
-        return Mul(lhs, rhs)
-    rebuilt = expr
-    if isinstance(expr, Pow):
-        return Pow(squares_to_powers(expr.base), expr.exponent)
-    # Generic rebuild via substitute on Vars is not possible; handle node-wise.
-    from ..core.expr import Add, Sub, Div, Neg, Call
-
-    if isinstance(expr, Add):
-        return Add(squares_to_powers(expr.lhs), squares_to_powers(expr.rhs))
-    if isinstance(expr, Sub):
-        return Sub(squares_to_powers(expr.lhs), squares_to_powers(expr.rhs))
-    if isinstance(expr, Div):
-        return Div(squares_to_powers(expr.lhs), squares_to_powers(expr.rhs))
-    if isinstance(expr, Neg):
-        return Neg(squares_to_powers(expr.arg))
-    if isinstance(expr, Call):
-        return Call(expr.function, squares_to_powers(expr.arg))
-    return rebuilt
-
-
 class IntervalRefuter:
     """Budgeted branch-and-prune over interval boxes.
 
@@ -118,13 +87,10 @@ class IntervalRefuter:
         """Attempt to prove the conjunction infeasible over the box."""
         if not constraints:
             return RefuteResult(RefuteStatus.SAT_BOX, 0, dict())
-        tightened = [
-            Constraint(
-                squares_to_powers(c.lhs.simplify()), c.relation, squares_to_powers(c.rhs.simplify())
-            )
-            for c in constraints
+        simplified = [
+            Constraint(c.lhs.simplify(), c.relation, c.rhs.simplify()) for c in constraints
         ]
-        variables = sorted({v for c in tightened for v in c.variables()})
+        variables = sorted({v for c in simplified for v in c.variables()})
         for var in variables:
             if var not in bounds:
                 raise ValueError(f"refuter requires bounds for every variable; missing {var!r}")
@@ -140,19 +106,17 @@ class IntervalRefuter:
             box = stack.pop()
             explored += 1
             if self.use_contractor:
-                from .contract import contract_box
-
-                contracted = contract_box(tightened, box, max_rounds=3)
+                contracted = contract_box(simplified, box, max_rounds=3)
                 if contracted is None:
                     continue  # contractor proved the box infeasible
                 box = contracted
-            verdicts = [check_constraint_interval(c, box) for c in tightened]
+            verdicts = [check_constraint_interval(c, box) for c in simplified]
             if any(v is FF for v in verdicts):
                 continue  # box refuted
             if all(v is TT for v in verdicts):
                 return RefuteResult(RefuteStatus.SAT_BOX, explored, box)
             # Split on the widest variable among the undecided constraints.
-            split_var = self._widest_variable(box, tightened, verdicts)
+            split_var = self._widest_variable(box, simplified, verdicts)
             if split_var is None:
                 exhausted = True  # cannot split further; undecided remains
                 continue

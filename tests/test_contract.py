@@ -180,6 +180,16 @@ class TestSoundness:
         assert result["x"].lo - 1e-9 <= x0 <= result["x"].hi + 1e-9
         assert result["y"].lo - 1e-9 <= y0 <= result["y"].hi + 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "template, sign", [("x^3 >= {c}", 1), ("x^3 <= -{c}", -1), ("x^3 = {c}", 1)]
+    )
+    def test_point_on_a_cube_root_survives(self, k, template, sign):
+        # The inverse of an odd power rounds each end outward, so a target
+        # that touches the root keeps it.
+        point = box(x=(sign * k, sign * k))
+        assert hc4_revise(parse_constraint(template.format(c=k**3)), point) == point
+
 
 class TestRefuterIntegration:
     def test_contractor_reduces_boxes(self):

@@ -79,6 +79,13 @@ class TestEvaluation:
         assert Pow(Var("x"), 3).evaluate({"x": 2}) == pytest.approx(8.0)
         assert Pow(Var("x"), 0).evaluate({"x": 5}) == pytest.approx(1.0)
 
+    def test_overflow_raises_evaluation_error(self):
+        # Callers catch EvaluationError only; an OverflowError would escape.
+        with pytest.raises(EvaluationError):
+            Call("exp", Const(1000)).evaluate({})
+        with pytest.raises(EvaluationError):
+            Pow(Const(1e200), 2).evaluate({})
+
 
 class TestStructuralEquality:
     def test_equal_trees(self):
@@ -203,6 +210,10 @@ class TestSimplify:
         simplified = expr.simplify()
         # must not fold into a crash or a wrong constant
         assert isinstance(simplified, Div)
+
+    def test_preserves_overflowing_constants(self):
+        assert isinstance(Call("exp", Const(1000)).simplify(), Call)
+        assert isinstance(Pow(Const(1e200), 2).simplify(), Pow)
 
     @settings(max_examples=60)
     @given(

@@ -1,11 +1,12 @@
 """Tests for interval arithmetic: the containment (soundness) property."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.expr import parse_constraint, parse_expression
+from repro.core.expr import Mul, Pow, parse_constraint, parse_expression
 from repro.core.tristate import FF, TT, UNKNOWN
 from repro.nonlinear import intervals
 from repro.nonlinear.intervals import Interval, check_constraint_interval, eval_interval
@@ -81,6 +82,7 @@ _SAMPLE_EXPRS = [
     "sin(x) + cos(y)",
     "exp(x / 4)",
     "abs(x) + sqrt(y + 4)",
+    "(x + y) * (x + y) - x * x",
 ]
 
 
@@ -105,6 +107,35 @@ class TestContainmentProperty:
             return  # undefined somewhere on the box: nothing to check
         value = expr.evaluate({"x": x0, "y": y0})
         assert image.lo - 1e-9 <= value <= image.hi + 1e-9
+        assert eval_interval(expr, box, memo={}) == image
+
+
+_SQUARED = ["x", "-y", "x + y", "x - 2 * y", "x^3", "sin(x) - y", "x / (y + 5)", "exp(x / 4) - 1"]
+
+
+def _random_interval(rng):
+    kind = rng.choice(("straddle", "positive", "negative", "point"))
+    a, b = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
+    if kind == "straddle":
+        return Interval(-a - 0.1, b + 0.1)
+    if kind == "positive":
+        return Interval(a, b)
+    if kind == "negative":
+        return Interval(-b, -a)
+    return Interval.point(rng.uniform(-4, 4))
+
+
+class TestSquareRule:
+    """A structural square ``e * e`` is one quantity: its image is ``e^2``'s."""
+
+    def test_square_has_the_image_of_the_power(self):
+        rng = random.Random(16)
+        for _ in range(400):
+            operand = parse_expression(rng.choice(_SQUARED))
+            box = {"x": _random_interval(rng), "y": _random_interval(rng)}
+            square = eval_interval(Mul(operand, operand), box)
+            assert square == eval_interval(Pow(operand, 2), box)
+            assert square.lo >= 0.0
 
 
 class TestConstraintVerdicts:

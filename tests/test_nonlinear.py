@@ -1,18 +1,35 @@
 """Tests for the nonlinear solvers: augmented Lagrangian, Newton, refuter."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.expr import parse_constraint, parse_expression
+from repro.core.expr import (
+    Add,
+    Call,
+    Const,
+    Constraint,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Relation,
+    Sub,
+    Var,
+    parse_constraint,
+)
 from repro.nonlinear import (
     AugmentedLagrangianSolver,
     NewtonSolver,
     NLPStatus,
+    contract,
     scipy_available,
 )
-from repro.nonlinear.refute import IntervalRefuter, RefuteStatus, squares_to_powers
+from repro.nonlinear.contract import contract_box
+from repro.nonlinear.intervals import Interval, eval_interval
+from repro.nonlinear.refute import IntervalRefuter, RefuteStatus
 
 
 def solve(constraints, bounds=None, **kwargs):
@@ -127,21 +144,118 @@ class TestNewton:
         assert abs(result.point["x"]) < 1e-2
 
 
-class TestSquaresToPowers:
-    def test_rewrites_structural_squares(self):
-        expr = parse_expression("x * x + (y + 1) * (y + 1)")
-        rewritten = squares_to_powers(expr)
-        assert "^2" in str(rewritten)
+def squares_to_powers(expr):
+    """The refuter's former rewrite of structural squares ``e * e`` into ``e^2``.
 
-    def test_preserves_value(self):
-        expr = parse_expression("x * x - (x + y) * (x + y) / 2")
-        rewritten = squares_to_powers(expr)
-        env = {"x": 1.7, "y": -0.3}
-        assert rewritten.evaluate(env) == pytest.approx(expr.evaluate(env))
+    Kept as the reference for the interval kernel's square rule, which
+    made the rewrite unnecessary.
+    """
+    if isinstance(expr, Mul):
+        lhs, rhs = squares_to_powers(expr.lhs), squares_to_powers(expr.rhs)
+        return Pow(lhs, 2) if lhs == rhs else Mul(lhs, rhs)
+    if isinstance(expr, Pow):
+        return Pow(squares_to_powers(expr.base), expr.exponent)
+    if isinstance(expr, (Add, Sub, Div)):
+        return type(expr)(squares_to_powers(expr.lhs), squares_to_powers(expr.rhs))
+    if isinstance(expr, Neg):
+        return Neg(squares_to_powers(expr.arg))
+    if isinstance(expr, Call):
+        return Call(expr.function, squares_to_powers(expr.arg))
+    return expr
 
-    def test_leaves_products_alone(self):
-        expr = parse_expression("x * y")
-        assert squares_to_powers(expr) == expr
+
+def _two_walk_forward(expr, box, cache):
+    """HC4's former forward pass: every node re-walks its whole subtree."""
+    image = eval_interval(expr, box)
+    cache[id(expr)] = image
+    for child in expr.children():
+        if id(child) not in cache:
+            _two_walk_forward(child, box, cache)
+    return image
+
+
+_RELATIONS = (Relation.LT, Relation.LE, Relation.GT, Relation.GE) * 2 + (Relation.EQ,)
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.35:
+        if rng.random() < 0.8:
+            return Var(rng.choice("xy"))
+        return Const(rng.choice((0.5, 1, 2, 3)))
+    kind = rng.choice(("square", "square", "pow2", "pow3", "div", "add", "sub", "call"))
+    if kind == "square":
+        operand = _random_expr(rng, depth - 1)
+        return Mul(operand, operand)
+    if kind in ("pow2", "pow3"):
+        return Pow(_random_expr(rng, depth - 1), int(kind[-1]))
+    if kind == "call":
+        return Call(rng.choice(("sin", "cos", "exp", "sqrt", "abs")), _random_expr(rng, depth - 1))
+    operator = {"div": Div, "add": Add, "sub": Sub}[kind]
+    return operator(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+
+
+def _random_sets(seed, count):
+    """``count`` seeded sets of 1-3 constraints of depth <= 3, with a box."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        constraints = [
+            Constraint(
+                _random_expr(rng, 3),
+                rng.choice(_RELATIONS),
+                Const(rng.choice((-2, -1, 0, 0.5, 1, 2, 4, 8))),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        names = sorted({name for c in constraints for name in c.variables()})
+        if names:
+            bounds = {}
+            for name in names:
+                half = rng.choice((1, 2, 5, 10))
+                bounds[name] = (-half, half)
+            sets.append((constraints, bounds))
+    return sets
+
+
+def _has_literal_square(expr):
+    if isinstance(expr, Pow) and expr.exponent == 2:
+        return True
+    return any(_has_literal_square(child) for child in expr.children())
+
+
+class TestSquareRuleReference:
+    """The interval kernel's square rule against the code it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refuter_matches_the_rewrite(self, seed):
+        refuter = IntervalRefuter(max_boxes=300)
+        for constraints, bounds in _random_sets(seed, 500):
+            rewritten = [
+                Constraint(
+                    squares_to_powers(c.lhs.simplify()),
+                    c.relation,
+                    squares_to_powers(c.rhs.simplify()),
+                )
+                for c in constraints
+            ]
+            result = refuter.refute(constraints, bounds)
+            reference = refuter.refute(rewritten, bounds)
+            assert result.status is reference.status, constraints
+            # With a literal ^2 present, the rewrite can turn ``e * e`` into
+            # the very node ``e^2`` and so share its narrowing: the box
+            # count may differ, the verdict may not.
+            if not any(_has_literal_square(c.lhs) for c in constraints):
+                assert result.boxes_explored == reference.boxes_explored, constraints
+
+    def test_memoised_forward_matches_the_two_walk_forward(self, monkeypatch):
+        cases = []
+        for seed in range(4):
+            for constraints, bounds in _random_sets(seed, 500):
+                box = {name: Interval(lo, hi) for name, (lo, hi) in bounds.items()}
+                cases.append((constraints, box))
+        memoised = [contract_box(constraints, box) for constraints, box in cases]
+        monkeypatch.setattr(contract, "eval_interval", _two_walk_forward)
+        assert [contract_box(constraints, box) for constraints, box in cases] == memoised
 
 
 class TestIntervalRefuter:

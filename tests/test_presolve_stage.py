@@ -29,6 +29,7 @@ from repro import (
     SolverSession,
     parse_constraint,
 )
+from repro.benchgen.nonlinear_micro import nonlinear_unsat_problem
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.core.presolve import BoundStore, PresolveStage, propagate_rows
 from repro.obs.events import (
@@ -295,6 +296,44 @@ class TestInfeasibleShortCircuit:
         problem.add_clause([1])
         problem.add_clause([-1])
         result, _ = _solve(problem, True)
+        assert result.is_unsat
+
+    def test_square_conflict_empties_the_box(self):
+        # x*x + y*y < 1 bounds x + y to [-2, 2], so (x+y)*(x+y) <= 4 < 8:
+        # the contraction sees it once a square is read as one quantity.
+        result, stats = _solve(nonlinear_unsat_problem(), True)
+        assert result.is_unsat
+        assert result.reason.startswith("presolve")
+        assert stats.boolean_queries == 0
+
+
+def _unit_problem(texts):
+    problem = ABProblem()
+    for var, text in enumerate(texts, start=1):
+        problem.define(var, "real", parse_constraint(text))
+        problem.add_clause([var])
+    problem.set_bounds("x", -10.0, 10.0)
+    return problem
+
+
+class TestOddPowerBoundaries:
+    """A cube whose target touches its root keeps the root."""
+
+    @pytest.mark.parametrize(
+        "texts, value",
+        [
+            (["x^3 >= 8", "x = 2"], 2.0),
+            (["x^3 <= -8", "x >= -2", "x <= -2"], -2.0),
+        ],
+    )
+    def test_touching_root_is_sat(self, texts, value):
+        for use_presolve in (True, False):
+            result, _ = _solve(_unit_problem(texts), use_presolve)
+            assert result.is_sat, (use_presolve, result.reason)
+            assert result.model.theory["x"] == pytest.approx(value)
+
+    def test_root_beyond_the_point_is_unsat(self):
+        result, _ = _solve(_unit_problem(["x^3 >= 8.000001", "x = 2"]), True)
         assert result.is_unsat
 
 

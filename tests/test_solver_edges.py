@@ -60,6 +60,24 @@ class TestUnknownPropagation:
         result = ABSolver().solve(problem)
         assert result.is_unsat
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "texts, wrong",
+        [
+            (["exp(x * y) <= 0.5", "x * y >= 1"], ABStatus.SAT),
+            (["x^300 + y >= 1", "y <= -1e300"], ABStatus.UNSAT),
+        ],
+    )
+    def test_overflow_in_the_search_is_not_a_crash(self, texts, wrong):
+        # The local search walks to points where exp or a power overflows;
+        # such a point is undefined, like a domain error, not a failure.
+        problem = ABProblem()
+        for var, text in enumerate(texts, start=1):
+            problem.define(var, "real", parse_constraint(text))
+            problem.add_clause([var])
+        result = ABSolver().solve(problem)
+        assert result.status is not wrong
+
 
 class TestStatsAccounting:
     def test_timers_accumulate(self):
