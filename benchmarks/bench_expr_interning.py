@@ -35,7 +35,7 @@ from repro.benchgen.randgen import planted_problem
 from repro.core import ABSolver, ABSolverConfig, ABStatus
 from repro.core.expr import Add, Const, Mul, Var, clear_intern_table, set_interning
 from repro.core.verdict_cache import VerdictCache
-from repro.parallel.tasks import ConfigSpec, SolveTask
+from repro.parallel.tasks import SolveTask
 
 from conftest import record_bench, register_report, report_rows
 
@@ -111,7 +111,7 @@ def _task_pickle_bytes(enabled: bool) -> int:
             gen=0,
             kind=SolveTask.CHECK,
             problem=problem,
-            spec=ConfigSpec(),
+            config=ABSolverConfig(),
             assumptions=family.check_assumptions(depth),
         )
         return len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))

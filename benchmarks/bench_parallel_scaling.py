@@ -7,7 +7,7 @@ worker pools, in two modes:
 * **portfolio** at ``jobs`` 1 / 2 / 4 — asserts a >= 1.5x wall-clock
   speedup of jobs=4 over jobs=1.  Where the speedup comes from — and why
   it is honest on a 1-core box: the portfolio ladder is a fixed function
-  of the base config (see :func:`repro.parallel.portfolio.portfolio_specs`).
+  of the base config (see :func:`repro.parallel.portfolio.portfolio_configs`).
   ``jobs=1`` races only entry 0, the base configuration (plain simplex
   here — the sequential baseline a user without the parallel subsystem
   would run).  ``jobs>=2`` adds the difference-logic specialist, which

@@ -11,7 +11,7 @@ from .session import SolverSession
 from .pipeline import SolvePipeline
 from .circuit import Circuit
 from .registry import SolverRegistry, default_registry
-from .interface import UnsupportedTheoryError, Refinement, SolverStage
+from .interface import UnsupportedTheoryError, Refinement
 from .optimize import ABOptimizer, OptimizationResult, OptimizationStatus
 from .stats import SolveStatistics
 from .expr import (
@@ -46,7 +46,6 @@ __all__ = [
     "ABStatus",
     "SolverSession",
     "SolvePipeline",
-    "SolverStage",
     "Circuit",
     "SolverRegistry",
     "default_registry",

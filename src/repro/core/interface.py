@@ -32,7 +32,6 @@ from .expr import Constraint
 
 __all__ = [
     "Refinement",
-    "SolverStage",
     "BooleanSolverInterface",
     "LinearSolverInterface",
     "NonlinearSolverInterface",
@@ -82,30 +81,6 @@ class Refinement:
 # ----------------------------------------------------------------------
 # Abstract interfaces
 # ----------------------------------------------------------------------
-class SolverStage(abc.ABC):
-    """One stage of the staged solve pipeline (:mod:`repro.core.pipeline`).
-
-    The control loop is decomposed into small stage objects — candidate
-    generation, theory translation, linear check, nonlinear check, conflict
-    refinement — each owning its substrate solver(s) and any memoized state.
-    The protocol is deliberately thin: a stage advertises a ``name`` (used
-    for per-stage timers in :class:`~repro.core.stats.SolveStatistics`) and
-    must be able to ``reset`` — dropping every piece of state that depends
-    on the *structure* of the problem (definitions, bounds), which sessions
-    call when a ``pop`` retracts assertions a cache may have baked in.
-    Cross-query state that stays valid (e.g. a persistent CDCL clause
-    database) survives ``reset`` only where the concrete stage documents it.
-    """
-
-    #: Stage label; also the timer key under which the pipeline accounts
-    #: the stage's wall clock.
-    name = "stage"
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Invalidate problem-structure-dependent state."""
-
-
 class BooleanSolverInterface(abc.ABC):
     """Boolean-domain solver contract: single models and (optionally) all."""
 
@@ -441,10 +416,6 @@ class SimplexLinearAdapter(LinearSolverInterface):
     def numpy_fallbacks(self) -> int:
         """Float64 runs that failed certification and re-solved exactly."""
         return getattr(self._simplex, "numpy_fallbacks", 0)
-
-    def invalidate_caches(self) -> None:
-        """Drop warm-start state (called when the asserted structure changes)."""
-        self._simplex.clear_warm_cache()
 
     def set_warm_context(self, context: Optional[object]) -> None:
         """Scope warm-start certificates to a pipeline-chosen context.

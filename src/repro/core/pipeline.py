@@ -1,8 +1,8 @@
 """The staged ABsolver pipeline: the control loop as composable stages.
 
-Historically :meth:`repro.core.solver.ABSolver.solve` was one ~550-line
-monolith.  Its five conceptual steps (paper, Sec. 1 and Sec. 4) are now
-explicit stage objects behind :class:`repro.core.interface.SolverStage`:
+The loop's five conceptual steps (paper, Sec. 1 and Sec. 4) are explicit
+stage objects, each owning its substrate solver(s) and memoized state and
+each timed under its ``name``:
 
 * :class:`CandidateGenerationStage` — query the Boolean solver for the next
   candidate assignment and feed blocking clauses back to it;
@@ -22,7 +22,7 @@ against the same pipeline reuses the Boolean solver's clause database and
 activities plus every translation cache, which is exactly what
 :class:`repro.core.session.SolverSession` builds its ``push``/``pop``
 incremental interface on.  The one-shot :class:`~repro.core.solver.ABSolver`
-uses a single-use pipeline and therefore behaves as before.
+uses a single-use pipeline.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .interface import (
     LinearSolverInterface,
     NonlinearSolverInterface,
     Refinement,
-    SolverStage,
 )
 from .presolve import BoundStore, PresolveStage
 from .problem import ABProblem
@@ -87,9 +86,14 @@ __all__ = [
     "NonlinearCheckStage",
     "ConflictRefinementStage",
     "SolvePipeline",
+    "CDCL_FAMILY",
     "complete_theory_model",
-    "full_blocking_clause",
 ]
+
+#: The Boolean engines built on the CDCL kernel: the only ones that take
+#: the ``seed``, ``clause_decay``, ``reduce_interval`` and
+#: ``restart_base`` options.
+CDCL_FAMILY = ("cdcl", "cdcl-pre", "lsat")
 
 #: A lemma callback: receives the blocking clause and whether the conflict
 #: was definite, and returns the clause that should actually reach the
@@ -154,7 +158,7 @@ class TheoryVerdict:
 
 
 # ----------------------------------------------------------------------
-# Module-level helpers shared by the stages and the legacy entry points
+# Module-level helpers shared by the stages and the entry points
 # ----------------------------------------------------------------------
 def complete_theory_model(
     problem: ABProblem,
@@ -178,17 +182,6 @@ def complete_theory_model(
         theory_model[var] = value
 
 
-def full_blocking_clause(problem: ABProblem, alpha: Assignment) -> List[int]:
-    """Fallback: block the assignment restricted to defined variables."""
-    clause = []
-    for var in problem.definitions:
-        value = alpha.get(var, False)
-        clause.append(-var if value else var)
-    if not clause:  # no definitions: block the full assignment
-        clause = [(-var if value else var) for var, value in alpha.items()]
-    return clause
-
-
 def _integral_ok(
     point: Mapping[str, float], domains: Mapping[str, str], tolerance: float
 ) -> bool:
@@ -201,14 +194,14 @@ def _integral_ok(
 # ----------------------------------------------------------------------
 # Stages
 # ----------------------------------------------------------------------
-class CandidateGenerationStage(SolverStage):
+class CandidateGenerationStage:
     """Stage 1: produce Boolean candidate assignments, absorb blocking clauses.
 
     The wrapped Boolean adapter persists across queries — learned clauses,
     VSIDS activities, and saved phases all carry over, which is the main
-    clause-reuse lever of incremental sessions.  ``reset`` therefore does
-    *not* drop the solver; :meth:`rebind` does, when a session decides the
-    solver can no longer be trusted (it currently never needs to).
+    clause-reuse lever of incremental sessions.  Session lemmas are guarded
+    by activation literals, so the clause database stays valid across
+    structural changes.
     """
 
     name = "boolean"
@@ -261,12 +254,8 @@ class CandidateGenerationStage(SolverStage):
         # protected so clause-database reduction can never delete them.
         self._boolean.add_clause(clause, protected=True)
 
-    def reset(self) -> None:
-        """No-op: the clause database stays valid across structural changes
-        (session lemmas are guarded by activation literals instead)."""
 
-
-class TheoryTranslationStage(SolverStage):
+class TheoryTranslationStage:
     """Stage 2: Boolean assignment -> theory constraint branches, memoized.
 
     Two cache layers:
@@ -281,7 +270,7 @@ class TheoryTranslationStage(SolverStage):
     * full branch key -> built :class:`LinearSystem` (rows, bound rows,
       domains) ready to hand to the linear stage.
 
-    Both survive across queries of a session; ``reset`` clears everything,
+    Both survive across queries of a session;
     :meth:`invalidate_definitions` drops the per-variable alternative
     lists of retracted definitions, and any definition/bounds change
     clears the branch layer (domains or bound rows may have shifted under
@@ -415,14 +404,8 @@ class TheoryTranslationStage(SolverStage):
         self._bound_rows = None
         self._branches.clear()
 
-    def reset(self) -> None:
-        self._rows.clear()
-        self._alternatives.clear()
-        self._branches.clear()
-        self._bound_rows = None
 
-
-class LinearCheckStage(SolverStage):
+class LinearCheckStage:
     """Stage 3: decide the linear constituent of a branch."""
 
     name = "linear"
@@ -458,13 +441,8 @@ class LinearCheckStage(SolverStage):
             self._numpy_seen = (accepts, fallbacks)
         return result
 
-    def reset(self) -> None:
-        invalidate = getattr(self._linear, "invalidate_caches", None)
-        if invalidate is not None:
-            invalidate()
 
-
-class NonlinearCheckStage(SolverStage):
+class NonlinearCheckStage:
     """Stage 4: route a surviving candidate through the nonlinear solver list.
 
     "at each of those steps a list of solvers is used, if more than one
@@ -524,11 +502,8 @@ class NonlinearCheckStage(SolverStage):
                 )
         return None
 
-    def reset(self) -> None:
-        """No-op: nonlinear solvers are stateless between calls."""
 
-
-class ConflictRefinementStage(SolverStage):
+class ConflictRefinementStage:
     """Stage 5: explain a failed branch as a (small) blocking clause.
 
     Linear conflicts go through the LP adapter's IIS refinement; nonlinear
@@ -607,9 +582,6 @@ class ConflictRefinementStage(SolverStage):
             return True, [item.tag for item in branch]
         return False, []
 
-    def reset(self) -> None:
-        """No-op: refinement holds no problem-structure state."""
-
 
 class _BlockingTemplate:
     """One cached definite blocking clause plus the context it relies on.
@@ -667,22 +639,20 @@ class SolvePipeline:
         #: by :meth:`run_query` before stage 0 and populated on completion.
         self.verdict_cache = getattr(config, "verdict_cache", None)
 
-        boolean_options = dict(config.boolean_options)
-        # A config-level seed reaches CDCL-family solvers as reproducible
-        # VSIDS/phase diversification; other Boolean backends (plain DPLL)
-        # take no seed parameter and stay deterministic.
-        seed = getattr(config, "seed", None)
-        if seed is not None and config.boolean in ("cdcl", "cdcl-pre", "lsat"):
-            boolean_options.setdefault("seed", seed)
-        # Kernel tuning knobs ride the same path: config-level values are
-        # defaults the caller's explicit boolean_options still override.
-        if config.boolean in ("cdcl", "cdcl-pre", "lsat"):
-            for knob in ("clause_decay", "reduce_interval"):
-                value = getattr(config, knob, None)
+        #: The Boolean engine's keyword arguments: ``boolean_options`` over
+        #: the config-level ``seed`` (reproducible VSIDS/phase
+        #: diversification), ``clause_decay`` and ``reduce_interval``.
+        #: Only CDCL-family engines take those three; other Boolean
+        #: backends (plain DPLL) stay deterministic.  All-models
+        #: enumeration builds its enumerator from the same options.
+        self.boolean_options = dict(config.boolean_options)
+        if config.boolean in CDCL_FAMILY:
+            for knob in ("seed", "clause_decay", "reduce_interval"):
+                value = getattr(config, knob)
                 if value is not None:
-                    boolean_options.setdefault(knob, value)
+                    self.boolean_options.setdefault(knob, value)
         boolean: BooleanSolverInterface = self.registry.create(
-            DOMAIN_BOOLEAN, config.boolean, **boolean_options
+            DOMAIN_BOOLEAN, config.boolean, **self.boolean_options
         )
         linear: LinearSolverInterface = self.registry.create(
             DOMAIN_LINEAR, config.linear, **config.linear_options
@@ -702,14 +672,6 @@ class SolvePipeline:
             linear,
             refine_conflicts=config.refine_conflicts,
             use_interval_refuter=config.use_interval_refuter,
-        )
-        self.stages: Tuple[SolverStage, ...] = (
-            self.presolve,
-            self.candidate,
-            self.translation,
-            self.linear,
-            self.nonlinear,
-            self.refinement,
         )
         #: Memoized defined-variable order of :meth:`fallback_blocking_clause`
         #: (``None`` = recompute; invalidated on definition changes).
@@ -783,9 +745,10 @@ class SolvePipeline:
     # Candidate blocking (hot path of all-models enumeration)
     # ------------------------------------------------------------------
     def fallback_blocking_clause(self, problem: ABProblem, alpha: Assignment) -> List[int]:
-        """Like :func:`full_blocking_clause`, with the defined-variable
-        enumeration memoized per problem (every blocked candidate of an
-        all-models run walks the same definition set)."""
+        """Block the assignment restricted to defined variables (the full
+        assignment when nothing is defined).  The defined-variable
+        enumeration is memoized per problem: every blocked candidate of an
+        all-models run walks the same definition set."""
         variables = self._blocking_vars
         if variables is None:
             self._blocking_vars = variables = tuple(problem.definitions)

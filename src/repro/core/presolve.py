@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from ..linear.lp import LinearConstraint
 from ..obs.events import BoundTightened, PresolveFixedVar
 from .expr import Constraint, Relation
-from .interface import SolverStage
 from .problem import ABProblem
 from .tristate import FF, TT
 
@@ -451,7 +450,7 @@ def _tighten_from_row(
     return changed
 
 
-class PresolveStage(SolverStage):
+class PresolveStage:
     """Stage 0: formula-level bound deduction shared by every layer.
 
     Unlike stages 1-5 this stage does not run per candidate: ``ensure``
@@ -468,10 +467,6 @@ class PresolveStage(SolverStage):
         self._stale = True
 
     # -- lifecycle -------------------------------------------------------
-    def reset(self) -> None:
-        self._store = None
-        self._stale = True
-
     def invalidate(self) -> None:
         """The formula changed; recompute lazily on the next ``ensure``."""
         self._stale = True

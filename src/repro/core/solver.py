@@ -39,7 +39,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Set
 from ..sat.allsat import AllSATSolver
 from ..sat.cnf import Assignment
 from .interface import BooleanSolverInterface
-from .pipeline import SolvePipeline
+from .pipeline import CandidateGenerationStage, SolvePipeline
 from .problem import ABProblem
 from .registry import SolverRegistry, default_registry
 from .stats import SolveStatistics
@@ -306,12 +306,9 @@ class ABSolver:
 
         enumerator: Optional[AllSATSolver] = None
         if boolean.supports_all_models:
-            kernel_options = {}
-            for knob in ("seed", "clause_decay", "reduce_interval"):
-                value = getattr(self.config, knob, None)
-                if value is not None:
-                    kernel_options[knob] = value
-            enumerator = AllSATSolver(problem.cnf, minimize=False, **kernel_options)
+            enumerator = AllSATSolver(
+                problem.cnf, **dict(pipeline.boolean_options, minimize=False)
+            )
             models: Iterator[Assignment] = enumerator.enumerate()
         else:
             models = self._iterate_with_bookkeeping(boolean, problem)
@@ -337,7 +334,7 @@ class ABSolver:
 
     def _absorb_kernel_counters(self, kernel_stats: Dict[str, int]) -> None:
         """Fold a kernel's cumulative counters into this run's statistics."""
-        for name in ("heap_decisions", "clauses_reduced", "clauses_minimized_lits"):
+        for name in CandidateGenerationStage._KERNEL_COUNTERS:
             value = kernel_stats.get(name, 0)
             if value:
                 setattr(self.stats, name, getattr(self.stats, name) + value)

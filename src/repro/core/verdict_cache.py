@@ -120,6 +120,13 @@ class VerdictCache:
         if directory:
             os.makedirs(directory, exist_ok=True)
 
+    def __reduce__(self):
+        # A pickled cache (a parallel task's config) arrives as a fresh,
+        # empty cache on the same directory: each process keeps its own
+        # memory layer and counters and shares entries through the disk
+        # mirror.
+        return (VerdictCache, (self.directory, self.capacity))
+
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------

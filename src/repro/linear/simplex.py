@@ -204,10 +204,6 @@ class SimplexSolver:
                 self._warm_points[signature] = dict(result.point)
         return result
 
-    def clear_warm_cache(self) -> None:
-        """Drop every cached warm-start point (session ``pop`` hook)."""
-        self._warm_points.clear()
-
     @staticmethod
     def _solve_single_variable(
         rows: Sequence[LinearConstraint], var: str, epsilon_mode: bool

@@ -1,7 +1,7 @@
 """A low-overhead nested span tracer with Chrome ``trace_event`` export.
 
 The solver stack opens a span around every unit of work worth seeing on a
-flamegraph: each :class:`~repro.core.interface.SolverStage` activation,
+flamegraph: each stage activation of :mod:`repro.core.pipeline`,
 each session ``check``/``push``/``pop``, and each call into a linear or
 nonlinear backend.  Spans nest (a ``session.check`` span contains
 ``boolean`` spans, which sit next to ``translate``/``linear``/``nonlinear``

@@ -41,6 +41,7 @@ timed-out solve never leaks orphan processes.
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import os
@@ -59,8 +60,8 @@ from ..obs.events import (
 from ..obs.observer import Observer
 from ..obs.recorder import FlightRecorder
 from .cubes import build_cubes
-from .portfolio import portfolio_specs
-from .tasks import ConfigSpec, SolveTask, WorkerOutcome
+from .portfolio import portfolio_configs
+from .tasks import SolveTask, WorkerOutcome
 from .worker import worker_main
 
 __all__ = ["ParallelSolver"]
@@ -109,7 +110,6 @@ class ParallelSolver:
         cube_depth: Optional[int] = None,
         timeout: Optional[float] = None,
         deterministic: bool = False,
-        share_lemmas: bool = True,
         grace: float = 2.0,
         split_budget: Optional[int] = None,
         flight_record: Optional[str] = None,
@@ -124,7 +124,6 @@ class ParallelSolver:
         self.cube_depth = cube_depth
         self.timeout = timeout
         self.deterministic = deterministic
-        self.share_lemmas = share_lemmas
         self.grace = grace
         #: Pipeline-iteration budget after which a worker abandons a hard
         #: cube and returns two lookahead-refined subcubes for other
@@ -316,7 +315,7 @@ class ParallelSolver:
                 else default_cube_depth(self.jobs)
             )
             cubes = build_cubes(problem, depth)
-            spec = ConfigSpec.from_config(self.config)
+            config = self._task_config()
             observe = self._observe_workers()
             tasks = [
                 SolveTask(
@@ -324,11 +323,11 @@ class ParallelSolver:
                     gen=gen,
                     kind=SolveTask.ALL_MODELS,
                     problem=problem,
-                    spec=spec,
+                    config=config,
+                    label=f"cube-{index}",
                     cube=cube,
                     observe=observe,
                     model_limit=limit,
-                    share_lemmas=False,  # enumeration shares no check loop
                 )
                 for index, cube in enumerate(cubes)
             ]
@@ -406,6 +405,13 @@ class ParallelSolver:
         needs from the pair that comes home)."""
         return self.observer.tracer is not None or self.flight_recorder is not None
 
+    def _task_config(self) -> ABSolverConfig:
+        """The config as tasks carry it: a copy without the observer (a
+        worker attaches its own when the task is observed)."""
+        config = copy.copy(self.config)
+        config.observer = None
+        return config
+
     def _prepare_generation(self) -> int:
         self._ensure_pool()
         self._auto_dump_reason = None
@@ -414,20 +420,21 @@ class ParallelSolver:
     def _build_check_tasks(self, problem, assumptions: Sequence[int]) -> List[SolveTask]:
         gen = self._prepare_generation()
         observe = self._observe_workers()
-        base_spec = ConfigSpec.from_config(self.config)
+        config = self._task_config()
         tasks: List[SolveTask] = []
         if self.mode == "portfolio":
-            for index, spec in enumerate(portfolio_specs(base_spec, self.jobs)):
+            rungs = portfolio_configs(config, self.jobs)
+            for index, (label, rung) in enumerate(rungs):
                 tasks.append(
                     SolveTask(
                         task_id=index,
                         gen=gen,
                         kind=SolveTask.CHECK,
                         problem=problem,
-                        spec=spec,
+                        config=rung,
+                        label=label,
                         assumptions=assumptions,
                         observe=observe,
-                        share_lemmas=self.share_lemmas,
                     )
                 )
         else:
@@ -445,11 +452,11 @@ class ParallelSolver:
                         gen=gen,
                         kind=SolveTask.CHECK,
                         problem=problem,
-                        spec=base_spec.copy(label=f"cube-{index}"),
+                        config=config,
+                        label=f"cube-{index}",
                         assumptions=tuple(assumptions) + tuple(cube),
                         cube=cube,
                         observe=observe,
-                        share_lemmas=self.share_lemmas,
                         split_budget=budget,
                     )
                 )
@@ -552,7 +559,7 @@ class ParallelSolver:
             (
                 outcomes[task.task_id].label
                 if task.task_id in outcomes
-                else task.spec.label,
+                else task.label,
                 outcomes[task.task_id].status
                 if task.task_id in outcomes
                 else "lost",
@@ -707,13 +714,11 @@ class ParallelSolver:
                             gen=gen,
                             kind=SolveTask.CHECK,
                             problem=parent.problem,
-                            spec=parent.spec.copy(
-                                label=f"{parent.spec.label}.{child_index}"
-                            ),
+                            config=parent.config,
+                            label=f"{parent.label}.{child_index}",
                             assumptions=tuple(parent.assumptions) + tuple(extra),
                             cube=subcube,
                             observe=parent.observe,
-                            share_lemmas=parent.share_lemmas,
                             split_budget=parent.split_budget,
                         )
                         tasks.append(child)
@@ -774,7 +779,7 @@ class ParallelSolver:
                         gen=gen,
                         status=WorkerOutcome.CANCELLED,
                         reason=reason,
-                        label=task.spec.label,
+                        label=task.label,
                     )
                     outcomes[task.task_id] = lost
                     arrival.append(lost)
@@ -790,7 +795,7 @@ class ParallelSolver:
 
     def _handle_lemma(self, message, gen: int, shared) -> None:
         _, stamped_gen, worker_id, clause = message
-        if stamped_gen != gen or not self.share_lemmas:
+        if stamped_gen != gen:
             return
         key = tuple(sorted(clause))
         if key in shared:

@@ -2,16 +2,17 @@
 
 Everything that crosses the process boundary lives here:
 
-* :class:`ConfigSpec` — a plain-data mirror of
-  :class:`~repro.core.solver.ABSolverConfig` without the unpicklable
-  observer.  The worker rebuilds a real config — with its *own*
-  per-process :class:`~repro.obs.observer.Observer` when the task is
-  observed.
 * :class:`SolveTask` — one unit of work: the problem, the cube (assumption
   literals for ``check`` tasks, unit clauses for ``all_models`` shards),
-  the config to run it under, and the generation stamp used for
-  cancellation (a task whose ``gen`` no longer matches the shared
-  generation counter is skipped or abandoned).
+  the :class:`~repro.core.solver.ABSolverConfig` to run it under, a label
+  for reports, and the generation stamp used for cancellation (a task
+  whose ``gen`` no longer matches the shared generation counter is skipped
+  or abandoned).  The config is the caller's own, copied without its
+  observer: a worker attaches its *own* per-process
+  :class:`~repro.obs.observer.Observer` when the task is observed, and a
+  :class:`~repro.core.verdict_cache.VerdictCache` pickles as its directory
+  and capacity, so each worker opens its own cache on the shared
+  directory.
 * :class:`WorkerOutcome` — the reply: verdict, witness model(s), the
   worker's :class:`~repro.core.stats.SolveStatistics`, and what its
   observer recorded (Chrome trace events, flight-recorder ring), ready
@@ -25,152 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ConfigSpec", "SolveTask", "WorkerOutcome"]
+from ..core.solver import ABSolverConfig
 
-
-class ConfigSpec:
-    """Picklable solver configuration (the portfolio's unit of diversity)."""
-
-    __slots__ = (
-        "boolean",
-        "linear",
-        "nonlinear",
-        "refine_conflicts",
-        "use_interval_refuter",
-        "max_iterations",
-        "max_equality_splits",
-        "tolerance",
-        "boolean_options",
-        "linear_options",
-        "nonlinear_options",
-        "refuter_options",
-        "seed",
-        "clause_decay",
-        "reduce_interval",
-        "use_presolve",
-        "verdict_cache",
-        "verdict_cache_dir",
-        "label",
-    )
-
-    def __init__(
-        self,
-        boolean: str = "cdcl",
-        linear: str = "simplex",
-        nonlinear: Sequence[str] = ("newton", "auglag"),
-        refine_conflicts: bool = True,
-        use_interval_refuter: bool = True,
-        max_iterations: int = 200_000,
-        max_equality_splits: int = 16,
-        tolerance: float = 1e-6,
-        boolean_options: Optional[Dict[str, Any]] = None,
-        linear_options: Optional[Dict[str, Any]] = None,
-        nonlinear_options: Optional[Dict[str, Any]] = None,
-        refuter_options: Optional[Dict[str, Any]] = None,
-        seed: Optional[int] = None,
-        clause_decay: Optional[float] = None,
-        reduce_interval: Optional[int] = None,
-        use_presolve: bool = True,
-        verdict_cache: bool = False,
-        verdict_cache_dir: Optional[str] = None,
-        label: str = "base",
-    ):
-        self.boolean = boolean
-        self.linear = linear
-        self.nonlinear = tuple(nonlinear)
-        self.refine_conflicts = refine_conflicts
-        self.use_interval_refuter = use_interval_refuter
-        self.max_iterations = max_iterations
-        self.max_equality_splits = max_equality_splits
-        self.tolerance = tolerance
-        self.boolean_options = dict(boolean_options or {})
-        self.linear_options = dict(linear_options or {})
-        self.nonlinear_options = dict(nonlinear_options or {})
-        self.refuter_options = dict(refuter_options or {})
-        self.seed = seed
-        #: CDCL kernel knobs, mirrored from ``ABSolverConfig`` — portfolio
-        #: variants diversify over these alongside ``seed``.
-        self.clause_decay = clause_decay
-        self.reduce_interval = reduce_interval
-        self.use_presolve = use_presolve
-        #: Cross-query verdict cache: the live ``VerdictCache`` object is
-        #: unpicklable state, so the spec carries only the *request* — each
-        #: worker rebuilds its own instance, sharing results through the
-        #: cache directory when one is given.
-        self.verdict_cache = verdict_cache
-        self.verdict_cache_dir = verdict_cache_dir
-        #: Human-readable portfolio label ("base", "difference", ...);
-        #: shows up in stats, events, and the scaling bench tables.
-        self.label = label
-
-    @classmethod
-    def from_config(cls, config, label: str = "base") -> "ConfigSpec":
-        """Strip an ``ABSolverConfig`` down to its picklable payload."""
-        return cls(
-            boolean=config.boolean,
-            linear=config.linear,
-            nonlinear=config.nonlinear,
-            refine_conflicts=config.refine_conflicts,
-            use_interval_refuter=config.use_interval_refuter,
-            max_iterations=config.max_iterations,
-            max_equality_splits=config.max_equality_splits,
-            tolerance=config.tolerance,
-            boolean_options=config.boolean_options,
-            linear_options=config.linear_options,
-            nonlinear_options=config.nonlinear_options,
-            refuter_options=getattr(config, "refuter_options", None),
-            seed=getattr(config, "seed", None),
-            clause_decay=getattr(config, "clause_decay", None),
-            reduce_interval=getattr(config, "reduce_interval", None),
-            use_presolve=getattr(config, "use_presolve", True),
-            verdict_cache=getattr(config, "verdict_cache", None) is not None,
-            verdict_cache_dir=getattr(
-                getattr(config, "verdict_cache", None), "directory", None
-            ),
-            label=label,
-        )
-
-    def to_config(self, observer=None):
-        """Rebuild a real ``ABSolverConfig`` inside the worker process."""
-        from ..core.solver import ABSolverConfig
-
-        verdict_cache = None
-        if self.verdict_cache:
-            from ..core.verdict_cache import VerdictCache
-
-            verdict_cache = VerdictCache(directory=self.verdict_cache_dir)
-        return ABSolverConfig(
-            boolean=self.boolean,
-            linear=self.linear,
-            nonlinear=self.nonlinear,
-            refine_conflicts=self.refine_conflicts,
-            use_interval_refuter=self.use_interval_refuter,
-            max_iterations=self.max_iterations,
-            max_equality_splits=self.max_equality_splits,
-            tolerance=self.tolerance,
-            boolean_options=self.boolean_options,
-            linear_options=self.linear_options,
-            nonlinear_options=self.nonlinear_options,
-            refuter_options=self.refuter_options,
-            seed=self.seed,
-            clause_decay=self.clause_decay,
-            reduce_interval=self.reduce_interval,
-            use_presolve=self.use_presolve,
-            verdict_cache=verdict_cache,
-            observer=observer,
-        )
-
-    def copy(self, **overrides) -> "ConfigSpec":
-        """A modified copy — how the portfolio ladder derives its variants."""
-        fields = {slot: getattr(self, slot) for slot in self.__slots__}
-        fields.update(overrides)
-        return ConfigSpec(**fields)
-
-    def __repr__(self) -> str:
-        return (
-            f"ConfigSpec({self.label}: boolean={self.boolean}, "
-            f"linear={self.linear}, seed={self.seed})"
-        )
+__all__ = ["SolveTask", "WorkerOutcome"]
 
 
 class SolveTask:
@@ -183,10 +41,10 @@ class SolveTask:
         "problem",
         "assumptions",
         "cube",
-        "spec",
+        "config",
+        "label",
         "observe",
         "model_limit",
-        "share_lemmas",
         "split_budget",
     )
 
@@ -200,19 +58,23 @@ class SolveTask:
         gen: int,
         kind: str,
         problem,
-        spec: ConfigSpec,
+        config: ABSolverConfig,
+        label: str = "base",
         assumptions: Sequence[int] = (),
         cube: Sequence[int] = (),
         observe: bool = False,
         model_limit: Optional[int] = None,
-        share_lemmas: bool = True,
         split_budget: int = 0,
     ):
         self.task_id = task_id
         self.gen = gen
         self.kind = kind
         self.problem = problem
-        self.spec = spec
+        self.config = config
+        #: Human-readable task label: the portfolio rung ("base",
+        #: "difference", ...) or the cube ("cube-3", "cube-3.1"); shows up
+        #: in stats, events, and the scaling bench tables.
+        self.label = label
         #: Per-query assumption literals (cube literals for CHECK tasks).
         self.assumptions = tuple(assumptions)
         #: The cube this task owns, for reporting; ALL_MODELS tasks assert
@@ -223,7 +85,6 @@ class SolveTask:
         #: attached; both come home in :attr:`WorkerOutcome.observed`.
         self.observe = observe
         self.model_limit = model_limit
-        self.share_lemmas = share_lemmas
         #: Conflict budget after which a CHECK task abandons the cube and
         #: returns a :attr:`WorkerOutcome.SPLIT` outcome carrying two
         #: subcubes instead of a verdict.  ``0`` disables self-splitting.
@@ -232,7 +93,7 @@ class SolveTask:
     def __repr__(self) -> str:
         return (
             f"SolveTask(#{self.task_id} gen={self.gen} {self.kind} "
-            f"cube={list(self.cube)} spec={self.spec.label})"
+            f"cube={list(self.cube)} label={self.label})"
         )
 
 

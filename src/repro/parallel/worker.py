@@ -52,12 +52,14 @@ workers without bloating each worker's Boolean solver.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import queue as queue_module
 import traceback
 from typing import Dict, List
 
 from ..core.session import SolverSession
-from ..core.solver import ABSolver, ABStatus
+from ..core.solver import ABSolver, ABSolverConfig, ABStatus
 from ..obs.observer import Observer
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import SpanTracer
@@ -66,59 +68,43 @@ from .tasks import SolveTask, WorkerOutcome
 
 __all__ = ["worker_main"]
 
-#: Persistent per-process session cache: (problem, config) fingerprint ->
-#: a live session with the problem asserted.  Small, because a worker
-#: rarely sees more than one problem per coordinator lifetime.
+#: Persistent per-process session cache: (pickled config, problem
+#: fingerprint) -> a live session with the problem asserted.  Small,
+#: because a worker rarely sees more than one problem per coordinator
+#: lifetime.
 _SESSIONS: Dict[tuple, SolverSession] = {}
 _SESSION_LIMIT = 4
 
 
-def _spec_fingerprint(spec) -> tuple:
-    """A hashable identity for the solver configuration a task runs under."""
-    return (
-        spec.boolean,
-        spec.linear,
-        spec.nonlinear,
-        spec.refine_conflicts,
-        spec.use_interval_refuter,
-        spec.max_iterations,
-        spec.max_equality_splits,
-        spec.tolerance,
-        tuple(sorted(spec.boolean_options.items())),
-        tuple(sorted(spec.linear_options.items())),
-        tuple(sorted(spec.nonlinear_options.items())),
-        tuple(sorted(spec.refuter_options.items())),
-        spec.seed,
-        spec.use_presolve,
-        spec.verdict_cache,
-        spec.verdict_cache_dir,
-    )
-
-
-def _problem_fingerprint(problem) -> str:
-    """A hashable identity for the problem content (tasks arrive pickled,
-    so object identity never survives the process boundary).  The canonical
-    content fingerprint is stable across processes and presentation
-    differences, so equivalent problems share one persistent session."""
-    return problem.fingerprint()
+def _observed_config(config: ABSolverConfig, observer) -> ABSolverConfig:
+    """``config`` as the task runs it: a copy carrying the worker's observer."""
+    if observer is None:
+        return config
+    config = copy.copy(config)
+    config.observer = observer
+    return config
 
 
 def _session_for(task: SolveTask, observer=None) -> SolverSession:
     """The persistent session for this task, building it on first use.
 
-    Observed tasks always get a fresh session so their Chrome events /
-    recorder ring stay scoped to the one task being debugged.
+    Two tasks share a session when their configs pickle to the same bytes
+    (every field takes part) and their problems have the same canonical
+    content fingerprint (tasks arrive pickled, so object identity never
+    survives the process boundary).  Observed tasks always get a fresh
+    session so their Chrome events / recorder ring stay scoped to the one
+    task being debugged.
     """
     if observer is not None:
-        session = SolverSession(task.spec.to_config(observer))
+        session = SolverSession(_observed_config(task.config, observer))
         session.assert_problem(task.problem)
         return session
-    key = (_spec_fingerprint(task.spec), _problem_fingerprint(task.problem))
+    key = (pickle.dumps(task.config), task.problem.fingerprint())
     session = _SESSIONS.get(key)
     if session is None:
         if len(_SESSIONS) >= _SESSION_LIMIT:
             _SESSIONS.clear()
-        session = SolverSession(task.spec.to_config())
+        session = SolverSession(task.config)
         session.assert_problem(task.problem)
         _SESSIONS[key] = session
     return session
@@ -150,11 +136,11 @@ def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_v
     # presolve, LP translation, and interval code all see the smaller box.
     refinements = (
         refine_cube_bounds(task.problem, task.cube)
-        if task.cube and task.spec.use_presolve
+        if task.cube and task.config.use_presolve
         else {}
     )
 
-    if task.share_lemmas and not refinements:
+    if not refinements:
         def stream_lemma(clause: List[int], definite: bool) -> None:
             if definite:
                 result_queue.put(("lemma", task.gen, worker_id, clause))
@@ -212,13 +198,13 @@ def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_v
         model=result.model,
         reason=result.reason,
         stats=result.stats,
-        label=task.spec.label,
+        label=task.label,
         subcubes=subcubes,
     )
 
 
 def _run_all_models(task: SolveTask, worker_id: int, gen_value, observer):
-    config = task.spec.to_config(observer)
+    config = _observed_config(task.config, observer)
     # The problem arrived pickled, so it is worker-local: asserting the
     # cube literals as unit clauses restricts this worker to its disjoint
     # shard of the enumeration space.
@@ -240,7 +226,7 @@ def _run_all_models(task: SolveTask, worker_id: int, gen_value, observer):
         status=status,
         models=models,
         stats=solver.stats,
-        label=task.spec.label,
+        label=task.label,
     )
 
 
@@ -256,7 +242,7 @@ def _execute(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_val
         )
         recorder = FlightRecorder(name=f"worker-{worker_id}").attach(observer)
         recorder.note("task-start", task_id=task.task_id, task_kind=task.kind,
-                      gen=task.gen, label=task.spec.label, cube=list(task.cube))
+                      gen=task.gen, label=task.label, cube=list(task.cube))
     try:
         if task.kind == SolveTask.CHECK:
             outcome = _run_check(
@@ -273,7 +259,7 @@ def _execute(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_val
             gen=task.gen,
             status=WorkerOutcome.ERROR,
             error=traceback.format_exc(),
-            label=task.spec.label,
+            label=task.label,
         )
         if recorder is not None:
             recorder.note("worker-exception", error=outcome.error.strip().splitlines()[-1])
@@ -304,7 +290,7 @@ def worker_main(worker_id: int, task_queue, result_queue, lemma_queue, gen_value
                             gen=task.gen,
                             status=WorkerOutcome.CANCELLED,
                             reason="cancelled before start",
-                            label=task.spec.label,
+                            label=task.label,
                         ),
                     )
                 )

@@ -1,9 +1,12 @@
 """Tests for the parallel solving subsystem (repro.parallel)."""
 
+import inspect
 import json
 import multiprocessing
 import os
 import pickle
+import queue
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,17 +21,20 @@ from repro import (
 from repro.benchgen import fischer_unroll_family
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.core.expr import parse_constraint
+from repro.core.pipeline import SolvePipeline
+from repro.core.verdict_cache import VerdictCache
+from repro.obs.observer import Observer
 from repro.parallel import (
-    ConfigSpec,
     SolveTask,
     WorkerOutcome,
     build_cubes,
     default_cube_depth,
     generate_cubes,
     pick_split_variables,
-    portfolio_specs,
+    portfolio_configs,
     split_cube,
 )
+from repro.parallel import worker
 from repro.parallel.worker import _execute
 
 
@@ -196,40 +202,147 @@ class TestPickleProtocol:
             gen=7,
             kind=SolveTask.CHECK,
             problem=small_problem(),
-            spec=ConfigSpec(seed=5, label="x"),
+            config=ABSolverConfig(seed=5),
+            label="x",
             assumptions=(1, -2),
             cube=(1, -2),
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.task_id == 3 and clone.gen == 7
         assert clone.assumptions == (1, -2)
-        assert clone.spec.seed == 5
+        assert clone.config.seed == 5 and clone.label == "x"
         outcome = WorkerOutcome(task_id=1, worker_id=0, gen=7, status="unsat")
         assert pickle.loads(pickle.dumps(outcome)).status == "unsat"
+
+    def test_task_config_keeps_every_field(self, tmp_path):
+        """A task carries the caller's whole config across the process
+        boundary: every constructor argument survives the pickle, the
+        observer stays behind, and the verdict cache reopens on the same
+        directory with the same capacity."""
+        arguments = dict(
+            boolean="lsat",
+            linear="difference",
+            nonlinear=("auglag",),
+            refine_conflicts=False,
+            use_interval_refuter=False,
+            record_certificate=True,
+            max_iterations=77,
+            max_equality_splits=3,
+            tolerance=1e-4,
+            boolean_options={"restart_base": 9},
+            linear_options={"refine_minimal": False},
+            nonlinear_options={"max_iterations": 5},
+            refuter_options={"max_boxes": 11},
+            seed=13,
+            observer=Observer(),
+            use_presolve=False,
+            verdict_cache=VerdictCache(str(tmp_path), capacity=7),
+            clause_decay=0.5,
+            reduce_interval=17,
+        )
+        parameters = inspect.signature(ABSolverConfig).parameters
+        assert arguments.keys() == parameters.keys()
+        assert all(arguments[name] != p.default for name, p in parameters.items())
+        config = ABSolverConfig(**arguments)
+        config.verdict_cache.store("key", "unsat")
+        task = SolveTask(
+            task_id=0,
+            gen=1,
+            kind=SolveTask.CHECK,
+            problem=small_problem(),
+            config=ParallelSolver(config)._task_config(),
+        )
+        clone = pickle.loads(pickle.dumps(task)).config
+        assert vars(clone).keys() == vars(config).keys()
+        assert config.observer is arguments["observer"]  # caller's config untouched
+        for name, value in vars(config).items():
+            if name == "observer":
+                assert clone.observer is None
+            elif name == "verdict_cache":
+                cache = clone.verdict_cache
+                assert cache is not value and len(cache) == 0
+                assert (cache.directory, cache.capacity) == (str(tmp_path), 7)
+                # A fresh cache: entries arrive through the disk mirror.
+                assert cache.lookup("key").status == "unsat"
+            else:
+                assert getattr(clone, name) == value, name
+
+
+class TestPersistentSessions:
+    def test_session_key_covers_every_config_field(self, monkeypatch):
+        monkeypatch.setattr(worker, "_SESSIONS", {})
+
+        def session(config, label="base"):
+            task = SolveTask(
+                task_id=0,
+                gen=1,
+                kind=SolveTask.CHECK,
+                problem=small_problem(),
+                config=config,
+                label=label,
+            )
+            return worker._session_for(task)
+
+        config = ABSolverConfig()
+        first = session(config, "cube-0")
+        # Cube tasks of one solve share the session; the label is no key.
+        assert session(config, "cube-1") is first
+        assert session(pickle.loads(pickle.dumps(config)), "cube-2") is first
+        # Kernel knobs and certificate recording take part in the key.
+        for knob in ({"clause_decay": 0.5}, {"reduce_interval": 7},
+                     {"record_certificate": True}):
+            assert session(ABSolverConfig(**knob)) is not first, knob
 
 
 class TestPortfolioLadder:
     def test_ladder_is_deterministic_prefix(self):
-        base = ConfigSpec.from_config(ABSolverConfig())
-        four = portfolio_specs(base, 4)
-        two = portfolio_specs(base, 2)
-        assert [s.label for s in four[:2]] == [s.label for s in two]
-        assert four[0].linear == base.linear  # entry 0 IS the base config
-        assert four[1].linear == "difference"
-        assert len({(s.label, s.seed) for s in four}) == 4
+        base = ABSolverConfig()
+        four = portfolio_configs(base, 4)
+        two = portfolio_configs(base, 2)
+        assert [label for label, _ in four[:2]] == [label for label, _ in two]
+        assert four[0][1] is base  # entry 0 IS the base config
+        assert four[1][1].linear == "difference"
+        assert len({(label, config.seed) for label, config in four}) == 4
 
     def test_ladder_respects_non_cdcl_base(self):
-        base = ConfigSpec.from_config(ABSolverConfig(boolean="dpll"))
-        for spec in portfolio_specs(base, 6):
-            if spec.boolean == "dpll":
+        for _, config in portfolio_configs(ABSolverConfig(boolean="dpll"), 6):
+            if config.boolean == "dpll":
                 # DPLL accepts no restart/seed options
-                assert "restart_base" not in spec.boolean_options
-                # every spec must build a real config without blowing up
-            spec.to_config()
+                assert "restart_base" not in config.boolean_options
+            # every rung must build its engines without blowing up
+            SolvePipeline(config)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            portfolio_specs(ConfigSpec(), 0)
+            portfolio_configs(ABSolverConfig(), 0)
+
+    def test_every_rung_answers_repeated_queries(self, monkeypatch):
+        """Workers keep one session per config and problem, so each rung
+        must answer a second query whose assumptions differ from the
+        first's (a preprocessing Boolean engine could not assume a
+        variable its first run had removed)."""
+        monkeypatch.setattr(worker, "_SESSIONS", {})
+        problem = ABProblem()
+        problem.define(1, "real", parse_constraint("x >= 5"))
+        problem.add_clause([1, 2])
+        problem.add_clause([2, 3])
+        for index, (label, config) in enumerate(
+            portfolio_configs(ABSolverConfig(), 4)
+        ):
+            for assumptions in ([3], [-2]):
+                task = SolveTask(
+                    task_id=index,
+                    gen=1,
+                    kind=SolveTask.CHECK,
+                    problem=problem,
+                    config=config,
+                    label=label,
+                    assumptions=assumptions,
+                )
+                outcome = _execute(
+                    task, 0, queue.Queue(), queue.Queue(), SimpleNamespace(value=1)
+                )
+                assert outcome.status == "sat", (label, assumptions, outcome.error)
 
 
 class TestSeedDeterminism:
@@ -352,6 +465,23 @@ class TestParallelSolve:
         assert set(sharded) == sequential
         assert len(sharded) == len(sequential)  # dedup keeps them unique
 
+    def test_portfolio_workers_honour_record_certificate(self):
+        """Certificate recording switches stage 0 off in the workers, as it
+        does in the sequential solver."""
+        problem = ABProblem()
+        problem.define(1, "real", parse_constraint("x >= 5"))
+        problem.define(2, "real", parse_constraint("x <= 3"))
+        problem.add_clause([1])
+        problem.add_clause([2])
+        config = ABSolverConfig(record_certificate=True)
+        with ParallelSolver(
+            config, jobs=2, mode="portfolio", deterministic=True
+        ) as solver:
+            result = solver.solve(problem)
+        assert result.is_unsat
+        assert "presolve" not in result.stats.timers
+        assert result.stats.boolean_queries >= 1
+
     def test_pool_reuse_across_solves(self):
         with ParallelSolver(jobs=2, mode="cube", cube_depth=1) as solver:
             first = solver.solve(small_problem())
@@ -366,7 +496,7 @@ class TestParallelSolve:
             gen=1,
             kind="no-such-kind",
             problem=small_problem(),
-            spec=ConfigSpec(),
+            config=ABSolverConfig(),
         )
         outcome = _execute(task, 0, None, None, None)
         assert outcome.status == WorkerOutcome.ERROR
@@ -575,7 +705,7 @@ class TestFlightRecording:
             gen=1,
             kind="no-such-kind",
             problem=small_problem(),
-            spec=ConfigSpec(),
+            config=ABSolverConfig(),
             observe=True,
         )
         outcome = _execute(task, 0, None, None, None)

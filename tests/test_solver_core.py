@@ -1,5 +1,7 @@
 """End-to-end tests for the ABsolver control loop."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -261,6 +263,28 @@ class TestAllSolutions:
         lsat = list(ABSolver(ABSolverConfig(boolean="lsat")).all_solutions(problem))
         cdcl = list(ABSolver(ABSolverConfig(boolean="cdcl")).all_solutions(problem))
         assert len(lsat) == len(cdcl) == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ABSolverConfig(boolean="lsat", boolean_options={"reduce_interval": 1}),
+            ABSolverConfig(boolean="lsat", reduce_interval=1),
+            ABSolverConfig(boolean="cdcl", boolean_options={"reduce_interval": 1}),
+        ],
+        ids=["lsat-options", "lsat-config", "cdcl-options"],
+    )
+    def test_enumerator_takes_the_boolean_options(self, config):
+        """The native all-SAT enumerator runs under the same merged Boolean
+        options as single-model solving: a reduction interval of 1 reaches
+        the kernel whichever way it is given."""
+        rng = random.Random(3)
+        problem = ABProblem()
+        for _ in range(120):
+            variables = rng.sample(range(1, 31), 3)
+            problem.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+        solver = ABSolver(config)
+        assert len(list(solver.all_solutions(problem))) == 3
+        assert solver.stats.clauses_reduced > 0
 
 
 class TestConfig:
