@@ -15,16 +15,14 @@ user selects "the most appropriate solver for a given task".
 from __future__ import annotations
 
 import abc
-from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..linear.branch_bound import BranchAndBoundSolver
 from ..linear.iis import extract_iis
-from ..linear.lp import LinearConstraint, LinearSystem
+from ..linear.lp import LinearSystem
 from ..linear.simplex import LPResult, LPStatus, SimplexSolver
 from ..nonlinear.auglag import AugmentedLagrangianSolver, Bounds, NLPResult, NLPStatus
 from ..nonlinear.newton import NewtonSolver
-from ..sat.allsat import AllSATSolver
 from ..sat.cdcl import CDCLSolver
 from ..sat.cnf import CNF, Assignment
 from ..sat.dpll import DPLLSolver
@@ -82,9 +80,20 @@ class Refinement:
 # Abstract interfaces
 # ----------------------------------------------------------------------
 class BooleanSolverInterface(abc.ABC):
-    """Boolean-domain solver contract: single models and (optionally) all."""
+    """Boolean-domain solver contract: one model per call, under assumptions.
+
+    The control loop asks for candidate after candidate, adding blocking
+    and refinement clauses in between, so an adapter must answer any
+    number of ``solve`` calls with any assumptions over the CNF's
+    variables.
+    """
 
     name = "boolean"
+
+    #: Whether ``ABSolver.all_solutions`` enumerates natively (the LSAT
+    #: path) instead of by its own bookkeeping — iterated blocking clauses
+    #: through :meth:`solve` and :meth:`add_clause`.
+    supports_all_models = False
 
     @abc.abstractmethod
     def solve(self, cnf: CNF, assumptions: Sequence[int] = ()) -> Optional[Assignment]:
@@ -100,27 +109,6 @@ class BooleanSolverInterface(abc.ABC):
         one would resurrect an already-enumerated model.  Pass
         ``protected=False`` only for redundant lemmas that are safe to drop.
         """
-
-    def set_frozen_variables(self, variables: Sequence[int]) -> None:
-        """Declare variables whose values carry external semantics.
-
-        The control loop announces the arithmetic-definition variables here
-        before the first solve; preprocessing adapters must not eliminate
-        them (their values route theory constraints).  Default: ignored.
-        """
-
-    def all_models(self, cnf: CNF) -> Iterator[Assignment]:
-        """All satisfying assignments; default is not supported.
-
-        Solvers without native all-SAT raise; the control loop then falls
-        back to its own bookkeeping (iterated blocking clauses), exactly the
-        trade-off the paper describes for non-LSAT solvers.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no native all-SAT")
-
-    @property
-    def supports_all_models(self) -> bool:
-        return type(self).all_models is not BooleanSolverInterface.all_models
 
 
 class LinearSolverInterface(abc.ABC):
@@ -192,111 +180,6 @@ class CDCLBooleanAdapter(BooleanSolverInterface):
         return self._solver.counters()
 
 
-class PreprocessingCDCLAdapter(BooleanSolverInterface):
-    """CDCL behind a SatELite-style preprocessor (``cdcl-pre``).
-
-    The first solve runs unit propagation / pure literals / subsumption /
-    bounded variable elimination over the input CNF (frozen variables — the
-    arithmetic definitions — are preserved), searches the simplified
-    formula, and reconstructs a full model.  Blocking clauses added later
-    go to the live solver; they only mention frozen variables, so
-    reconstruction stays valid.
-    """
-
-    name = "cdcl-pre"
-
-    def __init__(self, **options):
-        self._options = options
-        self._solver: Optional[CDCLSolver] = None
-        self._frozen: set = set()
-        self._result = None  # PreprocessResult
-        self._unsat = False
-        #: Clauses received before the first solve; replayed through the
-        #: preprocessing-aware :meth:`add_clause` once the solver exists.
-        self._pending: List[Tuple[List[int], bool]] = []
-
-    def set_frozen_variables(self, variables: Sequence[int]) -> None:
-        self._frozen = set(variables)
-
-    def solve(self, cnf: CNF, assumptions: Sequence[int] = ()) -> Optional[Assignment]:
-        from ..sat.preprocess import Preprocessor
-
-        if self._unsat:
-            return None
-        if self._solver is None:
-            # Freeze the first query's assumption variables alongside the
-            # declared ones: pure-literal and BVE removal are only
-            # satisfiability-preserving, so a variable that will be pinned
-            # from outside must survive preprocessing untouched.
-            frozen = self._frozen | {abs(literal) for literal in assumptions}
-            self._result = Preprocessor(frozen=frozen).run(cnf)
-            if self._result.unsat:
-                self._unsat = True
-                return None
-            self._solver = CDCLSolver(self._result.cnf, **self._options)
-            pending = self._pending
-            self._pending = []
-            for clause, protected in pending:
-                self.add_clause(clause, protected=protected)
-            if self._unsat:
-                return None
-        # Assumptions must be translated through the preprocessing: forced
-        # (implied) variables are evaluated here; removed ones — whether by
-        # elimination or a pure-literal choice — cannot be assumed, because
-        # the original formula may have models of either polarity.
-        effective: List[int] = []
-        eliminated = {var for var, _ in self._result.eliminated}
-        for literal in assumptions:
-            var = abs(literal)
-            if var in self._result.forced:
-                if self._result.forced[var] != (literal > 0):
-                    return None  # assumption contradicts a level-0 fact
-                continue
-            if var in eliminated or var in self._result.chosen:
-                raise RuntimeError(
-                    f"assumption mentions preprocessed-away variable {var}; "
-                    "declare it frozen via set_frozen_variables before solving"
-                )
-            effective.append(literal)
-        model = self._solver.solve(effective)
-        if model is None:
-            return None
-        return self._result.extend_model(model)
-
-    def add_clause(self, literals: Sequence[int], protected: bool = True) -> None:
-        if self._solver is None or self._result is None:
-            self._pending.append((list(literals), protected))
-            return
-        # Literals over variables the preprocessor fixed at level 0 must be
-        # evaluated here: a clause whose surviving literals are all
-        # forced-false makes the (original) formula UNSAT, and a satisfied
-        # clause is dropped — the inner solver no longer tracks those vars.
-        eliminated = {var for var, _ in self._result.eliminated}
-        remaining: List[int] = []
-        for literal in literals:
-            var = abs(literal)
-            if var in self._result.forced:
-                if self._result.forced[var] == (literal > 0):
-                    return  # clause already satisfied at level 0
-                continue  # literal is false; drop it
-            if var in eliminated or var in self._result.chosen:
-                raise RuntimeError(
-                    f"clause mentions preprocessed-away variable {var}; "
-                    "declare it frozen via set_frozen_variables before solving"
-                )
-            remaining.append(literal)
-        if not remaining:
-            self._unsat = True
-            return
-        self._solver.add_clause(remaining, protected=protected)
-
-    @property
-    def statistics(self) -> Dict[str, int]:
-        if self._solver is None:
-            return {}
-        return self._solver.counters()
-
-
 class DPLLBooleanAdapter(BooleanSolverInterface):
     """Plain DPLL; mostly for testing and tiny problems."""
 
@@ -323,34 +206,17 @@ class DPLLBooleanAdapter(BooleanSolverInterface):
         self._cnf.add_clause(literals)
 
 
-class LSATBooleanAdapter(BooleanSolverInterface):
-    """LSAT stand-in: native all-solutions enumeration with minimization."""
+class LSATBooleanAdapter(CDCLBooleanAdapter):
+    """LSAT stand-in: CDCL candidates, native all-solutions enumeration.
+
+    Single solves are the CDCL kernel's; ``ABSolver.all_solutions`` sees
+    :attr:`supports_all_models` and enumerates with
+    :class:`~repro.sat.allsat.AllSATSolver` instead of blocking models
+    one by one.
+    """
 
     name = "lsat"
-
-    def __init__(self, minimize: bool = True, **options):
-        self._minimize = minimize
-        self._options = options
-        self._delegate = CDCLBooleanAdapter(**options)
-        self._last_enumerator: Optional[AllSATSolver] = None
-
-    def solve(self, cnf: CNF, assumptions: Sequence[int] = ()) -> Optional[Assignment]:
-        return self._delegate.solve(cnf, assumptions)
-
-    def add_clause(self, literals: Sequence[int], protected: bool = True) -> None:
-        self._delegate.add_clause(literals, protected=protected)
-
-    def all_models(self, cnf: CNF) -> Iterator[Assignment]:
-        self._last_enumerator = AllSATSolver(cnf, minimize=self._minimize, **self._options)
-        return self._last_enumerator.enumerate()
-
-    @property
-    def statistics(self) -> Dict[str, int]:
-        stats = dict(self._delegate.statistics)
-        if self._last_enumerator is not None:
-            for key, value in self._last_enumerator.statistics.items():
-                stats[key] = stats.get(key, 0) + value
-        return stats
+    supports_all_models = True
 
 
 # ----------------------------------------------------------------------

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..linear.lp import LinearConstraint, LinearSystem
 from ..linear.simplex import LPStatus, SimplexSolver
 from ..linear.branch_bound import BranchAndBoundSolver
 from ..sat.cnf import Assignment
-from .expr import Constraint, Expr, Relation
+from .expr import Relation
 from .interface import BooleanSolverInterface, UnsupportedTheoryError
 from .problem import ABProblem
 from .registry import DOMAIN_BOOLEAN, SolverRegistry, default_registry
@@ -119,7 +119,6 @@ class ABOptimizer:
         simplex = SimplexSolver()
         branch_bound = BranchAndBoundSolver(simplex=simplex)
         boolean: BooleanSolverInterface = self.registry.create(DOMAIN_BOOLEAN, self.boolean)
-        boolean.set_frozen_variables(sorted(problem.definitions))
 
         incumbent_value: Optional[Fraction] = None
         incumbent_model: Optional[ABModel] = None

@@ -93,7 +93,7 @@ __all__ = [
 #: The Boolean engines built on the CDCL kernel: the only ones that take
 #: the ``seed``, ``clause_decay``, ``reduce_interval`` and
 #: ``restart_base`` options.
-CDCL_FAMILY = ("cdcl", "cdcl-pre", "lsat")
+CDCL_FAMILY = ("cdcl", "lsat")
 
 #: A lemma callback: receives the blocking clause and whether the conflict
 #: was definite, and returns the clause that should actually reach the
@@ -221,10 +221,9 @@ class CandidateGenerationStage:
     def solver(self) -> BooleanSolverInterface:
         return self._boolean
 
-    def prepare(self, cnf: CNF, frozen: Sequence[int]) -> None:
-        """Bind the CNF fed to the adapter's first solve and freeze variables."""
+    def prepare(self, cnf: CNF) -> None:
+        """Bind the CNF fed to the adapter's first solve."""
         if self._cnf is None:
-            self._boolean.set_frozen_variables(frozen)
             self._cnf = cnf
 
     @property
@@ -701,8 +700,8 @@ class SolvePipeline:
     # ------------------------------------------------------------------
     # Structural-change hooks (driven by SolverSession)
     # ------------------------------------------------------------------
-    def prepare(self, cnf: CNF, frozen: Sequence[int]) -> None:
-        self.candidate.prepare(cnf, frozen)
+    def prepare(self, cnf: CNF) -> None:
+        self.candidate.prepare(cnf)
 
     def definitions_added(self) -> None:
         self.translation.definitions_changed()

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..linear.lp import LinearConstraint
 from ..obs.events import BoundTightened, PresolveFixedVar
+from ..sat.dpll import unit_propagate
 from .expr import Constraint, Relation
 from .problem import ABProblem
 from .tristate import FF, TT
@@ -520,18 +521,10 @@ class PresolveStage:
         # 1. Boolean unit propagation over the guard-free mirror CNF: the
         # forced literals hold in every model, so the constraints they tag
         # are implied theory facts.
-        from ..sat.preprocess import Preprocessor
-
-        result = Preprocessor(
-            unit_propagation=True,
-            pure_literals=False,
-            subsumption=False,
-            variable_elimination=False,
-        ).run(problem.cnf)
-        if result.unsat:
+        forced: Dict[int, bool] = {}
+        if not unit_propagate(problem.cnf.clauses, forced):
             store.mark_infeasible("boolean unit propagation")
             return store
-        forced: Dict[int, bool] = dict(result.forced)
 
         use_intervals = getattr(
             self._pipeline.config, "use_interval_refuter", True

@@ -17,16 +17,12 @@ from typing import Callable, Dict, List, Tuple
 
 from .interface import (
     AugLagNonlinearAdapter,
-    BooleanSolverInterface,
     BranchBoundLinearAdapter,
     CDCLBooleanAdapter,
     DifferenceLinearAdapter,
     DPLLBooleanAdapter,
-    LinearSolverInterface,
     LSATBooleanAdapter,
     NewtonNonlinearAdapter,
-    NonlinearSolverInterface,
-    PreprocessingCDCLAdapter,
     SimplexLinearAdapter,
 )
 
@@ -84,7 +80,6 @@ class SolverRegistry:
 def _build_default_registry() -> SolverRegistry:
     registry = SolverRegistry()
     registry.register(DOMAIN_BOOLEAN, "cdcl", CDCLBooleanAdapter)
-    registry.register(DOMAIN_BOOLEAN, "cdcl-pre", PreprocessingCDCLAdapter)
     registry.register(DOMAIN_BOOLEAN, "dpll", DPLLBooleanAdapter)
     registry.register(DOMAIN_BOOLEAN, "lsat", LSATBooleanAdapter)
     registry.register(DOMAIN_LINEAR, "simplex", SimplexLinearAdapter)

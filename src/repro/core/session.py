@@ -36,7 +36,7 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..obs.events import CheckStarted, FramePopped, FramePushed, LemmaReused, LemmasRetracted
 from ..sat.cnf import CNF
@@ -396,7 +396,7 @@ class SolverSession:
 
         if not self._started:
             self._bootstrap.num_vars = max(self._bootstrap.num_vars, self._max_var)
-            self.pipeline.prepare(self._bootstrap, sorted(self.problem.definitions))
+            self.pipeline.prepare(self._bootstrap)
         self._started = True
 
         prior_incomplete = any(not lemma.definite for lemma in self._lemmas)

@@ -152,7 +152,7 @@ class ABSolverConfig:
 
     Args:
         boolean: registry name of the Boolean engine (``cdcl``,
-            ``cdcl-pre``, ``dpll``, ``lsat``).
+            ``dpll``, ``lsat``).
         linear: registry name of the linear engine (``simplex``,
             ``simplex-numpy`` — float64 filter with exact certification,
             ``difference``, ``branch-bound``).
@@ -243,7 +243,7 @@ class ABSolverConfig:
         #: conflict count between clause-database reduction sweeps (``0``
         #: disables reduction entirely).  ``None`` keeps the kernel
         #: defaults.  Like ``seed`` they only reach CDCL-family Boolean
-        #: engines (``cdcl``, ``cdcl-pre``, ``lsat``) and explicit
+        #: engines (``cdcl``, ``lsat``) and explicit
         #: ``boolean_options`` entries win.  CLI: ``--clause-decay`` /
         #: ``--reduce-interval``.
         self.clause_decay = clause_decay
@@ -359,13 +359,13 @@ class ABSolver:
                 return
             key = frozenset(alpha.items())
             if key in seen:
-                # A preprocessing adapter reconstructed the same external
-                # model twice (blocking literals over eliminated variables
-                # do not constrain it).  Fail loudly instead of looping.
+                # A registered engine answered the same model although its
+                # blocking clause was added: it does not honour add_clause.
+                # Fail loudly instead of looping.
                 raise RuntimeError(
                     f"Boolean solver {type(boolean).__name__} repeated a model "
-                    "during enumeration; use an all-SAT capable or "
-                    "non-preprocessing solver for all_solutions()"
+                    "during enumeration; its add_clause does not block "
+                    "models, so all_solutions() cannot use it"
                 )
             seen.add(key)
             yield alpha

@@ -39,7 +39,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = ["CachedVerdict", "VerdictCache"]
 

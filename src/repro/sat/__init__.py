@@ -6,10 +6,9 @@ all-solutions enumeration).
 """
 
 from .cnf import CNF, Clause, Assignment, lit_var, lit_sign
-from .dpll import DPLLSolver, solve_dpll
+from .dpll import DPLLSolver, solve_dpll, unit_propagate
 from .cdcl import CDCLSolver, solve_cdcl, luby
 from .allsat import AllSATSolver, iterate_models, count_models
-from .preprocess import Preprocessor, PreprocessResult, preprocess
 from .tseitin import (
     BoolExpr,
     BConst,
@@ -32,15 +31,13 @@ __all__ = [
     "lit_sign",
     "DPLLSolver",
     "solve_dpll",
+    "unit_propagate",
     "CDCLSolver",
     "solve_cdcl",
     "luby",
     "AllSATSolver",
     "iterate_models",
     "count_models",
-    "Preprocessor",
-    "PreprocessResult",
-    "preprocess",
     "BoolExpr",
     "BConst",
     "BVar",

@@ -2,17 +2,56 @@
 
 This is the reference implementation used to cross-check the CDCL engine in
 the test suite, and a minimal example of the :class:`repro.core.interface`
-Boolean-solver contract.  It performs unit propagation and pure-literal
-elimination with chronological backtracking — no learning, no heuristics.
+Boolean-solver contract.  It performs unit propagation with chronological
+backtracking — no learning, no heuristics.  Its propagator,
+:func:`unit_propagate`, is also stage 0's Boolean unit propagation
+(:mod:`repro.core.presolve`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cnf import CNF, Assignment
 
-__all__ = ["DPLLSolver", "solve_dpll"]
+__all__ = ["DPLLSolver", "solve_dpll", "unit_propagate"]
+
+
+def unit_propagate(clauses: Sequence[Sequence[int]], assignment: Assignment) -> bool:
+    """Extend ``assignment`` to the unit-propagation fixpoint of ``clauses``.
+
+    Returns False when some clause is falsified (a conflict); the
+    assignment then holds whatever was assigned up to the conflict.  Each
+    pass carries only the clauses still open into the next one: a clause
+    found satisfied, or made unit and so satisfied, stays satisfied.
+    """
+    open_clauses = clauses
+    changed = True
+    while changed:
+        changed = False
+        still_open = []
+        for clause in open_clauses:
+            unassigned: List[int] = []
+            satisfied = False
+            for literal in clause:
+                value = assignment.get(abs(literal))
+                if value is None:
+                    unassigned.append(literal)
+                elif value == (literal > 0):
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if not unassigned:
+                return False
+            if len(unassigned) == 1:
+                literal = unassigned[0]
+                assignment[abs(literal)] = literal > 0
+                changed = True
+            else:
+                still_open.append(clause)
+        open_clauses = still_open
+    return True
 
 
 class DPLLSolver:
@@ -50,7 +89,7 @@ class DPLLSolver:
     # ------------------------------------------------------------------
     def _search(self, clauses: List[List[int]], assignment: Assignment) -> Optional[Assignment]:
         assignment = dict(assignment)
-        if not self._propagate(clauses, assignment):
+        if not unit_propagate(clauses, assignment):
             return None
         status = self._status(clauses, assignment)
         if status is True:
@@ -71,31 +110,6 @@ class DPLLSolver:
             if result is not None:
                 return result
         return None
-
-    def _propagate(self, clauses: List[List[int]], assignment: Assignment) -> bool:
-        """Unit propagation to fixpoint; False signals a conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned: List[int] = []
-                satisfied = False
-                for literal in clause:
-                    value = assignment.get(abs(literal))
-                    if value is None:
-                        unassigned.append(literal)
-                    elif value == (literal > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return False
-                if len(unassigned) == 1:
-                    literal = unassigned[0]
-                    assignment[abs(literal)] = literal > 0
-                    changed = True
-        return True
 
     def _status(self, clauses: List[List[int]], assignment: Assignment) -> Optional[bool]:
         all_satisfied = True

@@ -46,13 +46,6 @@ class TestBooleanAdapters:
         adapter.add_clause([-1])
         assert adapter.solve(CNF(1, [[1]])) is None
 
-    def test_lsat_all_models_and_minimize_flag(self):
-        cnf = CNF(2, [[1, 2]])
-        full = list(LSATBooleanAdapter(minimize=False).all_models(cnf))
-        assert len(full) == 3
-        cubes = list(LSATBooleanAdapter(minimize=True).all_models(cnf))
-        assert 1 <= len(cubes) <= 3
-
     def test_lsat_single_solve_delegates(self):
         adapter = LSATBooleanAdapter()
         cnf = CNF(1, [[1]])

@@ -56,13 +56,6 @@ class TestPlantedSolving:
         result = ABSolver(ABSolverConfig(boolean="lsat")).solve(instance.problem)
         assert result.is_sat, seed
 
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_preprocessing_configuration(self, seed):
-        instance = planted_problem(seed)
-        result = ABSolver(ABSolverConfig(boolean="cdcl-pre")).solve(instance.problem)
-        assert result.is_sat, seed
-
 
 class TestDifferential:
     """All engines must agree on random instances of unknown status."""
@@ -75,7 +68,7 @@ class TestDifferential:
         assert reference.status.value in ("sat", "unsat"), seed
         for config in (
             ABSolverConfig(boolean="lsat"),
-            ABSolverConfig(boolean="cdcl-pre"),
+            ABSolverConfig(boolean="dpll"),
             ABSolverConfig(refine_conflicts=False),
         ):
             other = ABSolver(config).solve(problem)

@@ -319,8 +319,7 @@ class TestPortfolioLadder:
     def test_every_rung_answers_repeated_queries(self, monkeypatch):
         """Workers keep one session per config and problem, so each rung
         must answer a second query whose assumptions differ from the
-        first's (a preprocessing Boolean engine could not assume a
-        variable its first run had removed)."""
+        first's."""
         monkeypatch.setattr(worker, "_SESSIONS", {})
         problem = ABProblem()
         problem.define(1, "real", parse_constraint("x >= 5"))

@@ -292,11 +292,15 @@ class TestInfeasibleShortCircuit:
         assert stats.linear_checks == 0
 
     def test_boolean_contradiction_detected(self):
-        problem = ABProblem()
-        problem.add_clause([1])
-        problem.add_clause([-1])
-        result, _ = _solve(problem, True)
-        assert result.is_unsat
+        # Complementary units, and a conflict that only propagation reaches.
+        for clauses in ([[1], [-1]], [[1], [-1, 2], [-2, -1]]):
+            problem = ABProblem()
+            for clause in clauses:
+                problem.add_clause(clause)
+            result, stats = _solve(problem, True)
+            assert result.is_unsat
+            assert result.reason == "presolve: boolean unit propagation"
+            assert stats.boolean_queries == 0
 
     def test_square_conflict_empties_the_box(self):
         # x*x + y*y < 1 bounds x + y to [-2, 2], so (x+y)*(x+y) <= 4 < 8:

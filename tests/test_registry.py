@@ -15,12 +15,13 @@ from repro.core.registry import (
     SolverRegistry,
     default_registry,
 )
+from repro.sat import CNF
 
 
 class TestDefaults:
     def test_builtin_boolean_solvers(self):
         names = default_registry.available(DOMAIN_BOOLEAN)
-        assert {"cdcl", "dpll", "lsat"} <= set(names)
+        assert names == ["cdcl", "dpll", "lsat"]
 
     def test_builtin_linear_solvers(self):
         names = default_registry.available(DOMAIN_LINEAR)
@@ -37,8 +38,11 @@ class TestDefaults:
         assert registered == scipy_available()
 
     def test_create_passes_options(self):
-        solver = default_registry.create(DOMAIN_BOOLEAN, "lsat", minimize=False)
+        solver = default_registry.create(DOMAIN_BOOLEAN, "lsat", seed=3)
         assert isinstance(solver, LSATBooleanAdapter)
+        # The option reaches the CDCL kernel, which takes ``seed``.
+        assert solver.solve(CNF(2, [[1, 2]])) is not None
+        assert solver.statistics["decisions"] >= 1
 
 
 class TestCustomRegistration:
@@ -102,9 +106,3 @@ class TestAllModelsCapability:
 
     def test_cdcl_does_not(self):
         assert not CDCLBooleanAdapter().supports_all_models
-
-    def test_base_raises(self):
-        from repro.sat import CNF
-
-        with pytest.raises(NotImplementedError):
-            CDCLBooleanAdapter().all_models(CNF())

@@ -1,6 +1,7 @@
 """Tests for the SAT substrate: CNF, DPLL, CDCL, all-SAT."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from repro.sat import (
     luby,
     solve_cdcl,
     solve_dpll,
+    unit_propagate,
 )
 
 
@@ -195,6 +197,72 @@ class TestSolverProperties:
     @given(random_cnf())
     def test_count_models_exact(self, cnf):
         assert count_models(cnf) == len(brute_force_models(cnf))
+
+
+def _propagate_one_unit_at_a_time(clauses, assignment):
+    """Reference propagator: assign the first unit found, then rescan."""
+    while True:
+        unit = None
+        for clause in clauses:
+            values = [assignment.get(abs(l)) for l in clause]
+            if any(v == (l > 0) for l, v in zip(clause, values)):
+                continue
+            unassigned = [l for l, v in zip(clause, values) if v is None]
+            if not unassigned:
+                return False
+            if len(unassigned) == 1:
+                unit = unassigned[0]
+                break
+        if unit is None:
+            return True
+        assignment[abs(unit)] = unit > 0
+
+
+class TestUnitPropagate:
+    def test_unit_chain_collapses(self):
+        forced = {}
+        assert unit_propagate(CNF(3, [[1], [-1, 2], [-2, 3]]).clauses, forced)
+        assert forced == {1: True, 2: True, 3: True}
+
+    def test_unit_conflict_detected(self):
+        forced = {}
+        assert not unit_propagate(CNF(2, [[1], [-1, 2], [-2, -1]]).clauses, forced)
+
+    def test_falsified_clause_is_a_conflict(self):
+        # Nothing to propagate, but the given assignment falsifies a clause.
+        assignment = {1: False, 2: False}
+        assert not unit_propagate([[1, 2], [3, 4]], assignment)
+
+    def test_matches_one_unit_at_a_time(self):
+        """Same fixpoint and same conflict verdict as the naive reference on
+        2,000 seeded random CNFs, each from an empty assignment and from a
+        random partial one, as DPLL's assumptions give it (unit propagation
+        is confluent)."""
+        rng = random.Random(2018)
+        conflicts = 0
+        for _ in range(2000):
+            num_vars = rng.randint(1, 12)
+            cnf = CNF(num_vars)
+            for _ in range(rng.randint(0, 30)):
+                cnf.add_clause(
+                    [
+                        rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                )
+            given = {
+                rng.randint(1, num_vars): rng.random() < 0.5
+                for _ in range(rng.randint(0, 2))
+            }
+            for start in ({}, given):
+                forced, expected = dict(start), dict(start)
+                ok = unit_propagate(cnf.clauses, forced)
+                assert ok == _propagate_one_unit_at_a_time(cnf.clauses, expected)
+                if ok:
+                    assert forced == expected
+                else:
+                    conflicts += 1
+        assert 0 < conflicts < 4000
 
 
 class TestAllSAT:

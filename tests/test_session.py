@@ -15,6 +15,7 @@ from repro import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_cons
 from repro.benchgen import watertank_unroll_family
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.cli import main
+from repro.core.registry import DOMAIN_BOOLEAN, default_registry
 from repro.core.solver import ABModel, ABStatus
 from repro.core.stats import SolveStatistics
 
@@ -222,6 +223,41 @@ class TestOneShotParity:
         result = ABSolver().solve(problem)
         assert result.is_sat
         assert result.stats.queries == 1
+
+
+class TestEveryBooleanEngine:
+    """Every registered Boolean engine serves a session's later queries.
+
+    The loop asks one engine for candidate after candidate under changing
+    assumptions and added clauses, so an engine that simplifies its
+    formula away at the first query cannot take part.
+    """
+
+    @staticmethod
+    def _problem() -> ABProblem:
+        problem = ABProblem()
+        problem.define(1, "real", parse_constraint("x >= 5"))
+        problem.add_clause([1, 2])
+        problem.add_clause([2, 3])
+        return problem
+
+    @pytest.mark.parametrize("boolean", default_registry.available(DOMAIN_BOOLEAN))
+    def test_later_queries_get_definite_verdicts(self, boolean):
+        definite = (ABStatus.SAT, ABStatus.UNSAT)
+        session = SolverSession(ABSolverConfig(boolean=boolean))
+        session.assert_problem(self._problem())
+        assert session.check([3]).status in definite
+        assert session.check([-2]).status in definite
+        session.assert_clause([-2, 1])
+        assert session.check().status in definite
+
+    @pytest.mark.parametrize("boolean", default_registry.available(DOMAIN_BOOLEAN))
+    def test_all_solutions_match_cdcl(self, boolean):
+        problem = self._problem()
+        reference = set(ABSolver(ABSolverConfig(boolean="cdcl")).all_solutions(problem))
+        models = set(ABSolver(ABSolverConfig(boolean=boolean)).all_solutions(problem))
+        assert len(reference) == 5
+        assert models == reference
 
 
 class TestABModel:

@@ -11,6 +11,7 @@ from repro.core import (
     ABStatus,
     parse_constraint,
 )
+from repro.core.interface import CDCLBooleanAdapter
 from repro.core.registry import default_registry
 
 
@@ -260,9 +261,32 @@ class TestAllSolutions:
         problem.add_clause([1, 2])
         problem.define(1, "real", parse_constraint("x >= 5"))
         problem.define(2, "real", parse_constraint("x <= 3"))
-        lsat = list(ABSolver(ABSolverConfig(boolean="lsat")).all_solutions(problem))
-        cdcl = list(ABSolver(ABSolverConfig(boolean="cdcl")).all_solutions(problem))
+        lsat_solver = ABSolver(ABSolverConfig(boolean="lsat"))
+        cdcl_solver = ABSolver(ABSolverConfig(boolean="cdcl"))
+        lsat = list(lsat_solver.all_solutions(problem))
+        cdcl = list(cdcl_solver.all_solutions(problem))
         assert len(lsat) == len(cdcl) == 2
+        # LSAT enumerates natively; CDCL by blocking one model per query.
+        assert lsat_solver.stats.boolean_queries == 0
+        assert cdcl_solver.stats.models_enumerated == 3
+        assert cdcl_solver.stats.boolean_queries >= cdcl_solver.stats.models_enumerated
+
+    def test_engine_ignoring_blocking_clauses_fails_loudly(self):
+        """Bookkeeping enumeration blocks each model through ``add_clause``;
+        a plug-in that drops those clauses would loop forever, so the
+        repeated model raises instead."""
+
+        class Forgetful(CDCLBooleanAdapter):
+            def add_clause(self, literals, protected=True):
+                pass
+
+        registry = default_registry.copy()
+        registry.register("boolean", "forgetful", Forgetful)
+        problem = ABProblem()
+        problem.add_clause([1, 2])
+        solver = ABSolver(ABSolverConfig(boolean="forgetful"), registry=registry)
+        with pytest.raises(RuntimeError, match="repeated a model"):
+            list(solver.all_solutions(problem))
 
     @pytest.mark.parametrize(
         "config",

@@ -171,13 +171,6 @@ class TestAssumptions:
         assert solver.solve(problem, assumptions=[1, 2]).is_unsat
         assert solver.solve(problem).is_sat
 
-    def test_assumptions_with_preprocessing_frozen(self):
-        problem = self.build_two_regime_problem()
-        result = ABSolver(ABSolverConfig(boolean="cdcl-pre")).solve(
-            problem, assumptions=[1, -2]
-        )
-        assert result.is_sat and result.model.theory["x"] >= 6
-
     def test_assumptions_with_lsat_and_dpll(self):
         problem = self.build_two_regime_problem()
         for boolean in ("lsat", "dpll"):
