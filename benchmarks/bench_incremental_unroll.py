@@ -14,20 +14,21 @@ tank controller) twice each:
 * **session**: one :class:`~repro.core.session.SolverSession`, each depth
   asserting only its delta — learned clauses, theory lemmas and the
   translation cache persist across checks;
-* **replay**: a *fresh* session primed with the definite theory lemmas the
-  session sweep derived, imported lazily
-  (``import_lemmas(..., lazy=True)``) — the clauses become blocking
-  *templates* instead of CDCL clauses, and every candidate a template
-  blocks is counted in ``blocking_template_hits`` and skips the theory
-  stages entirely.  This is the sequential measurement of the mechanism
-  parallel workers use to deduplicate refinement work across cubes.
+* **replay**: a *fresh* session that, before its check at depth *d*,
+  imports (``import_lemmas``) the definite theory lemmas the session
+  sweep derived at depth *d*.  Both sessions hold the same assertions at
+  that point, so each lemma is sound there; it enters the Boolean engine
+  as a clause, and the candidates it rules out never reach the theory
+  stages.  This is the sequential measurement of the mechanism parallel
+  workers use to deduplicate refinement work across cubes.
 
-The end-of-session report table shows the sweep times, the speedups, and
-the reuse counters (``clauses_reused``, ``translation_cache_hits``,
-``warm_start_hits``, ``blocking_template_hits``); the report *asserts*
-that the session sweep is strictly faster than one-shot and that
-``clauses_reused``, ``translation_cache_hits`` and the replay's
-``blocking_template_hits`` are nonzero.  Both families are pure difference
+The end-of-session report table shows the sweep times, the speedups, the
+reuse counters (``clauses_reused``, ``translation_cache_hits``,
+``warm_start_hits``) and the ``linear_checks`` of the session and replay
+sweeps; the report *asserts* that the session sweep is strictly faster
+than one-shot, that ``clauses_reused`` and ``translation_cache_hits`` are
+nonzero, and that the replay runs fewer linear checks than the session
+sweep.  Both families are pure difference
 logic, so the sweeps run with ``linear="difference"`` (Bellman-Ford
 negative-cycle conflict cores) and never reach the simplex: its warm
 starts (``warm_start_hits``) are reported, not asserted.
@@ -109,20 +110,21 @@ def _oneshot_sweep(family):
 def _session_sweep(family, reference_verdicts=None):
     """Solve depths 1..max through one session, asserting only the deltas.
 
-    Collects every definite theory lemma the sweep derives (via the
-    session's ``lemma_listener``) so the replay sweep can prime a fresh
-    session with them.
+    Collects the definite theory lemmas the sweep derives at each depth
+    (via the session's ``lemma_listener``) so the replay sweep can give a
+    fresh session the same lemmas at the same depth.
     """
     session = SolverSession(_config())
-    lemmas = []
+    lemmas = []  # lemmas[depth - 1]: the lemmas derived at that depth
     session.lemma_listener = (
-        lambda clause, definite: lemmas.append(list(clause)) if definite else None
+        lambda clause, definite: lemmas[-1].append(list(clause)) if definite else None
     )
     verdicts = []
     started = time.perf_counter()
     family.layers[0].apply_to_session(session)
     for depth in range(1, family.max_depth + 1):
         family.layers[depth].apply_to_session(session)
+        lemmas.append([])
         result = session.check(family.check_assumptions(depth))
         expected = family.expected_status(depth)
         assert expected is None or result.status.value == expected, (
@@ -145,12 +147,10 @@ def _session_sweep(family, reference_verdicts=None):
 def _replay_sweep(family, lemmas, reference_verdicts):
     """Re-run the sweep in a fresh session primed with known lemmas.
 
-    The lemmas are imported *lazily* at every depth: clauses whose
-    variables are not yet defined are skipped (re-offered at the next
-    depth), registered ones become blocking templates.  Candidates that
-    violate a template are blocked before any theory check — the
-    ``blocking_template_hits`` counter measures exactly how much
-    refinement work the priming saved.
+    At depth *d* the session imports the lemmas the session sweep derived
+    at depth *d*, whose variables are all defined by then.  How many
+    ``linear_checks`` fewer the replay runs measures the refinement work
+    the imported lemmas saved.
     """
     session = SolverSession(_config())
     verdicts = []
@@ -158,7 +158,7 @@ def _replay_sweep(family, lemmas, reference_verdicts):
     family.layers[0].apply_to_session(session)
     for depth in range(1, family.max_depth + 1):
         family.layers[depth].apply_to_session(session)
-        session.import_lemmas(lemmas, lazy=True)
+        session.import_lemmas(lemmas[depth - 1])
         result = session.check(family.check_assumptions(depth))
         assert result.status.value == reference_verdicts[depth - 1], (
             f"{family.name} depth {depth}: replay and session disagree"
@@ -255,7 +255,7 @@ def _report():
         "clauses_reused",
         "cache_hits",
         "warm_hits",
-        "template_hits",
+        "checks session/replay",
     ]
     rows = []
     failures = []
@@ -278,7 +278,8 @@ def _report():
                 stats.clauses_reused,
                 stats.translation_cache_hits,
                 stats.warm_start_hits,
-                replay_stats.blocking_template_hits if replay_stats else 0,
+                f"{stats.linear_checks}/"
+                + (str(replay_stats.linear_checks) if replay_stats else "-"),
             ]
         )
         if session["seconds"] >= oneshot["seconds"]:
@@ -287,8 +288,14 @@ def _report():
             failures.append(f"{name}: no clause reuse across checks")
         if stats.translation_cache_hits <= 0:
             failures.append(f"{name}: translation cache never hit")
-        if replay_stats is not None and replay_stats.blocking_template_hits <= 0:
-            failures.append(f"{name}: lemma replay never hit a blocking template")
+        if (
+            replay_stats is not None
+            and replay_stats.linear_checks >= stats.linear_checks
+        ):
+            failures.append(
+                f"{name}: lemma replay ran {replay_stats.linear_checks} linear "
+                f"checks, not fewer than the session sweep's {stats.linear_checks}"
+            )
     report_rows(
         "Incremental sessions — unroll sweeps (one-shot vs session vs replay)",
         header,
@@ -309,6 +316,7 @@ def _report():
         per_family[name] = {
             "one_shot_seconds": oneshot["seconds"],
             "session_seconds": session["seconds"],
+            "session_linear_checks": session["stats"].linear_checks,
             "speedup": oneshot["seconds"] / max(session["seconds"], 1e-9),
             "verdicts": session["verdicts"],
         }
@@ -317,13 +325,10 @@ def _report():
         combined = stats if combined is None else combined.merge(stats)
         if replay is not None:
             per_family[name]["replay_seconds"] = replay["seconds"]
-            per_family[name]["replay_template_hits"] = (
-                replay["stats"].blocking_template_hits
-            )
+            per_family[name]["replay_linear_checks"] = replay["stats"].linear_checks
             total_wall += replay["seconds"]
             # Merge the replay session's counters too: the committed record
-            # carries blocking_template_hits from the primed sweep next to
-            # warm_start_hits from the incremental one.
+            # carries the primed sweep's work next to the incremental one's.
             combined.merge(replay["stats"])
     extra = {"max_depth": unroll_max_depth(), "families": per_family}
     if _MICRO:

@@ -29,9 +29,9 @@ worker pools, in two modes:
   ``split_budget=2`` so the shallow cubes blow their budget and
   self-split (``cubes_split > 0``), exercising the dynamic work-stealing
   path end to end.  A fourth **handoff** row runs ``check_session``: the
-  pool's shared lemmas are lazily imported into a live session and a
-  sequential re-check re-blocks the candidates the workers already
-  refuted (``blocking_template_hits > 0``).
+  pool's shared lemmas are imported into a live session, and its
+  sequential re-check must run fewer ``linear_checks`` than the same
+  query in a fresh session.
 
 Environment knobs:
 
@@ -130,11 +130,10 @@ def _session_handoff():
     """Parallel solve, then hand the shared lemmas to a live session.
 
     ``check_session`` imports the pool's definite lemmas back into the
-    session lazily (blocking templates); the sequential re-check then
-    re-blocks every candidate a worker already refuted —
-    ``blocking_template_hits`` counts exactly those cross-process
-    deduplicated refinements.  Runs on the difference-logic config so the
-    row measures the handoff, not the engine.
+    session, so the sequential re-check skips the conflicts the workers
+    already refined: it runs fewer ``linear_checks`` than the same query
+    in a fresh session.  Runs on the difference-logic config so the row
+    measures the handoff, not the engine.
     """
     depth = max(_depths())
     family = fischer_unroll_family(depth)
@@ -147,11 +146,18 @@ def _session_handoff():
         parallel_result = solver.check_session(session, assumptions=assumptions)
     sequential_result = session.check(assumptions)
     assert parallel_result.status.value == sequential_result.status.value
+    seconds = time.perf_counter() - started
+    fresh = SolverSession(config)
+    fresh.assert_problem(family.problem_at_depth(depth))
+    fresh_result = fresh.check(assumptions)
+    assert fresh_result.status.value == sequential_result.status.value
     return {
-        "seconds": time.perf_counter() - started,
+        "seconds": seconds,
         "verdicts": [sequential_result.status.value],
         "stats": session.stats,
         "shared_lemmas": len(solver.shared_lemmas),
+        "recheck_linear_checks": sequential_result.stats.linear_checks,
+        "fresh_linear_checks": fresh_result.stats.linear_checks,
     }
 
 
@@ -235,9 +241,21 @@ def _report():
     if demo is not None and demo["stats"].cubes_split <= 0:
         failures.append("split-demo run never self-split a cube")
     handoff = cube.get("handoff")
-    if handoff is not None and handoff["stats"].blocking_template_hits <= 0:
-        failures.append("session handoff never re-blocked from a shared lemma")
+    if (
+        handoff is not None
+        and handoff["recheck_linear_checks"] >= handoff["fresh_linear_checks"]
+    ):
+        failures.append(
+            f"session handoff re-check ran {handoff['recheck_linear_checks']} "
+            f"linear checks, not fewer than a fresh session's "
+            f"{handoff['fresh_linear_checks']}"
+        )
 
+    handoff_checks = {
+        f"handoff_{key}": handoff[key]
+        for key in ("recheck_linear_checks", "fresh_linear_checks")
+        if handoff is not None
+    }
     combined = None
     total_wall = 0.0
     per_level = {}
@@ -257,6 +275,7 @@ def _report():
             "job_levels": list(_JOB_LEVELS),
             "portfolio_speedup_4v1": speedup_4v1,
             "cube_jobs4_over_jobs1": cube_ratio,
+            **handoff_checks,
             **per_level,
         },
     )

@@ -19,12 +19,10 @@ ABsolver and produce the same :class:`~repro.core.solver.ABResult`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
 
-from ..core.expr import Constraint
 from ..core.interface import UnsupportedTheoryError
 from ..core.problem import ABProblem
-from ..core.solver import ABModel, ABResult, ABStatus
+from ..core.solver import ABResult
 from ..core.stats import SolveStatistics
 
 __all__ = ["OutOfMemoryAbort", "BaselineSolver", "reject_nonlinear"]

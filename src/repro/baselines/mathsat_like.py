@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.expr import Constraint
 from ..core.problem import ABProblem
 from ..core.solver import ABModel, ABResult, ABStatus
 from ..core.stats import SolveStatistics

@@ -18,8 +18,7 @@ Generators are deterministic in their ``seed``.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.expr import Const, Constraint, Expr, Relation, Var
 from ..core.problem import ABProblem

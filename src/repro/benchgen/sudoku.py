@@ -26,7 +26,7 @@ corresponding difficulty labels.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.expr import Const, Constraint, Relation, Var
 from ..core.problem import ABProblem

@@ -23,7 +23,7 @@ Enable recording with ``ABSolverConfig(record_certificate=True)``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..linear.lp import LinearConstraint, LinearSystem
 from ..linear.simplex import LPStatus, SimplexSolver

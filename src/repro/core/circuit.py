@@ -17,7 +17,7 @@ whether another solver must run.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .expr import ARITHMETIC_ERRORS, Constraint
 from .problem import ABProblem

@@ -49,7 +49,7 @@ import hashlib
 import math
 import os
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float, Fraction]
 

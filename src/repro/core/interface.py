@@ -283,18 +283,6 @@ class SimplexLinearAdapter(LinearSolverInterface):
         """Float64 runs that failed certification and re-solved exactly."""
         return getattr(self._simplex, "numpy_fallbacks", 0)
 
-    def set_warm_context(self, context: Optional[object]) -> None:
-        """Scope warm-start certificates to a pipeline-chosen context.
-
-        The pipeline passes a coarse mode token (``"presolve"`` while a
-        contentful bound store is active, ``None`` otherwise) so that
-        certificates derived under tightened bound rows are not even
-        *candidates* for reuse against raw-bound systems and vice versa.
-        Hygiene, not soundness — every cached certificate is revalidated
-        exactly before reuse regardless.
-        """
-        self._simplex.warm_context = context
-
     def check(self, system: LinearSystem) -> LPResult:
         merged_point: Dict[str, object] = {}
         for component in system.split_components():

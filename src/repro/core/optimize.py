@@ -130,7 +130,7 @@ class ABOptimizer:
                 break
             branch_best: Optional[Tuple[Fraction, Dict[str, Fraction]]] = None
             unbounded = False
-            for branch_rows in self._branches(problem, alpha):
+            for branch_rows in self._branch_rows(problem, alpha):
                 system = LinearSystem(branch_rows, dict(domains))
                 for bound_row in self._bound_rows(problem):
                     system.add(bound_row)
@@ -247,7 +247,7 @@ class ABOptimizer:
         return candidate > reference if maximize else candidate < reference
 
     # ------------------------------------------------------------------
-    def _branches(
+    def _branch_rows(
         self, problem: ABProblem, alpha: Assignment
     ) -> Iterator[List[LinearConstraint]]:
         """All equality-split branches of the assignment's constraint set."""

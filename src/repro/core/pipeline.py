@@ -7,8 +7,8 @@ each timed under its ``name``:
 * :class:`CandidateGenerationStage` — query the Boolean solver for the next
   candidate assignment and feed blocking clauses back to it;
 * :class:`TheoryTranslationStage` — turn a Boolean assignment into theory
-  constraint branches, with memoized definition-literal -> linear-row and
-  branch -> :class:`~repro.linear.lp.LinearSystem` caches;
+  constraint branches, with a memoized definition-literal -> linear-row
+  cache;
 * :class:`LinearCheckStage` — decide the linear constituent (tracking
   warm-start reuse when the configured LP adapter supports it);
 * :class:`NonlinearCheckStage` — route surviving candidates through the
@@ -19,7 +19,7 @@ each timed under its ``name``:
 :class:`SolvePipeline` wires the stages into the classic lazy-SMT loop.  It
 is deliberately *query-scoped but state-persistent*: running a second query
 against the same pipeline reuses the Boolean solver's clause database and
-activities plus every translation cache, which is exactly what
+activities plus the translation caches, which is exactly what
 :class:`repro.core.session.SolverSession` builds its ``push``/``pop``
 incremental interface on.  The one-shot :class:`~repro.core.solver.ABSolver`
 uses a single-use pipeline.
@@ -64,7 +64,7 @@ from .interface import (
     NonlinearSolverInterface,
     Refinement,
 )
-from .presolve import BoundStore, PresolveStage
+from .presolve import PresolveStage
 from .problem import ABProblem
 from .registry import (
     DOMAIN_BOOLEAN,
@@ -102,23 +102,21 @@ LemmaHook = Callable[[List[int], bool], List[int]]
 
 
 class BranchItem:
-    """One constraint of a branch: the constraint, its origin tag, a cache key.
+    """One constraint of a branch and its origin tag.
 
     ``tag`` is the signed Boolean definition literal the constraint came
-    from; ``key`` additionally disambiguates which negation alternative of
-    an equation was chosen (``(-var, alt_index)``), so it is usable as a
-    memoization key for the translated linear row.
+    from (a negated equation contributes one of its alternatives, each
+    tagged ``-var``).
     """
 
-    __slots__ = ("constraint", "tag", "key")
+    __slots__ = ("constraint", "tag")
 
-    def __init__(self, constraint: Constraint, tag: int, key: object):
+    def __init__(self, constraint: Constraint, tag: int):
         self.constraint = constraint
         self.tag = tag
-        self.key = key
 
     def __repr__(self) -> str:
-        return f"BranchItem(tag={self.tag}, key={self.key!r})"
+        return f"BranchItem(tag={self.tag})"
 
 
 class TranslationPlan:
@@ -257,35 +255,28 @@ class CandidateGenerationStage:
 class TheoryTranslationStage:
     """Stage 2: Boolean assignment -> theory constraint branches, memoized.
 
-    Two cache layers:
-
-    * ``(tag, constraint fingerprint)`` -> :class:`LinearConstraint` (the
-      expensive ``linear_form`` normalization) plus the
-      negation-alternative lists.  Rows are content-addressed via
-      :meth:`Constraint.fingerprint`, so they survive definition
-      retraction/redefinition: a re-pushed definition with the same
-      content hits immediately, while changed content simply keys a new
-      entry;
-    * full branch key -> built :class:`LinearSystem` (rows, bound rows,
-      domains) ready to hand to the linear stage.
+    ``(tag, constraint fingerprint)`` -> :class:`LinearConstraint` (the
+    expensive ``linear_form`` normalization) plus the negation-alternative
+    lists.  Rows are content-addressed via :meth:`Constraint.fingerprint`,
+    so they survive definition retraction/redefinition: a re-pushed
+    definition with the same content hits immediately, while changed
+    content simply keys a new entry.  The bound rows shared by every
+    system are memoized until the bounds or the presolve store change.
 
     Both survive across queries of a session;
     :meth:`invalidate_definitions` drops the per-variable alternative
-    lists of retracted definitions, and any definition/bounds change
-    clears the branch layer (domains or bound rows may have shifted under
-    it).
+    lists of retracted definitions.  Each branch's
+    :class:`LinearSystem` is built afresh from the cached rows.
     """
 
     name = "translate"
 
-    BRANCH_CACHE_LIMIT = 8192
     ROW_CACHE_LIMIT = 8192
 
     def __init__(self, pipeline: "SolvePipeline"):
         self._pipeline = pipeline
         self._rows: Dict[object, LinearConstraint] = {}
         self._alternatives: Dict[int, List[Constraint]] = {}
-        self._branches: Dict[Tuple[object, ...], Tuple[LinearSystem, List[Tuple[Constraint, int]]]] = {}
         self._bound_rows: Optional[List[LinearConstraint]] = None
 
     # -- assignment splitting ------------------------------------------
@@ -296,22 +287,17 @@ class TheoryTranslationStage:
         for var, definition in problem.definitions.items():
             phase = alpha.get(var, False)
             if phase:
-                fixed.append(BranchItem(definition.constraint, var, var))
+                fixed.append(BranchItem(definition.constraint, var))
             else:
                 alternatives = self._alternatives.get(var)
                 if alternatives is None:
                     alternatives = definition.constraint.negated_alternatives()
                     self._alternatives[var] = alternatives
                 if len(alternatives) == 1:
-                    fixed.append(BranchItem(alternatives[0], -var, -var))
+                    fixed.append(BranchItem(alternatives[0], -var))
                 else:
                     stats.equality_splits += 1
-                    splits.append(
-                        [
-                            BranchItem(alt, -var, (-var, index))
-                            for index, alt in enumerate(alternatives)
-                        ]
-                    )
+                    splits.append([BranchItem(alt, -var) for alt in alternatives])
         return TranslationPlan(fixed, splits)
 
     # -- branch materialization ----------------------------------------
@@ -321,14 +307,8 @@ class TheoryTranslationStage:
         branch: Sequence[BranchItem],
         domains: Mapping[str, str],
     ) -> Tuple[LinearSystem, List[Tuple[Constraint, int]]]:
-        """Build (or fetch) the linear system + nonlinear list of a branch."""
+        """Build the linear system + nonlinear list of a branch."""
         stats = self._pipeline.stats
-        key = tuple(item.key for item in branch)
-        cached = self._branches.get(key)
-        if cached is not None:
-            stats.translation_cache_hits += 1
-            return cached
-
         linear_rows: List[LinearConstraint] = []
         nonlinear: List[Tuple[Constraint, int]] = []
         for item in branch:
@@ -350,9 +330,6 @@ class TheoryTranslationStage:
         system = LinearSystem(linear_rows, {v: d for v, d in domains.items()})
         for row in self._get_bound_rows(problem):
             system.add(row)
-        if len(self._branches) >= self.BRANCH_CACHE_LIMIT:
-            self._branches.clear()
-        self._branches[key] = (system, nonlinear)
         return system, nonlinear
 
     def _get_bound_rows(self, problem: ABProblem) -> List[LinearConstraint]:
@@ -393,15 +370,9 @@ class TheoryTranslationStage:
         """
         for var in variables:
             self._alternatives.pop(var, None)
-        self._branches.clear()
-
-    def definitions_changed(self) -> None:
-        """New definitions may retype shared variables: branch layer is stale."""
-        self._branches.clear()
 
     def bounds_changed(self) -> None:
         self._bound_rows = None
-        self._branches.clear()
 
 
 class LinearCheckStage:
@@ -582,34 +553,6 @@ class ConflictRefinementStage:
         return False, []
 
 
-class _BlockingTemplate:
-    """One cached definite blocking clause plus the context it relies on.
-
-    ``content`` snapshots the ``(var, domain, constraint fingerprint)``
-    triple of every definition the clause mentions (canonical content
-    digests — see :meth:`Constraint.fingerprint`); ``bounds_key`` /
-    ``domains_key``
-    fingerprint the global bound rows and variable typings (untagged bound
-    rows participate in Farkas cores, and integer typings steer
-    branch-and-bound, so both are part of the derivation).  A template is
-    only replayed when all three still match the live problem.
-    """
-
-    __slots__ = ("clause", "content", "bounds_key", "domains_key")
-
-    def __init__(
-        self,
-        clause: List[int],
-        content: Tuple,
-        bounds_key: frozenset,
-        domains_key: frozenset,
-    ):
-        self.clause = clause
-        self.content = content
-        self.bounds_key = bounds_key
-        self.domains_key = domains_key
-
-
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
@@ -675,17 +618,6 @@ class SolvePipeline:
         #: Memoized defined-variable order of :meth:`fallback_blocking_clause`
         #: (``None`` = recompute; invalidated on definition changes).
         self._blocking_vars: Optional[Tuple[int, ...]] = None
-        #: Blocking-clause templates: sorted-clause key -> template record.
-        #: Templates remember the content (definitions, bounds, domains) they
-        #: were derived from and are revalidated on every match, so entries
-        #: survive push/pop retraction without ever going unsound.
-        self._templates: Dict[Tuple[int, ...], _BlockingTemplate] = {}
-        #: Memoized bounds fingerprint (None = recompute after a change);
-        #: a bare frozenset of declared bounds, or (declared, store
-        #: fingerprint) while a presolve store is active.
-        self._bounds_key: Optional[object] = None
-        #: Memoized variable-domains fingerprint (invalidated with defs).
-        self._domains_key: Optional[frozenset] = None
 
     def stage(self, name: str, **args):
         """One stage entry, as one ``with``.
@@ -704,10 +636,8 @@ class SolvePipeline:
         self.candidate.prepare(cnf)
 
     def definitions_added(self) -> None:
-        self.translation.definitions_changed()
         self.presolve.invalidate()
         self._blocking_vars = None
-        self._domains_key = None
 
     def definitions_removed(self, variables: Sequence[int]) -> None:
         # The linear warm-start caches deliberately survive this hook: cached
@@ -718,14 +648,12 @@ class SolvePipeline:
         self.translation.invalidate_definitions(variables)
         self.presolve.invalidate()
         self._blocking_vars = None
-        self._domains_key = None
 
     def bounds_changed(self) -> None:
         # Same reasoning as definitions_removed: warm-start entries are keyed
         # on row structure and revalidated exactly, so bound shifts are safe.
         self.translation.bounds_changed()
         self.presolve.invalidate()
-        self._bounds_key = None
 
     def clauses_changed(self) -> None:
         """The CNF gained or lost clauses: presolve's deductions are stale.
@@ -738,7 +666,6 @@ class SolvePipeline:
     def presolve_store_changed(self) -> None:
         """The :class:`BoundStore` recomputed with different deductions."""
         self.translation.bounds_changed()
-        self._bounds_key = None
 
     # ------------------------------------------------------------------
     # Candidate blocking (hot path of all-models enumeration)
@@ -755,119 +682,6 @@ class SolvePipeline:
             return [(-var if value else var) for var, value in alpha.items()]
         get = alpha.get
         return [(-var if get(var, False) else var) for var in variables]
-
-    # ------------------------------------------------------------------
-    # Blocking-clause templates
-    # ------------------------------------------------------------------
-
-    #: Cap on remembered blocking-clause templates.
-    BLOCKING_TEMPLATE_LIMIT = 4096
-
-    def _bounds_fingerprint(self, problem: ABProblem):
-        if self._bounds_key is None:
-            declared = frozenset(
-                (var, low, high) for var, (low, high) in problem.bounds.items()
-            )
-            # Fingerprint against the *ensured* store, not whatever is
-            # cached: templates are often registered right after a formula
-            # change (import_lemmas before check), when the cached store is
-            # stale — keying those against declared bounds only would make
-            # them unmatchable once the store is recomputed.  ensure() is
-            # a cache hit whenever the store is fresh, and a no-op (None)
-            # when the stage is disabled.
-            store = (
-                self.presolve.ensure(problem) if self.presolve.enabled else None
-            )
-            if store is not None:
-                # Templates derived under a store must never replay once
-                # its deductions change (the clause may have leaned on a
-                # tightened bound row).
-                self._bounds_key = (declared, store.fingerprint())
-            else:
-                self._bounds_key = declared
-        return self._bounds_key
-
-    def _domains_fingerprint(self, problem: ABProblem) -> frozenset:
-        if self._domains_key is None:
-            self._domains_key = frozenset(problem.variable_domains().items())
-        return self._domains_key
-
-    def _template_content(
-        self, problem: ABProblem, clause: Sequence[int]
-    ) -> Optional[Tuple]:
-        """Snapshot the definitions a clause mentions (None = not templatable).
-
-        Constraints enter as canonical fingerprints (memoized per
-        :class:`Constraint`), so revalidation on a template match is a
-        string comparison instead of a deep structural equality.
-        """
-        content = []
-        for literal in clause:
-            definition = problem.definitions.get(abs(literal))
-            if definition is None:
-                return None
-            content.append(
-                (abs(literal), definition.domain, definition.constraint.fingerprint())
-            )
-        return tuple(content)
-
-    def register_blocking_template(
-        self, problem: ABProblem, clause: Sequence[int]
-    ) -> None:
-        """Remember a *definite* blocking clause for candidate short-cutting.
-
-        Called for every definite theory lemma (local derivations and
-        foreign lemmas imported by sessions).  Registration is idempotent
-        per sorted clause; clauses mentioning non-definition variables are
-        skipped (their derivation context cannot be fingerprinted).
-        """
-        key = tuple(sorted(clause))
-        if key in self._templates:
-            return
-        content = self._template_content(problem, clause)
-        if content is None:
-            return
-        if len(self._templates) >= self.BLOCKING_TEMPLATE_LIMIT:
-            self._templates.clear()
-        self._templates[key] = _BlockingTemplate(
-            list(clause),
-            content,
-            self._bounds_fingerprint(problem),
-            self._domains_fingerprint(problem),
-        )
-
-    def match_blocking_template(
-        self, problem: ABProblem, alpha: Assignment
-    ) -> Optional[List[int]]:
-        """A remembered clause the candidate violates, revalidated, or None.
-
-        A template applies when every literal of its clause is false under
-        ``alpha`` (the clause would have pruned this candidate, but the
-        Boolean solver no longer holds it — it was retracted by a ``pop``,
-        or it was learned by another worker/session) *and* its recorded
-        derivation context still matches the live problem.  A hit lets
-        :meth:`run_query` re-block the candidate without any theory check.
-        """
-        if not self._templates:
-            return None
-        get = alpha.get
-        bounds_key = self._bounds_fingerprint(problem)
-        domains_key = self._domains_fingerprint(problem)
-        for template in self._templates.values():
-            violated = all(
-                get(abs(literal), False) is (literal < 0)
-                for literal in template.clause
-            )
-            if not violated:
-                continue
-            if template.bounds_key != bounds_key:
-                continue
-            if template.domains_key != domains_key:
-                continue
-            if self._template_content(problem, template.clause) != template.content:
-                continue
-            return list(template.clause)
-        return None
 
     # ------------------------------------------------------------------
     # Query execution
@@ -901,10 +715,10 @@ class SolvePipeline:
         the query; sessions pass them explicitly so their activation
         literals stay out of the key).  Cached UNSAT verdicts return
         immediately; cached SAT witnesses are revalidated against the live
-        problem first, and on a failed revalidation the entry's definite
-        lemmas still seed the blocking-template store.  Completed SAT/UNSAT
-        runs are written back; certificate runs bypass the cache entirely
-        so the recorded lemma stream stays self-contained.
+        problem first, and a failed revalidation falls through to a normal
+        solve.  Completed SAT/UNSAT runs are written back; certificate runs
+        bypass the cache entirely so the recorded lemma stream stays
+        self-contained.
 
         Progress is published as typed events on :attr:`observer`; nothing
         is built when no sink is attached.
@@ -915,7 +729,6 @@ class SolvePipeline:
         intern_before = intern_counters()["hits"]
         cache = self.verdict_cache
         key = None
-        lemma_sink: Optional[List[List[int]]] = None
         try:
             if cache is not None and not record_certificate:
                 if cache_assumptions is None:
@@ -930,7 +743,6 @@ class SolvePipeline:
                         stats.verdict_cache_hits += 1
                         return replay
                 stats.verdict_cache_misses += 1
-                lemma_sink = []
             result = self._run_query_inner(
                 problem,
                 assumptions,
@@ -938,16 +750,12 @@ class SolvePipeline:
                 on_lemma,
                 prior_incomplete,
                 poll,
-                lemma_sink,
             )
             if key is not None:
-                self._store_verdict(cache, key, problem, result, lemma_sink)
+                self._store_verdict(cache, key, problem, result)
             return result
         finally:
             stats.intern_hits += intern_counters()["hits"] - intern_before
-
-    #: Cap on definite lemmas carried into one verdict-cache entry.
-    VERDICT_CACHE_LEMMA_LIMIT = 512
 
     def _replay_cached_verdict(self, problem, entry, assumptions):
         """Turn a cache entry into a result, or None when it cannot be trusted.
@@ -956,8 +764,7 @@ class SolvePipeline:
         key match means the same query semantics).  SAT entries must agree
         with the requested assumptions and pass the live
         :meth:`ABProblem.check_model` at the current tolerance; failing
-        that, the entry's definite lemmas are imported as blocking
-        templates and ``None`` falls the query through to a normal solve.
+        that, ``None`` falls the query through to a normal solve.
         """
         from .solver import ABModel, ABResult, ABStatus
 
@@ -979,14 +786,11 @@ class SolvePipeline:
             if observer.active:
                 observer.publish(VerdictReached(status="sat", iterations=0))
             return ABResult(ABStatus.SAT, model=ABModel(boolean, theory), stats=stats)
-        for clause in entry.lemmas:
-            self.register_blocking_template(problem, list(clause))
         return None
 
-    def _store_verdict(self, cache, key, problem, result, lemma_sink) -> None:
+    def _store_verdict(self, cache, key, problem, result) -> None:
         from .solver import ABStatus
 
-        lemmas = lemma_sink or ()
         if result.status is ABStatus.SAT and result.model is not None:
             # Keep only problem-level Boolean variables: a session's model
             # may mention its activation literals, which are process-local
@@ -997,9 +801,9 @@ class SolvePipeline:
                 for var, value in result.model.boolean.items()
                 if var <= num_vars
             }
-            cache.store(key, "sat", boolean, result.model.theory, lemmas)
+            cache.store(key, "sat", boolean, result.model.theory)
         elif result.status is ABStatus.UNSAT:
-            cache.store(key, "unsat", lemmas=lemmas)
+            cache.store(key, "unsat")
         else:
             return
         self.stats.verdict_cache_stores += 1
@@ -1012,7 +816,6 @@ class SolvePipeline:
         on_lemma: Optional[LemmaHook] = None,
         prior_incomplete: bool = False,
         poll: Optional[Callable[[], bool]] = None,
-        lemma_sink: Optional[List[List[int]]] = None,
     ):
         """The control loop proper (stages 0-5); see :meth:`run_query`."""
         from .solver import ABModel, ABResult, ABStatus
@@ -1049,12 +852,6 @@ class SolvePipeline:
                         on_lemma(list(unit), True) if on_lemma is not None else unit
                     )
                     self.candidate.block(solver_clause)
-        context = None
-        if store is not None and store.contentful:
-            context = "presolve"
-        set_context = getattr(self.linear.solver, "set_warm_context", None)
-        if set_context is not None:
-            set_context(context)
 
         domains = problem.variable_domains()
         circuit = Circuit.from_ab_problem(problem)
@@ -1106,32 +903,6 @@ class SolvePipeline:
                         ),
                     )
                 )
-            template = self.match_blocking_template(problem, alpha)
-            if template is not None:
-                # A previously-derived (and revalidated) lemma already rules
-                # this candidate out: re-block it without running stages 2-5.
-                stats.blocking_template_hits += 1
-                stats.blocking_clauses += 1
-                if (
-                    lemma_sink is not None
-                    and len(lemma_sink) < self.VERDICT_CACHE_LEMMA_LIMIT
-                ):
-                    lemma_sink.append(list(template))
-                if observer.active:
-                    observer.publish(
-                        BlockingClauseAdded(
-                            iteration=iteration,
-                            blocking_size=len(template),
-                            definite=True,
-                        )
-                    )
-                if record_certificate:
-                    lemmas.append(list(template))
-                solver_clause = (
-                    on_lemma(list(template), True) if on_lemma is not None else template
-                )
-                self.candidate.block(solver_clause)
-                continue
             verdict = self.check_candidate(problem, alpha, domains)
             if verdict.feasible:
                 if observer.active:
@@ -1155,13 +926,6 @@ class SolvePipeline:
             if not verdict.definite:
                 complete = False
             blocking = verdict.blocking or self.fallback_blocking_clause(problem, alpha)
-            if verdict.definite:
-                self.register_blocking_template(problem, blocking)
-                if (
-                    lemma_sink is not None
-                    and len(lemma_sink) < self.VERDICT_CACHE_LEMMA_LIMIT
-                ):
-                    lemma_sink.append(list(blocking))
             stats.blocking_clauses += 1
             if observer.active:
                 observer.publish(

@@ -343,12 +343,14 @@ class BoundStore:
         }
 
     def fingerprint(self) -> str:
-        """Canonical key for template/bound-row cache validity.
+        """Canonical key for the store's deductions.
 
         A stable content digest (like ``Expr.fingerprint``): bounds are
         emitted in sorted variable order with exact Fraction reprs, so the
         key is identical across processes and independent of deduction
-        order.  Consumers only ever compare it for equality.
+        order.  :meth:`PresolveStage.ensure` compares a recomputed store's
+        key with the previous one's: on a match the translation stage keeps
+        its bound rows and the emitted units are not re-sent.
         """
         if self._fingerprint_cache is None:
             import hashlib

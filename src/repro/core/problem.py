@@ -17,7 +17,7 @@ import hashlib
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..sat.cnf import CNF
-from .expr import ARITHMETIC_ERRORS, Constraint, Relation
+from .expr import ARITHMETIC_ERRORS, Constraint
 
 __all__ = ["Definition", "ABProblem", "ProblemStats"]
 

@@ -8,9 +8,10 @@ the expensive state alive between those queries instead of rebuilding it:
 * the CDCL solver instance, including its learned clauses, VSIDS
   activities, and saved phases;
 * every theory lemma (blocking clause) derived from IIS refinement or
-  interval refutation in earlier ``check`` calls;
-* the theory-translation caches (definition literal -> linear row, branch
-  -> ``LinearSystem``) and the simplex warm-start point cache.
+  interval refutation in earlier ``check`` calls, or adopted from
+  elsewhere with :meth:`SolverSession.import_lemmas`;
+* the theory-translation caches (definition literal -> linear row, the
+  bound rows) and the simplex warm-start point cache.
 
 The assertion stack follows the MiniSat activation-literal discipline.
 ``push`` opens a frame; clauses asserted inside frame *f* are sent to the
@@ -308,52 +309,40 @@ class SolverSession:
         if problem.name and self.problem.name == "session":
             self.problem.name = problem.name
 
-    def import_lemmas(
-        self,
-        clauses: Sequence[Sequence[int]],
-        definite: bool = True,
-        lazy: bool = False,
-    ) -> int:
-        """Adopt theory lemmas derived elsewhere (e.g. by a parallel worker).
+    def import_lemmas(self, clauses: Sequence[Sequence[int]]) -> int:
+        """Adopt definite theory lemmas derived elsewhere (e.g. by a parallel
+        worker, or by another session holding the same assertions).
 
-        Each clause must be over this session's variable numbering.  It is
-        guarded exactly like a locally-derived lemma — by the activation
-        variable of the deepest frame whose definitions or bounds it rests
-        on — so a later ``pop`` retracts it with that frame and soundness
-        stays frame-local.  Only *definite* lemmas should be imported as
-        UNSAT evidence; importing with ``definite=False`` marks the session
-        incomplete like a local indefinite block would.
-
-        With ``lazy=True`` (definite lemmas only) the clause is *not* pushed
-        into the Boolean solver's database; it is registered as a blocking
-        template instead.  If a later candidate violates it, the pipeline
-        re-blocks that candidate from the template — skipping the theory
-        check and the IIS re-derivation — and only then does the clause
-        enter the solver.  Parallel workers import foreign lemmas this way:
-        the clause database stays lean, and ``blocking_template_hits``
-        counts exactly the cross-worker deduplicated refinements.
+        Each clause must be over this session's variable numbering, and
+        every variable it mentions must carry a definition here; otherwise
+        ``ValueError`` is raised and nothing is imported.  A clause takes
+        the path of a locally derived lemma: it is guarded by the
+        activation variable of the frame it rests on, so a later ``pop``
+        retracts it with that frame, and sent to the Boolean engine.  The
+        session cannot see what a foreign lemma rests on — under presolve,
+        bounds deduced from any frame's clauses — so that frame is the
+        deepest one holding any state.  ``lemma_listener`` is not called:
+        the lemma is not this session's own, and a worker would otherwise
+        echo every foreign lemma back to the coordinator that sent it.
 
         Returns the number of lemmas adopted (also counted in the session
         stats as ``lemmas_imported``).
         """
-        if lazy and not definite:
-            raise ValueError("lazy import applies to definite lemmas only")
-        imported = 0
+        clauses = [list(clause) for clause in clauses]
         for clause in clauses:
-            if lazy:
-                self.pipeline.register_blocking_template(self.problem, clause)
-            else:
-                guarded = self._on_lemma(list(clause), definite)
-                self._send_clause(guarded)
-                if definite:
-                    # Definite foreign lemmas also become blocking templates,
-                    # so a candidate they rule out is re-blocked without a
-                    # theory check even after a pop retracts the guard.
-                    self.pipeline.register_blocking_template(self.problem, clause)
-            imported += 1
-        if imported:
-            self.stats.registry.counter("lemmas_imported").value += imported
-        return imported
+            for literal in clause:
+                if abs(literal) not in self.problem.definitions:
+                    raise ValueError(
+                        f"lemma literal {literal} names variable {abs(literal)}, "
+                        f"which has no definition in this session"
+                    )
+        level = self._deepest_contentful_level()
+        frame = self._frames[level - 1] if level else None
+        for clause in clauses:
+            self._send_clause(self._guard(clause, True, frame))
+        if clauses:
+            self.stats.registry.counter("lemmas_imported").value += len(clauses)
+        return len(clauses)
 
     # ------------------------------------------------------------------
     # Checking
@@ -492,11 +481,16 @@ class SolverSession:
         return 0
 
     def _on_lemma(self, clause: List[int], definite: bool) -> List[int]:
-        """Pipeline hook: guard and register every learned theory lemma."""
-        frame = self._lemma_frame(clause)
-        self._lemmas.append(_Lemma(list(clause), frame, definite))
+        """Pipeline hook: report, guard and register every learned lemma."""
         if self.lemma_listener is not None:
             self.lemma_listener(list(clause), definite)
+        return self._guard(clause, definite, self._lemma_frame(clause))
+
+    def _guard(
+        self, clause: List[int], definite: bool, frame: Optional[_Frame]
+    ) -> List[int]:
+        """Register a lemma resting on ``frame``; return it guarded by it."""
+        self._lemmas.append(_Lemma(list(clause), frame, definite))
         if frame is None:
             return clause
         return clause + [-self._activation_var(frame)]

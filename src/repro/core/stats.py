@@ -70,6 +70,7 @@ class SolveStatistics:
         "warm_start_hits",
         "lemmas_retracted",
         "bound_rows_cache_hits",
+        # No longer incremented: registered because perfbench reads it.
         "blocking_template_hits",
         "numpy_accepts",
         "numpy_fallbacks",

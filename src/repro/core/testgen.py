@@ -16,7 +16,7 @@ against the reachable-path count.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from .problem import ABProblem
 from .solver import ABModel, ABSolver

@@ -1,4 +1,4 @@
-"""Cross-query verdict/lemma cache keyed on canonical problem fingerprints.
+"""Cross-query verdict cache keyed on canonical problem fingerprints.
 
 CEGIS-style outer loops (and plain re-runs of a benchmark) issue the same —
 or nearly the same — AB-query over and over.  With hash-consed expressions
@@ -10,9 +10,7 @@ content-addressed verdict store possible:
   fingerprint already normalizes clause order, literal order, commutative
   argument order, and constraint orientation, so presentation differences
   collapse onto one entry.
-* **values** — the final verdict, the witness model for SAT, and the
-  *definite* theory lemmas (bound-independent blocking clauses) derived
-  during the run.
+* **values** — the final verdict and, for SAT, the witness model.
 
 Soundness rules enforced by the pipeline when consulting the store:
 
@@ -24,9 +22,11 @@ Soundness rules enforced by the pipeline when consulting the store:
   trusted (a different tolerance or an incompatible assumption set simply
   misses);
 * **UNKNOWN** is never cached;
-* when a SAT entry fails revalidation, its definite lemmas are still
-  imported as blocking templates — a fingerprint match implies identical
-  clause/variable structure, so the literals line up.
+* a SAT entry that fails revalidation is a miss: the query is solved
+  normally.
+
+Entries written with a ``lemmas`` list (the format before lemmas were
+dropped from the cache) still load; the list is ignored.
 
 The store is in-memory (bounded LRU) with an optional on-disk mirror: one
 JSON file per key, written atomically (tmp + rename) so concurrent workers
@@ -39,7 +39,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 __all__ = ["CachedVerdict", "VerdictCache"]
 
@@ -47,23 +47,21 @@ _SCHEMA = 1
 
 
 class CachedVerdict:
-    """One stored verdict: status plus optional model and definite lemmas."""
+    """One stored verdict: status plus, for SAT, the witness model."""
 
-    __slots__ = ("status", "boolean", "theory", "lemmas")
+    __slots__ = ("status", "boolean", "theory")
 
     def __init__(
         self,
         status: str,
         boolean: Optional[Dict[int, bool]] = None,
         theory: Optional[Dict[str, float]] = None,
-        lemmas: Tuple[Tuple[int, ...], ...] = (),
     ):
         if status not in ("sat", "unsat"):
             raise ValueError(f"only definite verdicts are cacheable, got {status!r}")
         self.status = status
         self.boolean = dict(boolean) if boolean else {}
         self.theory = dict(theory) if theory else {}
-        self.lemmas = tuple(tuple(clause) for clause in lemmas)
 
     def to_json(self) -> Dict:
         return {
@@ -71,7 +69,6 @@ class CachedVerdict:
             "status": self.status,
             "boolean": [[var, bool(val)] for var, val in sorted(self.boolean.items())],
             "theory": {name: float(val) for name, val in sorted(self.theory.items())},
-            "lemmas": [list(clause) for clause in self.lemmas],
         }
 
     @classmethod
@@ -84,17 +81,14 @@ class CachedVerdict:
         try:
             boolean = {int(var): bool(val) for var, val in payload.get("boolean", [])}
             theory = {str(k): float(v) for k, v in (payload.get("theory") or {}).items()}
-            lemmas = tuple(
-                tuple(int(lit) for lit in clause) for clause in payload.get("lemmas", [])
-            )
         except (TypeError, ValueError):
             return None
-        return cls(status, boolean, theory, lemmas)
+        return cls(status, boolean, theory)
 
     def __repr__(self) -> str:
         return (
             f"CachedVerdict({self.status}, |model|={len(self.boolean)}+"
-            f"{len(self.theory)}, lemmas={len(self.lemmas)})"
+            f"{len(self.theory)})"
         )
 
 
@@ -177,14 +171,8 @@ class VerdictCache:
         status: str,
         boolean: Optional[Dict[int, bool]] = None,
         theory: Optional[Dict[str, float]] = None,
-        lemmas: Iterable[Sequence[int]] = (),
     ) -> CachedVerdict:
-        entry = CachedVerdict(
-            status,
-            boolean,
-            theory,
-            tuple(tuple(clause) for clause in lemmas),
-        )
+        entry = CachedVerdict(status, boolean, theory)
         self._remember(key, entry)
         self._write_disk(key, entry)
         self.stores += 1

@@ -21,12 +21,11 @@ definition may span several physical lines when continued with ``c cont``
 
 from __future__ import annotations
 
-import io
-from typing import Iterable, List, Optional, TextIO, Tuple, Union
+import os
+from typing import List, Optional, TextIO, Tuple, Union
 
-from ..core.expr import Constraint, ExprParseError, parse_constraint
+from ..core.expr import ExprParseError, parse_constraint
 from ..core.problem import ABProblem
-from ..sat.cnf import CNF
 
 __all__ = ["DimacsError", "parse_dimacs", "parse_dimacs_file", "write_dimacs", "format_dimacs"]
 
@@ -138,7 +137,7 @@ def parse_dimacs(text: str, name: str = "") -> ABProblem:
     return problem
 
 
-def parse_dimacs_file(path: Union[str, "io.PathLike"], name: str = "") -> ABProblem:
+def parse_dimacs_file(path: Union[str, os.PathLike], name: str = "") -> ABProblem:
     """Parse an extended DIMACS file from disk."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_dimacs(handle.read(), name=name or str(path))

@@ -30,7 +30,7 @@ Kind-specific parameters mirror each block's constructor:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..simulink.blocks import (
     Abs,

@@ -14,10 +14,10 @@ over blocking the full assignment.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .lp import LinearConstraint, LinearSystem
-from .simplex import LPResult, LPStatus, SimplexSolver
+from .simplex import LPStatus, SimplexSolver
 
 __all__ = ["extract_iis", "is_infeasible_subset"]
 

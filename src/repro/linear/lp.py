@@ -16,7 +16,7 @@ All arithmetic is exact (:class:`fractions.Fraction`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 from ..core.expr import Constraint, LinearForm, Relation
 

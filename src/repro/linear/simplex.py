@@ -140,12 +140,6 @@ class SimplexSolver:
         self.pivots = 0
         self.warm_start = warm_start
         self.warm_hits = 0
-        #: Opaque scope token mixed into the warm-cache key; the pipeline
-        #: sets it per query (e.g. ``"presolve"`` while tightened bound
-        #: rows are active) so certificates derived under one bound regime
-        #: are not matched against another.  Purely a hit-rate measure —
-        #: cached certificates are revalidated exactly before reuse.
-        self.warm_context: Optional[object] = None
         self._warm_points: Dict[object, Dict[str, Fraction]] = {}
 
     # ------------------------------------------------------------------
@@ -174,7 +168,7 @@ class SimplexSolver:
         rows = [system.rows[i] for i in positions]
         signature: Optional[object] = None
         if self.warm_start:
-            signature = (self.warm_context, self._structural_signature(rows))
+            signature = self._structural_signature(rows)
             cached = self._warm_points.get(signature)
             if cached is not None and self._point_satisfies(rows, cached):
                 self.warm_hits += 1

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.expr import Constraint, EvaluationError, Expr, Relation, Sub, Var
+from ..core.expr import Constraint, EvaluationError, Expr, Relation, Sub
 from .intervals import Interval, check_constraint_interval
 from ..core.tristate import TT
 

@@ -20,7 +20,7 @@ directed rounding, which pure Python does not expose).
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional
 
 from ..core.expr import (
     ARITHMETIC_ERRORS,

@@ -355,15 +355,13 @@ class ParallelSolver:
 
         The session's problem snapshot (all frames flattened, guards
         removed) ships to the workers; afterwards every shared lemma is
-        imported back into the session *lazily* — registered as a blocking
-        template, the same policy workers use for foreign lemmas — so a
-        later sequential check re-blocks any candidate a worker already
-        refuted (``blocking_template_hits``) without bloating the
-        session's clause database.
+        imported back into the session with
+        :meth:`~repro.core.session.SolverSession.import_lemmas`, as workers
+        import foreign lemmas, so a later sequential check never re-derives
+        a conflict a worker already refined.
         """
         result = self.solve(session.problem, assumptions)
-        if self.shared_lemmas:
-            session.import_lemmas(self.shared_lemmas, lazy=True)
+        session.import_lemmas(self.shared_lemmas)
         return result
 
     # ------------------------------------------------------------------

@@ -29,8 +29,8 @@ Two hot-path mechanisms live here:
   pair reuse one :class:`~repro.core.session.SolverSession` per worker
   process instead of rebuilding it per cube.  Cube literals are per-query
   *assumptions*, so the session's base state — asserted CNF, translation
-  cache, simplex warm-start points, learned theory lemmas, blocking
-  templates — carries over from cube to cube.  Theory lemmas are
+  cache, simplex warm-start points, learned and imported theory lemmas —
+  carries over from cube to cube.  Theory lemmas are
   consequences of the problem's definitions alone (never of the cube
   assumptions), so reuse across cubes is sound for exactly the reason
   cross-worker lemma sharing is.
@@ -42,12 +42,12 @@ Two hot-path mechanisms live here:
   The coordinator enqueues them as fresh tasks, so idle workers steal
   halves of whichever cube turned out hardest.
 
-Foreign lemmas are adopted **lazily** (``import_lemmas(..., lazy=True)``):
-the clause is registered as a blocking template in the pipeline rather
-than pushed into the CDCL clause database.  A candidate violating it is
-blocked before the theory stages run — counted as a
-``blocking_template_hits`` — which deduplicates IIS refinement work across
-workers without bloating each worker's Boolean solver.
+Foreign lemmas enter the session with
+:meth:`~repro.core.session.SolverSession.import_lemmas`, the path a
+locally derived lemma takes: guarded by an activation literal and added
+to the Boolean engine, so the candidates it rules out never reach the
+theory stages.  Imports do not call the session's ``lemma_listener``, so
+a foreign lemma is never streamed back to the coordinator.
 """
 
 from __future__ import annotations
@@ -111,12 +111,7 @@ def _session_for(task: SolveTask, observer=None) -> SolverSession:
 
 
 def _drain_lemmas(session: SolverSession, lemma_queue, gen: int) -> None:
-    """Adopt every queued foreign lemma stamped with the current generation.
-
-    Lazy import: the clause becomes a blocking *template* (matched against
-    candidates before the theory stages) instead of a CDCL clause, so
-    cross-worker deduplication costs nothing in Boolean search state.
-    """
+    """Adopt every queued foreign lemma stamped with the current generation."""
     while True:
         try:
             stamped_gen, clause = lemma_queue.get_nowait()
@@ -125,7 +120,7 @@ def _drain_lemmas(session: SolverSession, lemma_queue, gen: int) -> None:
         except (EOFError, OSError):  # queue torn down under us
             return
         if stamped_gen == gen:
-            session.import_lemmas([clause], lazy=True)
+            session.import_lemmas([clause])
 
 
 def _run_check(task: SolveTask, worker_id: int, result_queue, lemma_queue, gen_value, observer):

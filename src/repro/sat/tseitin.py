@@ -9,7 +9,7 @@ how the paper obtains its "976 CNF-clauses" from the steering model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .cnf import CNF
 

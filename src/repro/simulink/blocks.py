@@ -23,7 +23,7 @@ a specific subset of a model may be validated").
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..core.expr import (
     Add,
@@ -38,7 +38,7 @@ from ..core.expr import (
     Sub,
     Var,
 )
-from ..sat.tseitin import BAnd, BConst, BNot, BoolExpr, BOr, BVar, BXor
+from ..sat.tseitin import BAnd, BNot, BoolExpr, BOr, BVar, BXor
 
 __all__ = [
     "BlockError",

@@ -18,7 +18,7 @@ predicates"):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.problem import ABProblem
 from ..sat.tseitin import BNot, BoolExpr, tseitin_encode

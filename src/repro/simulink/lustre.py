@@ -29,7 +29,7 @@ Dialect grammar (per equation right-hand side)::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.expr import (
     Add,
@@ -47,7 +47,6 @@ from ..core.expr import (
 )
 from ..sat.tseitin import BAnd, BConst, BImplies, BNot, BoolExpr, BOr, BVar
 from .blocks import (
-    Block,
     BoolInport,
     Inport,
     Outport,

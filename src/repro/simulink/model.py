@@ -10,10 +10,10 @@ converter and the LUSTRE pretty-printer).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.expr import Constraint, Expr
-from ..sat.tseitin import BoolExpr, BVar
+from ..sat.tseitin import BVar
 from .blocks import (
     Block,
     BlockError,
@@ -21,8 +21,6 @@ from .blocks import (
     Inport,
     Outport,
     RelationalOperator,
-    SIGNAL_ARITH,
-    SIGNAL_BOOL,
     Symbolic,
     Value,
 )

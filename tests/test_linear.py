@@ -326,7 +326,7 @@ class _TableauSimplex(SimplexSolver):
         rows = [system.rows[i] for i in positions]
         signature = None
         if self.warm_start:
-            signature = (self.warm_context, self._structural_signature(rows))
+            signature = self._structural_signature(rows)
             cached = self._warm_points.get(signature)
             if cached is not None and self._point_satisfies(rows, cached):
                 self.warm_hits += 1

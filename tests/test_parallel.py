@@ -373,6 +373,32 @@ class TestSeedDeterminism:
         assert "seed" not in unseeded.candidate._boolean._options
 
 
+def _conflicted() -> ABProblem:
+    """``x >= 0``, ``x <= 10`` and ``x >= 20``, all forced: one theory conflict."""
+    problem = ABProblem()
+    problem.define(1, "real", parse_constraint("x >= 0"))
+    problem.define(2, "real", parse_constraint("x <= 10"))
+    problem.define(3, "real", parse_constraint("x >= 20"))
+    for var in (1, 2, 3):
+        problem.add_clause([var])
+    return problem
+
+
+def _derived_lemmas():
+    """The definite lemmas one session derives while refuting ``_conflicted``."""
+    derived = []
+    # Presolve would prove this UNSAT before any lemma is derived; disable
+    # it so the producer actually hits the theory conflict.
+    producer = SolverSession(ABSolverConfig(use_presolve=False))
+    producer.lemma_listener = (
+        lambda clause, definite: derived.append(clause) if definite else None
+    )
+    producer.assert_problem(_conflicted())
+    assert producer.check().is_unsat
+    assert derived
+    return derived
+
+
 class TestMemoization:
     def test_bound_rows_cache_hits(self):
         family = fischer_unroll_family(3)
@@ -383,38 +409,30 @@ class TestMemoization:
         assert result.is_sat
         assert solver.stats.bound_rows_cache_hits > 0
 
-    def test_blocking_template_hits(self):
-        # A definite lemma derived by one session and lazily imported into
-        # another re-blocks the matching candidate from the template cache —
-        # no theory check, no duplicate IIS refinement.
-        def conflicted() -> ABProblem:
-            problem = ABProblem()
-            problem.define(1, "real", parse_constraint("x >= 0"))
-            problem.define(2, "real", parse_constraint("x <= 10"))
-            problem.define(3, "real", parse_constraint("x >= 20"))
-            for var in (1, 2, 3):
-                problem.add_clause([var])
-            return problem
-
-        # Presolve would prove this UNSAT before any lemma is derived;
-        # disable it so the producer actually hits the theory conflict.
-        derived = []
-        producer = SolverSession(ABSolverConfig(use_presolve=False))
-        producer.lemma_listener = (
-            lambda clause, definite: derived.append(clause) if definite else None
-        )
-        producer.assert_problem(conflicted())
-        assert producer.check().is_unsat
-        assert derived
-
+    def test_imported_lemmas_preempt_the_conflict(self):
+        # A definite lemma derived by one session and imported into another
+        # rules out the conflicting candidate before any theory check: no
+        # linear check, no duplicate IIS refinement.
+        derived = _derived_lemmas()
         consumer = SolverSession(ABSolverConfig(use_presolve=False))
-        consumer.assert_problem(conflicted())
-        assert consumer.import_lemmas(derived, lazy=True) == len(derived)
+        consumer.assert_problem(_conflicted())
+        assert consumer.import_lemmas(derived) == len(derived)
         result = consumer.check()
         assert result.is_unsat
-        assert consumer.stats.blocking_template_hits >= 1
-        # The foreign lemma preempted the conflict: nothing to re-refine.
+        assert consumer.stats.linear_checks == 0
         assert consumer.stats.conflicts_refined == 0
+
+    def test_drained_lemma_preempts_the_conflict(self):
+        derived = _derived_lemmas()
+        assert len(derived) == 1
+        session = SolverSession(ABSolverConfig(use_presolve=False))
+        session.assert_problem(_conflicted())
+        lemma_queue = queue.Queue()
+        lemma_queue.put((5, derived[0]))
+        worker._drain_lemmas(session, lemma_queue, 5)
+        assert lemma_queue.empty()
+        assert session.check().is_unsat
+        assert session.last_stats.linear_checks == 0
 
 
 class TestParallelSolve:

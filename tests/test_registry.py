@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.interface import (
-    BooleanSolverInterface,
     CDCLBooleanAdapter,
     LSATBooleanAdapter,
     Refinement,

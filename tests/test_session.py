@@ -176,6 +176,71 @@ class TestReuse:
         assert waived.is_sat and waived.model.theory["x"] < 7
 
 
+class TestImportLemmas:
+    """Imported lemmas take the path of derived ones: guarded, then sent."""
+
+    def test_undefined_variable_raises(self):
+        session = SolverSession()
+        session.assert_problem(_base_problem())
+        with pytest.raises(ValueError, match="variable 7"):
+            session.import_lemmas([[1], [-1, 7]])
+        # Nothing was imported, not even the valid first clause.
+        assert session.stats.registry.counter("lemmas_imported").value == 0
+        assert session.check().is_sat
+
+    def test_lemma_listener_is_not_called(self):
+        heard = []
+        session = SolverSession(ABSolverConfig(use_presolve=False))
+        session.lemma_listener = lambda clause, definite: heard.append(clause)
+        problem = _base_problem()
+        problem.define(3, "real", parse_constraint("x >= 20"))
+        problem.add_clause([3])
+        session.assert_problem(problem)
+        # x <= 10 and x >= 20 cannot both hold.
+        assert session.import_lemmas([[-2, -3]]) == 1
+        assert session.check().is_unsat
+        assert heard == []
+        assert session.last_stats.linear_checks == 0
+
+    def test_pop_retracts_lemma_on_a_pushed_definition(self):
+        session = SolverSession(ABSolverConfig(use_presolve=False))
+        session.assert_problem(_base_problem())
+        session.reserve_variables(10)
+        session.push()
+        session.define(3, "real", parse_constraint("x >= 20"))
+        session.import_lemmas([[-3]])
+        assert session.check([3]).is_unsat
+        assert session.last_stats.linear_checks == 0
+        session.pop()
+        assert session.stats.lemmas_retracted == 1
+        # Variable 3 now means something satisfiable: the retracted lemma
+        # must no longer force it false.
+        session.define(3, "real", parse_constraint("x >= 5"))
+        result = session.check([3])
+        assert result.is_sat
+        assert result.model.theory["x"] >= 5
+
+    @pytest.mark.parametrize("use_presolve", [True, False])
+    def test_lemma_on_a_frame_clause_goes_with_that_frame(self, use_presolve):
+        # A solver with presolve on derives [-4] from the bound x <= 3 that
+        # unit propagation deduces from frame 1's clause [5]; the lemma
+        # names neither frame 1 nor 5, so the importing session must guard
+        # it by frame 1 whether or not it presolves itself.
+        problem = ABProblem()
+        problem.define(4, "real", parse_constraint("x >= 5"))
+        problem.define(5, "real", parse_constraint("x <= 3"))
+        session = SolverSession(ABSolverConfig(use_presolve=use_presolve))
+        session.assert_problem(problem)
+        session.reserve_variables(10)
+        assert session.check([4]).is_sat
+        session.push()
+        session.assert_clause([5])
+        session.import_lemmas([[-4]])
+        assert session.check([4]).is_unsat
+        session.pop()
+        assert session.check([4]).is_sat
+
+
 class TestOneShotParity:
     def test_planted_corpus_parity(self):
         for seed in range(25):
@@ -314,12 +379,11 @@ class TestStatistics:
 
 
 class TestCacheRegression:
-    """Would have caught the dead caches of the committed bench records.
+    """Would have caught the dead warm-start cache of a committed bench record.
 
-    ``BENCH_incremental_unroll.json`` once showed ``warm_start_hits: 0`` and
-    ``blocking_template_hits: 0``: the warm cache was cleared on every
-    bounds/definition change, and blocking templates were never replayed.
-    These tests pin the counters nonzero on scripted re-check sequences.
+    ``BENCH_incremental_unroll.json`` once showed ``warm_start_hits: 0``:
+    the warm cache was cleared on every bounds/definition change.  These
+    tests pin the counter nonzero on scripted re-check sequences.
     """
 
     def test_warm_start_hits_on_recheck(self):
@@ -339,27 +403,6 @@ class TestCacheRegression:
         session.pop()
         assert session.check().is_sat
         assert session.stats.warm_start_hits >= 1
-
-    def test_blocking_template_hits_on_pop_recheck(self):
-        # The same in-frame conflict asserted twice: the second cycle's
-        # candidate is re-blocked from the template recorded by the first,
-        # with no second IIS derivation.  Presolve off: it would prove the
-        # conflict up front and no template would ever be recorded.
-        session = SolverSession(ABSolverConfig(use_presolve=False))
-        session.assert_problem(_base_problem())
-        session.reserve_variables(10)
-        constraint = parse_constraint("x >= 20")
-        refined = []
-        for _ in range(2):
-            session.push()
-            session.define(3, "real", constraint)
-            session.assert_clause([3])
-            assert session.check().is_unsat
-            refined.append(session.last_stats.conflicts_refined)
-            session.pop()
-        assert session.stats.blocking_template_hits >= 1
-        assert refined[1] < refined[0]
-        assert session.check().is_sat
 
     def test_warm_start_hits_in_difference_simplex_fallback(self):
         # A row outside the difference fragment sends its component to the

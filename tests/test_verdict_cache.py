@@ -1,4 +1,4 @@
-"""Tests for the cross-query verdict/lemma cache (repro.core.verdict_cache).
+"""Tests for the cross-query verdict cache (repro.core.verdict_cache).
 
 The unit layer covers the store itself (LRU, JSON schema, atomic disk
 mirror); the integration layer drives real solves and asserts the
@@ -34,14 +34,11 @@ class TestCachedVerdict:
             CachedVerdict("unknown")
 
     def test_json_round_trip(self):
-        entry = CachedVerdict(
-            "sat", {1: True, 2: False}, {"x": 1.5}, ((1, -2), (3,))
-        )
+        entry = CachedVerdict("sat", {1: True, 2: False}, {"x": 1.5})
         clone = CachedVerdict.from_json(entry.to_json())
         assert clone.status == "sat"
         assert clone.boolean == {1: True, 2: False}
         assert clone.theory == {"x": 1.5}
-        assert clone.lemmas == ((1, -2), (3,))
 
     def test_schema_mismatch_returns_none(self):
         payload = CachedVerdict("unsat").to_json()
@@ -64,13 +61,13 @@ class TestVerdictCacheStore:
     def test_disk_round_trip_between_instances(self, tmp_path):
         directory = str(tmp_path / "cache")
         writer = VerdictCache(directory=directory)
-        writer.store("deadbeef", "sat", {1: True}, {"x": 2.0}, ((1, 2),))
+        writer.store("deadbeef", "sat", {1: True}, {"x": 2.0})
         reader = VerdictCache(directory=directory)
         entry = reader.lookup("deadbeef")
         assert entry is not None
         assert entry.status == "sat"
+        assert entry.boolean == {1: True}
         assert entry.theory == {"x": 2.0}
-        assert entry.lemmas == ((1, 2),)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         directory = str(tmp_path / "cache")
@@ -166,6 +163,29 @@ class TestSolverIntegration:
         assert any(name.endswith(".json") for name in os.listdir(directory))
         # A brand-new cache instance (fresh process in real deployments)
         # must answer from the disk mirror alone.
+        second = ABSolver(
+            ABSolverConfig(verdict_cache=VerdictCache(directory=directory))
+        ).solve(problem)
+        assert second.status is ABStatus.SAT
+        assert second.stats.verdict_cache_hits == 1
+        assert second.stats.boolean_queries == 0
+
+    def test_entry_with_lemma_list_still_hits(self, tmp_path):
+        # Entries once carried the run's definite lemmas under "lemmas";
+        # such a file must still answer the query.
+        directory = str(tmp_path / "verdicts")
+        problem = planted_problem(seed=25).problem
+        ABSolver(
+            ABSolverConfig(verdict_cache=VerdictCache(directory=directory))
+        ).solve(problem)
+        (name,) = os.listdir(directory)
+        path = os.path.join(directory, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert "lemmas" not in payload
+        payload["lemmas"] = [[1, -2], [3]]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
         second = ABSolver(
             ABSolverConfig(verdict_cache=VerdictCache(directory=directory))
         ).solve(problem)
