@@ -13,7 +13,7 @@ measures a real before/after — do not "fix" or modernize this file.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, Assignment
 

@@ -18,8 +18,6 @@ number of emitted cubes below the total model count.
 
 import time
 
-import pytest
-
 from repro.sat import CNF, AllSATSolver, iterate_models
 
 from conftest import register_report, report_rows

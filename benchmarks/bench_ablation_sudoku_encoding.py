@@ -19,8 +19,6 @@ cardinality clauses over 729 variables.
 
 import time
 
-import pytest
-
 from repro.benchgen import PUZZLES, check_grid, decode_solution, parse_grid, sudoku_problem
 from repro.benchgen.sudoku import decode_sat_solution, encode_sudoku_sat
 from repro.core import ABSolver, ABSolverConfig

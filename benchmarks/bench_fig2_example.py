@@ -10,8 +10,6 @@ Figures 1-5 are illustrative, not measurements; this bench documents that
 the reproduction executes them and how long each stage takes.
 """
 
-import pytest
-
 from repro import ABSolver, parse_dimacs
 from repro.benchgen import build_fig1_model
 from repro.simulink import model_to_problem

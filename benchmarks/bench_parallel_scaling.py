@@ -17,7 +17,9 @@ worker pools, in two modes:
   time-slicing on a single core.
 * **cube** at ``jobs`` 1 / 4 on the deepest configured depth — asserts
   jobs=4 wall-clock <= jobs=1 within a 10% noise margin (best of two
-  runs per level).  Cube workers are capped at the core count
+  runs per level, the rounds alternating jobs=1, jobs=4, jobs=1, jobs=4
+  so a change of host speed between rounds cannot favour one level).
+  Cube workers are capped at the core count
   (:meth:`~repro.parallel.coordinator.ParallelSolver.worker_count`), so
   on a 1-core box jobs=4 is a *scan*: one worker drains the four cubes
   through a persistent session, instantly-refutable cubes die by Boolean
@@ -92,38 +94,30 @@ def _portfolio_sweep(jobs: int):
     }
 
 
-def _cube_solve(jobs: int, rounds: int = 2, **solver_kwargs):
-    """Solve the deepest depth in cube mode; keep the best of ``rounds``.
+def _cube_solve(jobs: int, **solver_kwargs):
+    """Solve the deepest depth in cube mode on a fresh pool.
 
-    Each round uses a fresh pool (fresh worker processes), so the best-of
-    filter removes scheduler jitter, not warm-cache advantage.
+    Each call starts fresh worker processes, so a best-of over calls
+    filters scheduler jitter, not warm-cache advantage.
     """
     depth = max(_depths())
     family = fischer_unroll_family(depth)
-    best = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        with ParallelSolver(
-            config=ABSolverConfig(), jobs=jobs, mode="cube", **solver_kwargs
-        ) as solver:
-            result = solver.solve(
-                family.problem_at_depth(depth),
-                assumptions=family.check_assumptions(depth),
-            )
-            stats = solver.stats
-        elapsed = time.perf_counter() - started
-        expected = family.expected_status(depth)
-        assert expected is None or result.status.value == expected, (
-            f"fischer depth {depth} (cube, jobs={jobs}): "
-            f"said {result.status.value}, expected {expected}"
+    started = time.perf_counter()
+    with ParallelSolver(
+        config=ABSolverConfig(), jobs=jobs, mode="cube", **solver_kwargs
+    ) as solver:
+        result = solver.solve(
+            family.problem_at_depth(depth),
+            assumptions=family.check_assumptions(depth),
         )
-        if best is None or elapsed < best["seconds"]:
-            best = {
-                "seconds": elapsed,
-                "verdicts": [result.status.value],
-                "stats": stats,
-            }
-    return best
+        stats = solver.stats
+    elapsed = time.perf_counter() - started
+    expected = family.expected_status(depth)
+    assert expected is None or result.status.value == expected, (
+        f"fischer depth {depth} (cube, jobs={jobs}): "
+        f"said {result.status.value}, expected {expected}"
+    )
+    return {"seconds": elapsed, "verdicts": [result.status.value], "stats": stats}
 
 
 def _session_handoff():
@@ -177,14 +171,16 @@ def bench_cube_scaling(benchmark):
     measured = _MEASURED.setdefault("cube", {})
 
     def run():
-        for jobs in (1, 4):
-            measured[jobs] = _cube_solve(jobs)
+        # Two rounds per level, alternating the levels, best of each.
+        for _ in range(2):
+            for jobs in (1, 4):
+                entry = _cube_solve(jobs)
+                if jobs not in measured or entry["seconds"] < measured[jobs]["seconds"]:
+                    measured[jobs] = entry
         # Deliberately shallow cubes + tiny budget: both depth-1 cubes
         # outlive 2 pipeline iterations, return SPLIT with lookahead
         # subcubes, and the refined halves finish the solve.
-        measured["split-demo"] = _cube_solve(
-            4, rounds=1, cube_depth=1, split_budget=2
-        )
+        measured["split-demo"] = _cube_solve(4, cube_depth=1, split_budget=2)
         measured["handoff"] = _session_handoff()
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -324,13 +324,15 @@ class SimplexLinearAdapter(LinearSolverInterface):
 class DifferenceLinearAdapter(SimplexLinearAdapter):
     """Difference-logic specialist with simplex fallback.
 
-    Components inside the QF_RDL fragment (``x - y REL c``) are decided by
-    Bellman–Ford negative-cycle search; a detected cycle *is* an IIS, so
-    conflict refinement is free: :meth:`check` keeps the refuting cycle's
-    tags, and the :meth:`refine` of that same system returns them without
-    a second Bellman–Ford run.  Components outside the fragment fall back
+    A system wholly inside the QF_RDL fragment (``x - y REL c``) is decided
+    by one Bellman–Ford negative-cycle search, however many variable-sharing
+    components it has, with no component split.  A mixed system is split:
+    components inside the fragment go to Bellman–Ford, the others fall back
     to the exact simplex / branch-and-bound path, which ``warm_start``
-    configures.  This adapter is the "reuse of expert knowledge"
+    configures.  A detected cycle *is* an IIS, so conflict refinement is
+    free: :meth:`check` keeps the refuting cycle's tags, and the
+    :meth:`refine` of that same system returns them without a second
+    Bellman–Ford run.  This adapter is the "reuse of expert knowledge"
     demonstration: selecting it makes the FISCHER family dramatically
     cheaper without touching the control loop.
     """
@@ -357,18 +359,25 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
 
     def check(self, system: LinearSystem) -> LPResult:
         self._refuted = None
+        if self._is_difference_system(system):
+            return self._check_difference(system, system)
         merged_point: Dict[str, object] = {}
         for component in system.split_components():
-            if not self._is_difference_system(component):
-                result = super()._check_component(component)
+            if self._is_difference_system(component):
+                result = self._check_difference(system, component)
             else:
-                result = self._difference.check(component)
-                if result.status is LPStatus.INFEASIBLE:
-                    self._refuted = (system, self._cycle_tags(component, result))
+                result = super()._check_component(component)
             if result.status is not LPStatus.FEASIBLE:
                 return result
             merged_point.update(result.point)
         return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
+
+    def _check_difference(self, system: LinearSystem, part: LinearSystem) -> LPResult:
+        """Bellman–Ford on ``part`` of ``system``; keeps a refuting cycle."""
+        result = self._difference.check(part)
+        if result.status is LPStatus.INFEASIBLE:
+            self._refuted = (system, self._cycle_tags(part, result))
+        return result
 
     def _check_component(self, component: LinearSystem) -> LPResult:
         if self._is_difference_system(component):
@@ -376,21 +385,24 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         return super()._check_component(component)
 
     @staticmethod
-    def _cycle_tags(component: LinearSystem, result: LPResult) -> List[int]:
-        """Origin tags of a cycle core, whose indices index ``component``."""
+    def _cycle_tags(part: LinearSystem, result: LPResult) -> List[int]:
+        """Origin tags of a cycle core, whose indices index ``part``."""
         assert result.core_indices is not None
-        tags = (component.rows[i].tag for i in result.core_indices)
+        tags = (part.rows[i].tag for i in result.core_indices)
         return [tag for tag in tags if isinstance(tag, int)]
 
     def refine(self, system: LinearSystem) -> Refinement:
         refuted, self._refuted = self._refuted, None
         if refuted is not None and refuted[0] is system:
             return Refinement(refuted[1], minimal=True)
-        for component in system.split_components():
-            if self._is_difference_system(component):
-                result = self._difference.check(component)
-                if result.status is LPStatus.INFEASIBLE:
-                    return Refinement(self._cycle_tags(component, result), minimal=True)
+        if self._is_difference_system(system):
+            parts = [system]
+        else:
+            parts = [c for c in system.split_components() if self._is_difference_system(c)]
+        for part in parts:
+            result = self._difference.check(part)
+            if result.status is LPStatus.INFEASIBLE:
+                return Refinement(self._cycle_tags(part, result), minimal=True)
         return super().refine(system)
 
 

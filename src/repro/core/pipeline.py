@@ -266,7 +266,11 @@ class TheoryTranslationStage:
     Both survive across queries of a session;
     :meth:`invalidate_definitions` drops the per-variable alternative
     lists of retracted definitions.  Each branch's
-    :class:`LinearSystem` is built afresh from the cached rows.
+    :class:`LinearSystem` is built afresh from the cached rows; handing
+    back the same row objects lets each row keep what an engine derived
+    from it (its difference-logic edges).  :meth:`materialize` adds its
+    row-cache hits and misses to the statistics once per branch; the bound
+    rows count as neither.
     """
 
     name = "translate"
@@ -308,26 +312,29 @@ class TheoryTranslationStage:
         domains: Mapping[str, str],
     ) -> Tuple[LinearSystem, List[Tuple[Constraint, int]]]:
         """Build the linear system + nonlinear list of a branch."""
-        stats = self._pipeline.stats
         linear_rows: List[LinearConstraint] = []
         nonlinear: List[Tuple[Constraint, int]] = []
+        misses = 0
         for item in branch:
             if item.constraint.is_linear():
                 row_key = (item.tag, item.constraint.fingerprint())
                 row = self._rows.get(row_key)
                 if row is None:
-                    stats.translation_cache_misses += 1
+                    misses += 1
                     row = LinearConstraint.from_constraint(item.constraint, tag=item.tag)
                     if len(self._rows) >= self.ROW_CACHE_LIMIT:
                         self._rows.clear()
                     self._rows[row_key] = row
-                else:
-                    stats.translation_cache_hits += 1
                 linear_rows.append(row)
             else:
                 nonlinear.append((item.constraint, item.tag))
+        # Counted once per branch: a counter increment costs far more than
+        # a cache lookup.
+        stats = self._pipeline.stats
+        stats.translation_cache_hits += len(linear_rows) - misses
+        stats.translation_cache_misses += misses
 
-        system = LinearSystem(linear_rows, {v: d for v, d in domains.items()})
+        system = LinearSystem(linear_rows, domains)
         for row in self._get_bound_rows(problem):
             system.add(row)
         return system, nonlinear

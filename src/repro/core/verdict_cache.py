@@ -30,7 +30,10 @@ dropped from the cache) still load; the list is ignored.
 
 The store is in-memory (bounded LRU) with an optional on-disk mirror: one
 JSON file per key, written atomically (tmp + rename) so concurrent workers
-can share a cache directory without torn reads.
+can share a cache directory without torn reads.  ``capacity`` bounds the
+mirror too: a file's mtime marks its last use (its write, or a lookup it
+answered), and each write deletes the least recently used files beyond
+``capacity``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ class VerdictCache:
     ``capacity`` entries).  With a directory, entries are mirrored to
     ``<directory>/<key>.json`` and missing memory entries fall back to
     disk, so separate processes — including parallel workers — share
-    verdicts across runs.
+    verdicts across runs.  The directory keeps at most ``capacity`` entry
+    files, evicted least recently used first (by mtime, which a lookup
+    answered from disk refreshes); in-flight ``.tmp`` files are left alone.
     """
 
     def __init__(self, directory: Optional[str] = None, capacity: int = 1024):
@@ -207,7 +212,13 @@ class VerdictCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        return CachedVerdict.from_json(payload)
+        entry = CachedVerdict.from_json(payload)
+        if entry is not None:
+            try:
+                os.utime(path)  # a use: keeps the file from early eviction
+            except OSError:
+                pass
+        return entry
 
     def _write_disk(self, key: str, entry: CachedVerdict) -> None:
         path = self._path(key)
@@ -227,7 +238,29 @@ class VerdictCache:
                 except OSError:
                     pass
                 raise
+            self._evict_disk()
         except OSError:
             # A read-only or vanished cache directory degrades to
             # memory-only operation rather than failing the solve.
             pass
+
+    def _evict_disk(self) -> None:
+        """Delete the least recently used entry files beyond ``capacity``.
+
+        Another process sharing the directory may remove a file first;
+        that file is simply skipped.
+        """
+        aged = []
+        for name in os.listdir(self.directory):
+            if not name.endswith(".json"):
+                continue
+            try:
+                aged.append((os.stat(os.path.join(self.directory, name)).st_mtime_ns, name))
+            except FileNotFoundError:
+                continue
+        aged.sort()
+        for _, name in aged[: max(0, len(aged) - self.capacity)]:
+            try:
+                os.unlink(os.path.join(self.directory, name))
+            except FileNotFoundError:
+                pass

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.expr import Relation
 from .lp import LinearConstraint, LinearSystem
@@ -35,14 +35,52 @@ __all__ = ["DifferenceLogicSolver", "is_difference_row", "is_difference_system"]
 _SOURCE = "__zero__"
 
 #: One graph edge: ``(tail, head, weight numerator, weight denominator,
-#: strict, row index)``.
-_Edge = Tuple[str, str, int, int, bool, int]
+#: strict)``.
+_Edge = Tuple[str, str, int, int, bool]
 
 #: The graph Bellman–Ford relaxes: ``(tail id, head id, integer weight)``.
 _Graph = List[Tuple[int, int, int]]
 
 #: Coefficient lists of the non-trivial rows inside the fragment.
 _FRAGMENT_COEFFS = ([1], [-1], [1, -1], [-1, 1])
+
+
+def _encode(row: LinearConstraint) -> Union[bool, Tuple[_Edge, ...]]:
+    """The row's graph edges, or False when it lies outside the fragment.
+
+    ``x - y <= c`` is the edge ``y -> x`` with weight c (then
+    d(x) <= d(y) + c).  GE rows flip; EQ rows emit both directions.  A
+    trivial row has no edges.
+    """
+    if not row.coeffs:
+        return ()
+    coeffs = [c.numerator if c.denominator == 1 else 0 for c in row.coeffs.values()]
+    if coeffs not in _FRAGMENT_COEFFS:
+        return False
+    items = sorted(row.coeffs.items())
+    if len(items) == 1:
+        var, coeff = items[0]
+        positive, negative = (var, _SOURCE) if coeff == 1 else (_SOURCE, var)
+    else:
+        (var_a, coeff_a), (var_b, _) = items
+        positive, negative = (var_a, var_b) if coeff_a == 1 else (var_b, var_a)
+
+    relation = row.relation
+    numerator, denominator = row.bound.numerator, row.bound.denominator
+    edges: List[_Edge] = []
+    if relation in (Relation.LE, Relation.LT, Relation.EQ):
+        edges.append((negative, positive, numerator, denominator, relation is Relation.LT))
+    if relation in (Relation.GE, Relation.GT, Relation.EQ):
+        edges.append((positive, negative, -numerator, denominator, relation is Relation.GT))
+    return tuple(edges)
+
+
+def _row_edges(row: LinearConstraint) -> Union[bool, Tuple[_Edge, ...]]:
+    """The row's encoding, computed on first use and kept on the row."""
+    edges = row.difference_edges
+    if edges is None:
+        edges = row.difference_edges = _encode(row)
+    return edges
 
 
 def is_difference_row(row: LinearConstraint) -> bool:
@@ -61,17 +99,14 @@ def is_difference_row(row: LinearConstraint) -> bool:
     ... )
     False
     """
-    if not row.coeffs:
-        return True  # trivial row; verdict checked directly
-    coeffs = [c.numerator if c.denominator == 1 else 0 for c in row.coeffs.values()]
-    return coeffs in _FRAGMENT_COEFFS
+    return _row_edges(row) is not False
 
 
 def is_difference_system(system: LinearSystem) -> bool:
     """True when every row fits the fragment and no variable is integer."""
     if system.integer_variables():
         return False
-    return all(is_difference_row(row) for row in system.rows)
+    return all(_row_edges(row) is not False for row in system.rows)
 
 
 class DifferenceLogicSolver:
@@ -87,6 +122,13 @@ class DifferenceLogicSolver:
     order on distances is exactly the lexicographic ``(weight, −strict)``
     order.  The integers are decoded back to ``(weight, strict)`` only to
     build a feasible point.
+
+    Each row's edges are encoded once and kept on the row
+    (:attr:`LinearConstraint.difference_edges`), so a check over cached
+    rows only assigns vertex ids, scales the weights and relaxes.  The
+    system may have several variable-sharing components: the virtual
+    source reaches every vertex, so one pass decides them all, and a
+    negative cycle it finds is simple, so it lies within one component.
     """
 
     def check(self, system: LinearSystem) -> LPResult:
@@ -94,15 +136,22 @@ class DifferenceLogicSolver:
 
         Raises ``ValueError`` when the system is outside the fragment.
         """
-        if not is_difference_system(system):
+        if system.integer_variables():
             raise ValueError("system is outside the difference-logic fragment")
         edges: List[_Edge] = []
+        origins: List[int] = []  # the row index of each edge
+        false_row: Optional[int] = None
         for index, row in enumerate(system.rows):
-            if row.is_trivial():
-                if not row.trivially_true():
-                    return LPResult(LPStatus.INFEASIBLE, core_indices=[index])
-                continue
-            edges.extend(self._edges_of(row, index))
+            row_edges = _row_edges(row)
+            if row_edges is False:
+                raise ValueError("system is outside the difference-logic fragment")
+            if row_edges:
+                edges.extend(row_edges)
+                origins.extend([index] * len(row_edges))
+            elif false_row is None and not row.trivially_true():
+                false_row = index
+        if false_row is not None:
+            return LPResult(LPStatus.INFEASIBLE, core_indices=[false_row])
 
         vertex_ids: Dict[str, int] = {_SOURCE: 0}
         for tail, head, *_ in edges:
@@ -117,7 +166,7 @@ class DifferenceLogicSolver:
                 vertex_ids[head],
                 numerator * (scale // denominator) * multiplier - strict,
             )
-            for tail, head, numerator, denominator, strict, _ in edges
+            for tail, head, numerator, denominator, strict in edges
         ]
 
         distance, predecessor, updated_vertex = self._bellman_ford(graph, num_vertices)
@@ -125,7 +174,7 @@ class DifferenceLogicSolver:
         if updated_vertex is not None:
             cycle = self._extract_cycle(updated_vertex, predecessor, graph)
             return LPResult(
-                LPStatus.INFEASIBLE, core_indices=sorted({edges[k][5] for k in cycle})
+                LPStatus.INFEASIBLE, core_indices=sorted({origins[k] for k in cycle})
             )
 
         # Feasible: distances are a model.  Decode D = A·M − s (A = w·L);
@@ -172,34 +221,6 @@ class DifferenceLogicSolver:
             if updated_vertex is None:
                 break
         return distance, predecessor, updated_vertex
-
-    @staticmethod
-    def _edges_of(row: LinearConstraint, index: int) -> List[_Edge]:
-        """Translate one row into graph edges.
-
-        ``x - y <= c`` is the edge ``y -> x`` with weight c (then
-        d(x) <= d(y) + c).  GE rows flip; EQ rows emit both directions.
-        """
-        items = sorted(row.coeffs.items())
-        if len(items) == 1:
-            var, coeff = items[0]
-            positive, negative = (var, _SOURCE) if coeff == 1 else (_SOURCE, var)
-        else:
-            (var_a, coeff_a), (var_b, _) = items
-            positive, negative = (var_a, var_b) if coeff_a == 1 else (var_b, var_a)
-
-        relation = row.relation
-        numerator, denominator = row.bound.numerator, row.bound.denominator
-        edges: List[_Edge] = []
-        if relation in (Relation.LE, Relation.LT, Relation.EQ):
-            edges.append(
-                (negative, positive, numerator, denominator, relation is Relation.LT, index)
-            )
-        if relation in (Relation.GE, Relation.GT, Relation.EQ):
-            edges.append(
-                (positive, negative, -numerator, denominator, relation is Relation.GT, index)
-            )
-        return edges
 
     @staticmethod
     def _extract_cycle(start: int, predecessor: List[int], graph: _Graph) -> List[int]:

@@ -16,7 +16,7 @@ All arithmetic is exact (:class:`fractions.Fraction`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Union
 
 from ..core.expr import Constraint, LinearForm, Relation
 
@@ -36,6 +36,12 @@ class LinearConstraint:
     ``tag`` is an opaque origin marker (ABsolver uses the DIMACS variable
     index of the defining Boolean variable, signed by phase).
 
+    ``difference_edges`` holds the row's difference-logic encoding, filled
+    on first use by :mod:`repro.linear.difference`: ``None`` until then,
+    ``False`` when the row lies outside the fragment, else the tuple of its
+    graph edges.  The translation stage hands the same row objects to every
+    candidate of a session, so each row is encoded once.
+
     Zero coefficients are dropped at construction and all numbers are
     exact :class:`~fractions.Fraction` values:
 
@@ -52,7 +58,7 @@ class LinearConstraint:
     False
     """
 
-    __slots__ = ("coeffs", "relation", "bound", "tag")
+    __slots__ = ("coeffs", "relation", "bound", "tag", "difference_edges")
 
     def __init__(
         self,
@@ -67,6 +73,7 @@ class LinearConstraint:
         self.relation = relation
         self.bound = Fraction(bound)
         self.tag = tag
+        self.difference_edges: Union[None, bool, tuple] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -161,6 +168,13 @@ class LinearSystem:
         return result
 
     def integer_variables(self) -> Set[str]:
+        """Variables of some row whose domain is integer.
+
+        Returns at once when no domain is integer, without collecting the
+        rows' variables.
+        """
+        if VariableDomain.INT not in self.domains.values():
+            return set()
         return {v for v in self.variables() if self.domains.get(v) == VariableDomain.INT}
 
     def copy(self) -> "LinearSystem":

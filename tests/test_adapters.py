@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from repro.core.expr import parse_constraint
 from repro.core.interface import (
     AugLagNonlinearAdapter,

@@ -17,7 +17,6 @@ from repro.benchgen import (
     fischer_smtlib_text,
     format_grid,
     makespan_bound,
-    nonlinear_unsat_problem,
     parse_grid,
     steering_problem,
     sudoku_problem,

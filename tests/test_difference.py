@@ -1,5 +1,6 @@
 """Tests for the difference-logic (Bellman–Ford) solver."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from repro.linear import (
     LinearSystem,
     LPStatus,
     SimplexSolver,
+    VariableDomain,
     is_difference_row,
     is_difference_system,
 )
+from repro.linear import difference as difference_module
 
 
 def row(text, tag=None):
@@ -395,3 +398,211 @@ class TestCycleHandoff:
         assert refinement.minimal
         assert sorted(refinement.conflicting_tags) == [1, 2, 3]
         assert _rows_infeasible(system, refinement.conflicting_tags)
+
+
+# ----------------------------------------------------------------------
+# Rows carry their encoding: each row is encoded once and kept on it.
+# ----------------------------------------------------------------------
+def _seeded_systems(seed, count=2000):
+    rng = random.Random(seed)
+    return [_seeded_difference_system(rng) for _ in range(count)]
+
+
+def _fresh_copy(system):
+    rows = [LinearConstraint(r.coeffs, r.relation, r.bound, r.tag) for r in system.rows]
+    return LinearSystem(rows, system.domains)
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """Spy on the row encoder: one entry per row it encodes."""
+    encoded = []
+    encode = difference_module._encode
+
+    def spy(r):
+        encoded.append(r)
+        return encode(r)
+
+    monkeypatch.setattr(difference_module, "_encode", spy)
+    return encoded
+
+
+class TestRowEncoding:
+    def test_rows_encode_to_the_reference_edges(self):
+        for system in _seeded_systems(20070416):
+            for r in system.rows:
+                assert is_difference_row(r)
+                if r.is_trivial():
+                    assert r.difference_edges == ()
+                    continue
+                expected = [edge[:4] for edge in _reference_edges(r, None)]
+                assert [
+                    (tail, head, Fraction(numerator, denominator), strict)
+                    for tail, head, numerator, denominator, strict in r.difference_edges
+                ] == expected
+
+    def test_rows_outside_the_fragment_are_marked(self):
+        outside = row("2*x - y <= 3")
+        assert not is_difference_row(outside)
+        assert outside.difference_edges is False
+        with pytest.raises(ValueError):
+            DifferenceLogicSolver().check(LinearSystem([row("x <= 1"), outside]))
+
+    def test_repeated_and_fresh_checks_agree(self):
+        solver = DifferenceLogicSolver()
+        for system in _seeded_systems(31, count=500):
+            first = solver.check(system)
+            for again in (solver.check(system), solver.check(_fresh_copy(system))):
+                assert (again.status, again.core_indices, again.point) == (
+                    first.status,
+                    first.core_indices,
+                    first.point,
+                )
+
+    def test_second_check_encodes_nothing(self, encodings):
+        system = LinearSystem([row("x - y <= 1"), row("y = 2"), row("0 <= 1"), row("x > -3")])
+        solver = DifferenceLogicSolver()
+        first = solver.check(system)
+        assert encodings == system.rows
+        encodings.clear()
+        adapter = DifferenceLinearAdapter()
+        second = adapter.check(system)
+        assert encodings == []
+        assert second.point == first.point
+        assert is_difference_system(system) and encodings == []
+
+    def test_encoding_survives_pickling(self):
+        r = row("x - y < 5", tag=3)
+        assert is_difference_row(r)
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy.difference_edges == r.difference_edges
+        assert (copy.coeffs, copy.relation, copy.bound, copy.tag) == (
+            r.coeffs,
+            r.relation,
+            r.bound,
+            r.tag,
+        )
+
+
+class TestIntegerVariables:
+    @staticmethod
+    def _old_definition(system):
+        return {v for v in system.variables() if system.domains.get(v) == VariableDomain.INT}
+
+    def test_matches_the_row_union_definition(self):
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(600):
+            system = _seeded_difference_system(rng)
+            names = sorted(system.variables()) + ["unused"]
+            mode = rng.choice(["none", "some", "all"])
+            for name in names:
+                if mode == "all" or (mode == "some" and rng.random() < 0.4):
+                    system.set_domain(name, VariableDomain.INT)
+                elif rng.random() < 0.5:
+                    system.set_domain(name, VariableDomain.REAL)
+            expected = self._old_definition(system)
+            assert system.integer_variables() == expected
+            seen.add((mode, bool(expected)))
+        assert {("none", False), ("some", True), ("all", True)} <= seen
+
+    def test_integer_variable_in_no_row(self):
+        system = LinearSystem([row("x - y <= 1")], {"z": VariableDomain.INT})
+        assert system.integer_variables() == set()
+        assert is_difference_system(system)
+        system.set_domain("y", VariableDomain.INT)
+        assert system.integer_variables() == {"y"}
+        assert not is_difference_system(system)
+
+
+# ----------------------------------------------------------------------
+# One pass for a whole fragment system, however many components it has.
+# ----------------------------------------------------------------------
+def _interleaved_system(rng):
+    """2-4 seeded systems over disjoint names, rows interleaved, each row
+    tagged with its index + 1."""
+    queues = []
+    for copy in range(rng.randint(2, 4)):
+        part = _seeded_difference_system(rng)
+        queues.append(
+            [
+                LinearConstraint(
+                    {f"c{copy}{name}": c for name, c in r.coeffs.items()}, r.relation, r.bound
+                )
+                for r in part.rows
+            ]
+        )
+    rows = []
+    while any(queues):
+        queue = rng.choice([q for q in queues if q])
+        rows.append(queue.pop(0))
+    for index, r in enumerate(rows):
+        r.tag = index + 1
+    return LinearSystem(rows)
+
+
+def _split_reference_status(system):
+    """The verdict of checking each variable-sharing component on its own."""
+    for component in system.split_components():
+        result = DifferenceLogicSolver().check(component)
+        if result.status is not LPStatus.FEASIBLE:
+            return result.status
+    return LPStatus.FEASIBLE
+
+
+def _feasible(rows):
+    return SimplexSolver().check(LinearSystem(rows)).status is LPStatus.FEASIBLE
+
+
+class TestWholeSystemCheck:
+    def test_matches_the_component_split(self, bellman_ford_runs):
+        rng = random.Random(1930)
+        statuses = {LPStatus.FEASIBLE: 0, LPStatus.INFEASIBLE: 0}
+        adapter = DifferenceLinearAdapter()
+        for _ in range(2000):
+            system = _interleaved_system(rng)
+            del bellman_ford_runs[:]
+            result = adapter.check(system)
+            assert len(bellman_ford_runs) <= 1
+            assert result.status is _split_reference_status(system)
+            statuses[result.status] += 1
+            if result.status is LPStatus.FEASIBLE:
+                assert system.check_point(result.point)
+                continue
+            runs = len(bellman_ford_runs)
+            refinement = adapter.refine(system)
+            assert len(bellman_ford_runs) == runs
+            assert refinement.minimal
+            core = [system.rows[tag - 1] for tag in refinement.conflicting_tags]
+            assert not _feasible(core)
+            for dropped in range(len(core)):
+                assert _feasible(core[:dropped] + core[dropped + 1 :])
+        # A union of seeded systems is mostly infeasible.
+        assert statuses[LPStatus.FEASIBLE] > 25 and statuses[LPStatus.INFEASIBLE] > 1000
+
+    def test_refine_without_check_finds_a_cycle_in_one_pass(self, bellman_ford_runs):
+        system = LinearSystem(
+            [
+                row("p - q <= 4", tag=1),
+                row("x - y <= -2", tag=2),
+                row("q - p <= 1", tag=3),
+                row("y - x <= 1", tag=4),
+            ]
+        )
+        refinement = DifferenceLinearAdapter().refine(system)
+        assert len(bellman_ford_runs) == 1
+        assert sorted(refinement.conflicting_tags) == [2, 4]
+
+    def test_mixed_system_keeps_the_component_path(self, bellman_ford_runs):
+        system = LinearSystem(
+            [
+                row("x + y >= 1", tag=1),
+                row("p - q <= -1", tag=2),
+                row("x <= 5", tag=3),
+                row("q - p <= 0", tag=4),
+            ]
+        )
+        adapter = DifferenceLinearAdapter()
+        assert adapter.check(system).status is LPStatus.INFEASIBLE
+        assert sorted(adapter.refine(system).conflicting_tags) == [2, 4]
+        assert len(bellman_ford_runs) == 1

@@ -10,7 +10,6 @@ from repro.core.expr import (
     Add,
     Call,
     Const,
-    Constraint,
     Div,
     EvaluationError,
     Expr,

@@ -1,7 +1,5 @@
 """Cross-module integration tests: full pipelines over generated workloads."""
 
-import pytest
-
 from repro.baselines import CVCLiteLikeSolver, MathSATLikeSolver
 from repro.benchgen import fischer_problem, fischer_smtlib_text, steering_problem
 from repro.core import ABProblem, ABSolver, ABSolverConfig, parse_constraint

@@ -1,7 +1,5 @@
 """Tests for the LUSTRE leg and the full Fig. 3 conversion pipeline."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +19,6 @@ from repro.simulink import (
     SimulinkModel,
     Sum,
     convert_workflow,
-    lustre_to_problem,
     model_to_lustre,
     model_to_problem,
     parse_lustre,

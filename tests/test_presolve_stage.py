@@ -31,7 +31,7 @@ from repro import (
 )
 from repro.benchgen.nonlinear_micro import nonlinear_unsat_problem
 from repro.benchgen.randgen import planted_problem, random_linear_problem
-from repro.core.presolve import BoundStore, PresolveStage, propagate_rows
+from repro.core.presolve import BoundStore, propagate_rows
 from repro.obs.events import (
     BoundTightened,
     CollectingSink,

@@ -10,7 +10,6 @@ from repro.sat import (
     CNF,
     AllSATSolver,
     CDCLSolver,
-    DPLLSolver,
     count_models,
     iterate_models,
     luby,

@@ -162,6 +162,30 @@ class TestReuse:
         assert session.check().is_sat  # same query again: rows all cached
         assert session.stats.translation_cache_hits > 0
 
+    def test_translation_counters_are_exact(self):
+        """Hits and misses count the definition rows of every materialized
+        branch, once each; the declared-bound rows count as neither."""
+        problem = ABProblem(name="counted")
+        problem.define(1, "real", parse_constraint("x - y >= 3"))
+        problem.define(2, "real", parse_constraint("y - x >= 1"))
+        problem.define(3, "real", parse_constraint("x = 5"))
+        problem.define(4, "real", parse_constraint("y <= 1"))
+        problem.define(5, "real", parse_constraint("x - y <= 2"))
+        problem.add_clause([1, 2])
+        problem.add_clause([3, 4])
+        problem.add_clause([-3, 5])
+        problem.set_bounds("x", 0, 10)
+        problem.set_bounds("y", 0, 10)
+        session = SolverSession(ABSolverConfig(linear="difference"))
+        session.assert_problem(problem)
+        counts = []
+        for _ in range(2):
+            assert session.check().is_sat
+            counts.append(
+                (session.stats.translation_cache_hits, session.stats.translation_cache_misses)
+            )
+        assert counts == [(8, 7), (13, 7)]
+
     def test_check_assumptions_toggle_without_popping(self):
         """The waiver-literal BMC idiom: assumptions arm per-depth goals."""
         session = SolverSession()

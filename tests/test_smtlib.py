@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ABSolver, ABSolverConfig
+from repro.core import ABSolver
 from repro.io.smtlib import SmtLibError, parse_smtlib
 
 

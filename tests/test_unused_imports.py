@@ -1,4 +1,8 @@
-"""Every name a module under ``src/repro`` imports is used.
+"""Every name a module imports is used.
+
+The scan covers ``src/repro`` and the repository's ``tests/``,
+``benchmarks/``, ``tools/`` and ``examples/``.  ``perfbench/`` is left out:
+the benchmark harness changes only together with the benchmark.
 
 A name counts as used when the module reads it, lists it in ``__all__``,
 or names it inside a string annotation (``"SolvePipeline"`` under a
@@ -13,12 +17,28 @@ import pytest
 import repro
 
 PACKAGE = os.path.dirname(os.path.abspath(repro.__file__))
-MODULES = sorted(
-    os.path.relpath(os.path.join(directory, name), PACKAGE)
-    for directory, _, names in os.walk(PACKAGE)
-    for name in names
-    if name.endswith(".py")
-)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OTHER_DIRECTORIES = ("tests", "benchmarks", "tools", "examples")
+
+
+def _python_files(root):
+    return {
+        os.path.relpath(os.path.join(directory, name), root): os.path.join(directory, name)
+        for directory, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    }
+
+
+#: Test id -> file: package modules by their path inside ``src/repro``,
+#: the others by their path from the repository root.
+PATHS = _python_files(PACKAGE)
+for _directory in OTHER_DIRECTORIES:
+    PATHS.update(
+        (os.path.join(_directory, module), path)
+        for module, path in _python_files(os.path.join(REPO, _directory)).items()
+    )
+MODULES = sorted(PATHS)
 
 
 def _imported(tree: ast.Module):
@@ -85,7 +105,7 @@ def _used(tree: ast.Module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
+    with open(PATHS[module], encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), module)
     used = _used(tree)
     unused = sorted(
@@ -94,6 +114,12 @@ def test_every_import_is_used(module):
         if name not in used
     )
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+def test_scan_covers_every_directory():
+    scanned = {module.split(os.sep)[0] for module in MODULES}
+    assert set(OTHER_DIRECTORIES) <= scanned
+    assert "core" in scanned and "perfbench" not in scanned
 
 
 def test_scan_sees_string_annotations_and_all():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ABProblem, ABSolver, ABSolverConfig, parse_constraint
+from repro.core import ABProblem, parse_constraint
 from repro.core.diagnosis import Diagnosis, DiagnosisProblem, minimal_diagnoses
 from repro.core.testgen import generate_tests
 

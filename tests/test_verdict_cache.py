@@ -28,6 +28,14 @@ def unsat_problem():
     return problem
 
 
+def _disk_entries(directory):
+    return sorted(name[: -len(".json")] for name in os.listdir(directory) if name.endswith(".json"))
+
+
+def _set_mtime(directory, key, seconds):
+    os.utime(os.path.join(directory, f"{key}.json"), (seconds, seconds))
+
+
 class TestCachedVerdict:
     def test_rejects_indefinite_status(self):
         with pytest.raises(ValueError):
@@ -85,6 +93,70 @@ class TestVerdictCacheStore:
         finally:
             os.chmod(directory, 0o700)
         assert cache.lookup("k") is not None
+
+    def test_disk_mirror_keeps_the_newest_entries(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        cache = VerdictCache(directory=directory, capacity=3)
+        for age, key in enumerate("abcde"):
+            cache.store(key, "unsat")
+            _set_mtime(directory, key, 1_000_000 + age)
+        assert _disk_entries(directory) == ["c", "d", "e"]
+
+    def test_disk_hit_counts_as_a_use(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        writer = VerdictCache(directory=directory, capacity=3)
+        for age, key in enumerate("abc"):
+            writer.store(key, "unsat")
+            _set_mtime(directory, key, 1_000_000 + age)
+        reader = VerdictCache(directory=directory, capacity=3)
+        assert reader.lookup("a") is not None  # answered from disk
+        writer.store("d", "unsat")
+        assert _disk_entries(directory) == ["a", "c", "d"]
+        assert VerdictCache(directory=directory).lookup("a") is not None
+
+    def test_shared_directory_stays_bounded(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        caches = [VerdictCache(directory=directory, capacity=4) for _ in range(2)]
+        for index in range(12):
+            caches[index % 2].store(f"k{index}", "unsat")
+            caches[(index + 1) % 2].lookup(f"k{index // 2}")
+            assert len(_disk_entries(directory)) <= 4
+        assert "k11" in _disk_entries(directory)
+
+    def test_eviction_leaves_tmp_files_alone(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        cache = VerdictCache(directory=directory, capacity=1)
+        in_flight = os.path.join(directory, ".k.partial.tmp")
+        with open(in_flight, "w", encoding="utf-8") as handle:
+            handle.write("{")
+        os.utime(in_flight, (1, 1))
+        cache.store("a", "unsat")
+        cache.store("b", "sat", {1: True})
+        assert os.path.exists(in_flight)
+        assert _disk_entries(directory) == ["b"]
+
+    def test_file_removed_by_another_process_is_skipped(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "cache")
+        writer = VerdictCache(directory=directory, capacity=3)
+        for age, key in enumerate("ab"):
+            writer.store(key, "unsat")
+            _set_mtime(directory, key, 1_000_000 + age)
+        listdir, stat = os.listdir, os.stat
+
+        def listdir_with_ghost(path):
+            return listdir(path) + ["ghost.json"]
+
+        def stat_then_vanish(path, *args, **kwargs):
+            result = stat(path, *args, **kwargs)
+            if str(path).endswith("a.json"):
+                os.remove(path)  # another process evicts it first
+            return result
+
+        monkeypatch.setattr(os, "listdir", listdir_with_ghost)
+        monkeypatch.setattr(os, "stat", stat_then_vanish)
+        VerdictCache(directory=directory, capacity=1).store("c", "unsat")
+        monkeypatch.undo()
+        assert _disk_entries(directory) == ["c"]
 
     def test_key_separates_assumptions_and_tolerance(self):
         problem = planted_problem(seed=1).problem

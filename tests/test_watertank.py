@@ -2,11 +2,8 @@
 
 import math
 
-import pytest
-
 from repro.benchgen import (
     ALARM_LEVEL,
-    TANK_RIM,
     watertank_model,
     watertank_problem,
     watertank_safety_problem,
