@@ -8,10 +8,16 @@ as the input pins of a circuit, and the single output pin provides the
 formula's truth value, which is either tt, ff, or ? indicating that further
 treatment is necessary" (paper, Sec. 4).
 
-The circuit is what the solver-interface layer hands to external solvers:
-Boolean solvers see its CNF projection, arithmetic solvers see the
-comparison gates, and the control loop evaluates the output pin to decide
-whether another solver must run.
+In the paper, the circuit is what the solver-interface layer hands to
+external solvers, and the control loop reads its output pin to decide
+whether another solver must run.  This reproduction hands the solvers the
+CNF and the definitions of the :class:`~repro.core.problem.ABProblem`
+directly, and its loop builds no gate graph: a candidate whose branch still
+holds nonlinear constraints after the linear check is one whose pin reads
+``?``, and an accepted model is re-checked by
+:meth:`~repro.core.problem.ABProblem.check_model`.  :class:`Circuit` is the
+Fig. 5 representation itself: it evaluates any valuation three-valuedly
+and renders the graph (:meth:`Circuit.pretty`, :meth:`Circuit.to_dot`).
 """
 
 from __future__ import annotations

@@ -267,6 +267,10 @@ class SimplexLinearAdapter(LinearSolverInterface):
         else:
             raise ValueError(f"unknown simplex engine {engine!r}")
         self._branch_bound = BranchAndBoundSolver(max_nodes=max_bb_nodes, simplex=self._simplex)
+        #: ``(system, component, result)`` of the last check that failed: the
+        #: component whose check failed, and that check's result.  The
+        #: :meth:`refine` of the same system object starts from it.
+        self._failed: Optional[Tuple[LinearSystem, LinearSystem, LPResult]] = None
 
     @property
     def warm_start_hits(self) -> int:
@@ -284,10 +288,12 @@ class SimplexLinearAdapter(LinearSolverInterface):
         return getattr(self._simplex, "numpy_fallbacks", 0)
 
     def check(self, system: LinearSystem) -> LPResult:
+        self._failed = None
         merged_point: Dict[str, object] = {}
         for component in system.split_components():
             result = self._check_component(component)
             if result.status is not LPStatus.FEASIBLE:
+                self._failed = (system, component, result)
                 return result
             merged_point.update(result.point)
         return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
@@ -298,25 +304,41 @@ class SimplexLinearAdapter(LinearSolverInterface):
         return self._simplex.check(component)
 
     def refine(self, system: LinearSystem) -> Refinement:
+        """The conflict of a failed check of ``system``.
+
+        After a failed :meth:`check` of this same system object, the
+        component that failed and the check's result are at hand, so no
+        component is checked again; any other system is re-checked
+        component by component up to the first that fails.
+        """
+        failed, self._failed = self._failed, None
         if not self.refine_minimal:
             tags = [row.tag for row in system.rows if isinstance(row.tag, int)]
             return Refinement(tags, minimal=False)
+        if failed is not None and failed[0] is system:
+            return self._component_core(failed[1], failed[2])
         for component in system.split_components():
-            if self._check_component(component).status is not LPStatus.FEASIBLE:
-                relaxed = self._real_relaxation_core(component)
-                if relaxed is not None:
-                    return relaxed
-                # LP-feasible but IP-infeasible component: block its rows.
-                tags = [row.tag for row in component.rows if isinstance(row.tag, int)]
-                return Refinement(tags, minimal=False)
+            result = self._check_component(component)
+            if result.status is not LPStatus.FEASIBLE:
+                return self._component_core(component, result)
         # Should not happen (refine is called after a failed check); be safe.
         tags = [row.tag for row in system.rows if isinstance(row.tag, int)]
         return Refinement(tags, minimal=False)
 
-    def _real_relaxation_core(self, system: LinearSystem) -> Optional[Refinement]:
-        if self._simplex.check(system).status is not LPStatus.INFEASIBLE:
-            return None
-        core = extract_iis(system, self._simplex)
+    def _component_core(self, component: LinearSystem, result: LPResult) -> Refinement:
+        """The conflict of ``component``, whose check failed with ``result``.
+
+        The deletion filter starts from the real relaxation's failed check:
+        ``result`` itself on a real component, a fresh simplex check on an
+        integer one.  A component that is LP-feasible but IP-infeasible has
+        no such core, so all its rows are blocked.
+        """
+        if component.integer_variables():
+            result = self._simplex.check(component)
+        if result.status is not LPStatus.INFEASIBLE:
+            tags = [row.tag for row in component.rows if isinstance(row.tag, int)]
+            return Refinement(tags, minimal=False)
+        core = extract_iis(component, self._simplex, result)
         tags = [row.tag for row in core if isinstance(row.tag, int)]
         return Refinement(tags, minimal=True)
 
@@ -330,9 +352,9 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
     components inside the fragment go to Bellman–Ford, the others fall back
     to the exact simplex / branch-and-bound path, which ``warm_start``
     configures.  A detected cycle *is* an IIS, so conflict refinement is
-    free: :meth:`check` keeps the refuting cycle's tags, and the
-    :meth:`refine` of that same system returns them without a second
-    Bellman–Ford run.  This adapter is the "reuse of expert knowledge"
+    free: :meth:`check` keeps the part it refuted with the cycle, and the
+    :meth:`refine` of that same system returns the cycle's tags without a
+    second Bellman–Ford run.  This adapter is the "reuse of expert knowledge"
     demonstration: selecting it makes the FISCHER family dramatically
     cheaper without touching the control loop.
     """
@@ -354,30 +376,25 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
 
         self._difference = DifferenceLogicSolver()
         self._is_difference_system = is_difference_system
-        #: ``(system, cycle tags)`` of the last check a negative cycle refuted.
-        self._refuted: Optional[Tuple[LinearSystem, List[int]]] = None
 
     def check(self, system: LinearSystem) -> LPResult:
-        self._refuted = None
+        self._failed = None
         if self._is_difference_system(system):
-            return self._check_difference(system, system)
+            result = self._difference.check(system)
+            if result.status is LPStatus.INFEASIBLE:
+                self._failed = (system, system, result)
+            return result
         merged_point: Dict[str, object] = {}
         for component in system.split_components():
             if self._is_difference_system(component):
-                result = self._check_difference(system, component)
+                result = self._difference.check(component)
             else:
                 result = super()._check_component(component)
             if result.status is not LPStatus.FEASIBLE:
+                self._failed = (system, component, result)
                 return result
             merged_point.update(result.point)
         return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
-
-    def _check_difference(self, system: LinearSystem, part: LinearSystem) -> LPResult:
-        """Bellman–Ford on ``part`` of ``system``; keeps a refuting cycle."""
-        result = self._difference.check(part)
-        if result.status is LPStatus.INFEASIBLE:
-            self._refuted = (system, self._cycle_tags(part, result))
-        return result
 
     def _check_component(self, component: LinearSystem) -> LPResult:
         if self._is_difference_system(component):
@@ -392,9 +409,12 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         return [tag for tag in tags if isinstance(tag, int)]
 
     def refine(self, system: LinearSystem) -> Refinement:
-        refuted, self._refuted = self._refuted, None
-        if refuted is not None and refuted[0] is system:
-            return Refinement(refuted[1], minimal=True)
+        failed = self._failed
+        if failed is not None and failed[0] is system:
+            part, result = failed[1], failed[2]
+            if part is system or self._is_difference_system(part):
+                self._failed = None
+                return Refinement(self._cycle_tags(part, result), minimal=True)
         if self._is_difference_system(system):
             parts = [system]
         else:
@@ -402,6 +422,7 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         for part in parts:
             result = self._difference.check(part)
             if result.status is LPStatus.INFEASIBLE:
+                self._failed = None
                 return Refinement(self._cycle_tags(part, result), minimal=True)
         return super().refine(system)
 

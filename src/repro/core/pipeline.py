@@ -56,7 +56,6 @@ from ..obs.events import (
 )
 from ..obs.observer import Observer
 from ..sat.cnf import CNF, Assignment
-from .circuit import Circuit
 from .expr import Constraint, Relation
 from .interface import (
     BooleanSolverInterface,
@@ -74,7 +73,6 @@ from .registry import (
     default_registry,
 )
 from .stats import SolveStatistics
-from .tristate import TT
 
 __all__ = [
     "BranchItem",
@@ -861,7 +859,6 @@ class SolvePipeline:
                     self.candidate.block(solver_clause)
 
         domains = problem.variable_domains()
-        circuit = Circuit.from_ab_problem(problem)
         complete = not prior_incomplete
         lemmas: List[List[int]] = []
 
@@ -914,22 +911,17 @@ class SolvePipeline:
             if verdict.feasible:
                 if observer.active:
                     observer.publish(TheoryFeasible(iteration=iteration))
-                model = ABModel(alpha, verdict.theory_model or {})
-                # Final guards: the circuit's output pin must be tt under the
-                # Boolean assignment, and the combined model must pass the
-                # tolerance-aware definition check.
-                output = circuit.evaluate_boolean_assignment(alpha)
-                if output is not TT:  # pragma: no cover - internal invariant
-                    raise AssertionError("circuit output is not tt for an accepted model")
-                if not problem.check_model(
-                    model.boolean, model.theory, tolerance=config.tolerance
-                ):  # pragma: no cover - internal invariant
-                    raise AssertionError("accepted model failed the definition check")
+                theory = verdict.theory_model or {}
+                # Final guard: the accepted model must satisfy every clause
+                # (a variable the engine left unassigned counts as False)
+                # and every definition, up to the tolerance.
+                if not problem.check_model(alpha, theory, tolerance=config.tolerance):
+                    raise AssertionError("accepted model failed the model check")
                 if observer.active:
                     observer.publish(
                         VerdictReached(status="sat", iterations=iteration + 1)
                     )
-                return ABResult(ABStatus.SAT, model=model, stats=stats)
+                return ABResult(ABStatus.SAT, model=ABModel(alpha, theory), stats=stats)
             if not verdict.definite:
                 complete = False
             blocking = verdict.blocking or self.fallback_blocking_clause(problem, alpha)

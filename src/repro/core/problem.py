@@ -219,9 +219,10 @@ class ABProblem:
         """Full-model soundness check used by tests and the control loop.
 
         Verifies (1) the CNF is satisfied, and (2) every definition's Boolean
-        value matches its constraint's truth at the theory point.
+        value matches its constraint's truth at the theory point.  A
+        variable missing from ``boolean_model`` counts as False.
         """
-        if not self.cnf.is_satisfied_by(dict(boolean_model)):
+        if not self.cnf.is_satisfied_by(boolean_model):
             return False
         for var, definition in self.definitions.items():
             expected = boolean_model.get(var, False)

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..obs.events import CheckStarted, FramePopped, FramePushed, LemmaReused, LemmasRetracted
-from ..sat.cnf import CNF
+from ..sat.cnf import CNF, Clause, normalize_clause
 from .expr import Constraint
 from .pipeline import SolvePipeline
 from .problem import ABProblem
@@ -214,20 +214,8 @@ class SolverSession:
 
     def assert_clause(self, literals: Sequence[int]) -> None:
         """Assert a Boolean clause in the current frame."""
-        clause = list(literals)
-        for literal in clause:
-            if abs(literal) in self._act_set:
-                raise ValueError(
-                    f"variable {abs(literal)} is a session activation variable"
-                )
-        self.problem.add_clause(clause)
-        self.pipeline.clauses_changed()
-        self._max_var = max(self._max_var, self.problem.cnf.num_vars)
-        if self._frames:
-            guard = self._activation_var(self._frames[-1])
-            self._send_clause(clause + [-guard])
-        else:
-            self._send_clause(clause)
+        clause, top = normalize_clause(literals)
+        self._assert_clauses(() if clause is None else (clause,), top)
 
     def define(self, boolean_var: int, domain: str, constraint: Constraint) -> None:
         """Attach an arithmetic definition to ``boolean_var`` in this frame."""
@@ -283,14 +271,14 @@ class SolverSession:
         May be called repeatedly (e.g. one delta file per call, sharing the
         variable numbering): a definition identical to one already asserted
         is skipped, a *conflicting* redefinition raises ``ValueError``.
+
+        The problem's clauses are taken whole, without normalizing them
+        again: a :class:`~repro.sat.cnf.CNF` holds normalized tuples, and
+        its ``num_vars`` covers every literal.  A clause that names one of
+        the session's activation variables raises ``ValueError`` before any
+        clause is asserted.
         """
-        if problem.cnf.num_vars > self._max_var:
-            self.problem.cnf.num_vars = max(
-                self.problem.cnf.num_vars, problem.cnf.num_vars
-            )
-            self._max_var = problem.cnf.num_vars
-        for clause in problem.cnf.clauses:
-            self.assert_clause(clause)
+        self._assert_clauses(problem.cnf.clauses, problem.cnf.num_vars)
         for definition in problem.definitions.values():
             existing = self.problem.definitions.get(definition.boolean_var)
             if existing is not None:
@@ -432,6 +420,40 @@ class SolverSession:
             frame.act_var = self._max_var
             self._act_set.add(frame.act_var)
         return frame.act_var
+
+    def _assert_clauses(self, clauses: Sequence[Clause], num_vars: int) -> None:
+        """Assert normalized clauses over ``1..num_vars`` in the current frame.
+
+        The one clause intake of :meth:`assert_clause` and
+        :meth:`assert_problem`: the clauses join the mirror CNF in one step,
+        are guarded by the frame's activation literal inside a pushed frame,
+        and reach the Boolean engine through the bootstrap CNF before the
+        first check, one by one after it.
+        """
+        act_set = self._act_set
+        if act_set:
+            for clause in clauses:
+                for literal in clause:
+                    if abs(literal) in act_set:
+                        raise ValueError(
+                            f"variable {abs(literal)} is a session activation variable"
+                        )
+        cnf = self.problem.cnf
+        cnf.num_vars = max(cnf.num_vars, num_vars)
+        self._max_var = max(self._max_var, num_vars)
+        cnf.clauses.extend(clauses)
+        self.pipeline.clauses_changed()
+        if self._frames:
+            guard = -self._activation_var(self._frames[-1])
+            clauses = [clause + (guard,) for clause in clauses]
+        if self._started:
+            for clause in clauses:
+                self.pipeline.candidate.block(clause)
+        else:
+            # Still normalized: the guard variable occurs in no clause.
+            bootstrap = self._bootstrap
+            bootstrap.num_vars = max(bootstrap.num_vars, self._max_var)
+            bootstrap.clauses.extend(clauses)
 
     def _send_clause(self, clause: List[int]) -> None:
         if self._started:

@@ -15,6 +15,10 @@ The algorithm, as the paper sketches it:
 4. "In case the output pin's value of the circuit is not yet known (i.e.
    alpha'(.) = ?), the nonlinear solver is called" — the candidate is routed
    through the nonlinear solver list until one produces a decent result.
+   The pin reads ``?`` exactly when the candidate's branch still holds
+   nonlinear constraints after the linear check, so the loop tests that and
+   builds no gate graph (:mod:`repro.core.circuit` keeps the Fig. 5
+   representation for display).
 5. Iterate "until a solution is found, or all possible assignments have
    been shown infeasible".
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .lp import LinearConstraint, LinearSystem
-from .simplex import LPStatus, SimplexSolver
+from .simplex import LPResult, LPStatus, SimplexSolver
 
 __all__ = ["extract_iis", "is_infeasible_subset"]
 
@@ -41,24 +41,29 @@ def is_infeasible_subset(
 def extract_iis(
     system: LinearSystem,
     solver: Optional[SimplexSolver] = None,
+    first: Optional[LPResult] = None,
 ) -> List[LinearConstraint]:
     """Deletion-filter IIS of an infeasible linear system.
 
     Precondition: the system's real relaxation is infeasible (ValueError
-    otherwise).  Returns rows forming an irreducible infeasible core; the
-    rows keep their ``tag`` fields so the caller can map them back to Boolean
-    literals.
+    otherwise).  ``first`` is ``solver``'s result on ``system`` when the
+    caller already has it (a failed check); the filter then starts from it
+    instead of solving the system again.  Returns rows forming an
+    irreducible infeasible core; the rows keep their ``tag`` fields so the
+    caller can map them back to Boolean literals.
     """
     solver = solver or SimplexSolver()
     rows = [row for row in system.rows]
-    first = solver.check(LinearSystem(rows, system.domains))
+    if first is None:
+        first = solver.check(LinearSystem(rows, system.domains))
     if first.status is not LPStatus.INFEASIBLE:
         raise ValueError("extract_iis called on a feasible system")
 
     # Seed the deletion filter with the simplex's Farkas certificate — a
     # (usually small) infeasible subset available for free from the failed
-    # check.  The filter then only has to establish irreducibility.
-    if first.core_indices:
+    # check.  The filter then only has to establish irreducibility.  A
+    # certificate naming every row needs no second check.
+    if first.core_indices and len(first.core_indices) < len(rows):
         core = [rows[i] for i in first.core_indices]
         if not is_infeasible_subset(core, system.domains, solver):
             core = list(rows)  # certificate unusable; fall back to all rows

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Clause", "CNF", "Assignment", "lit_var", "lit_sign"]
+__all__ = ["Clause", "CNF", "Assignment", "lit_var", "lit_sign", "normalize_clause"]
 
 #: A clause is a tuple of non-zero DIMACS literals.
 Clause = Tuple[int, ...]
@@ -27,12 +27,52 @@ def lit_sign(literal: int) -> bool:
     return literal > 0
 
 
+def normalize_clause(literals: Iterable[int]) -> Tuple[Optional[Clause], int]:
+    """A clause as :class:`CNF` stores it, and its highest variable.
+
+    Repeated literals are dropped, the first occurrences keeping their
+    order; a tautology (``v OR -v``) gives ``None`` in place of the clause.
+    The highest variable covers every literal, a tautology's included.
+    Raises ``ValueError`` on 0 or a literal that is not an ``int``.
+
+    >>> normalize_clause([3, -1, 3])
+    ((3, -1), 3)
+    >>> normalize_clause([2, -5, -2])
+    (None, 5)
+    """
+    seen: Set[int] = set()
+    clause: List[int] = []
+    top = 0
+    tautology = False
+    for literal in literals:
+        if literal in seen:
+            continue
+        if not isinstance(literal, int) or literal == 0:
+            raise ValueError(f"invalid literal {literal!r}")
+        if -literal in seen:
+            tautology = True
+        seen.add(literal)
+        clause.append(literal)
+        if literal > top:
+            top = literal
+        elif -literal > top:
+            top = -literal
+    return (None if tautology else tuple(clause)), top
+
+
 class CNF:
     """A CNF formula: a conjunction of clauses over variables ``1..num_vars``.
 
     The class is a thin mutable container; solvers copy what they need.  It
     validates literals on insertion, deduplicates literals within a clause,
     and detects tautological clauses (which are dropped, as any solver would).
+
+    Invariant: every entry of :attr:`clauses` is a tuple as
+    :func:`normalize_clause` returns it, and :attr:`num_vars` is at least
+    the variable of every literal in them.  :class:`SolverSession
+    <repro.core.session.SolverSession>` takes a CNF's clauses whole on that
+    ground; code that edits the list in place (truncating or filtering it)
+    keeps the invariant, code that appends to it must normalize first.
     """
 
     def __init__(self, num_vars: int = 0, clauses: Optional[Iterable[Sequence[int]]] = None):
@@ -52,18 +92,11 @@ class CNF:
 
     def add_clause(self, literals: Sequence[int]) -> None:
         """Add a clause; grows ``num_vars`` as needed, drops tautologies."""
-        seen: Set[int] = set()
-        clause: List[int] = []
-        for literal in literals:
-            if not isinstance(literal, int) or literal == 0:
-                raise ValueError(f"invalid literal {literal!r}")
-            if -literal in seen:
-                return  # tautology: v OR -v
-            if literal not in seen:
-                seen.add(literal)
-                clause.append(literal)
-            self.num_vars = max(self.num_vars, abs(literal))
-        self.clauses.append(tuple(clause))
+        clause, top = normalize_clause(literals)
+        if top > self.num_vars:
+            self.num_vars = top
+        if clause is not None:
+            self.clauses.append(clause)
 
     def extend(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -127,7 +160,11 @@ class CNF:
 
     def is_satisfied_by(self, assignment: Assignment) -> bool:
         """Total-assignment satisfaction check (missing vars count as False)."""
+        get = assignment.get
         for clause in self.clauses:
-            if not any(assignment.get(abs(literal), False) == (literal > 0) for literal in clause):
+            for literal in clause:
+                if get(abs(literal), False) == (literal > 0):
+                    break
+            else:
                 return False
         return True

@@ -1,8 +1,11 @@
 """Direct tests for the solver-interface adapters (Fig. 4 layer)."""
 
+import random
 from fractions import Fraction
 
-from repro.core.expr import parse_constraint
+import pytest
+
+from repro.core.expr import Relation, parse_constraint
 from repro.core.interface import (
     AugLagNonlinearAdapter,
     BranchBoundLinearAdapter,
@@ -13,7 +16,17 @@ from repro.core.interface import (
     NewtonNonlinearAdapter,
     SimplexLinearAdapter,
 )
-from repro.linear import LinearConstraint, LinearSystem, LPStatus
+from repro.linear import (
+    BranchAndBoundSolver,
+    DifferenceLogicSolver,
+    LinearConstraint,
+    LinearSystem,
+    LPResult,
+    LPStatus,
+    SimplexSolver,
+    extract_iis,
+    is_difference_system,
+)
 from repro.nonlinear import NLPStatus
 from repro.sat import CNF
 
@@ -105,6 +118,195 @@ class TestLinearAdapters:
         # outside the fragment: falls back to the simplex
         general = LinearSystem([row("x + y <= 4", tag=1)])
         assert adapter.check(general).status is LPStatus.FEASIBLE
+
+
+_RELATIONS = (Relation.LE, Relation.GE, Relation.LT, Relation.GT, Relation.EQ)
+
+
+def _seeded_system(seed: int, difference: bool) -> LinearSystem:
+    """Rows over one to three variable groups, some of them integer.
+
+    An integer group's variables are boxed in ``[-3, 3]`` by untagged rows,
+    so branch-and-bound stays small.  With ``difference`` most rows are
+    ``x - y REL c`` and no variable is integer, so systems lie wholly or
+    partly inside the fragment.
+    """
+    rng = random.Random(seed)
+    rows, domains, tag = [], {}, 0
+    for group in range(rng.randint(1, 3)):
+        names = [f"g{group}v{i}" for i in range(rng.randint(1, 3))]
+        if not difference and rng.random() < 0.3:
+            for name in names:
+                domains[name] = "int"
+                rows.append(LinearConstraint({name: Fraction(1)}, Relation.GE, Fraction(-3)))
+                rows.append(LinearConstraint({name: Fraction(1)}, Relation.LE, Fraction(3)))
+        for _ in range(rng.randint(2, 6)):
+            tag += 1
+            if difference and len(names) > 1 and rng.random() < 0.8:
+                first, second = rng.sample(names, 2)
+                coeffs = {first: Fraction(1), second: Fraction(-1)}
+            else:
+                chosen = rng.sample(names, rng.randint(1, len(names)))
+                coeffs = {name: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for name in chosen}
+            bound = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2)))
+            rows.append(LinearConstraint(coeffs, rng.choice(_RELATIONS), bound, tag=tag))
+    rng.shuffle(rows)
+    return LinearSystem(rows, domains)
+
+
+def _check_component(component: LinearSystem) -> LPResult:
+    if component.integer_variables():
+        return BranchAndBoundSolver().check(component)
+    if is_difference_system(component):
+        return DifferenceLogicSolver().check(component)
+    return SimplexSolver().check(component)
+
+
+def _tags(rows):
+    return [row.tag for row in rows if isinstance(row.tag, int)]
+
+
+def _reference_refine(system: LinearSystem, difference: bool):
+    """The refinement as made before a check handed its failure over:
+    Bellman–Ford on the fragment's parts (difference adapter only), then
+    every component re-checked in order, the failing one's real relaxation
+    solved, and the deletion filter solving it once more."""
+    if difference:
+        if is_difference_system(system):
+            parts = [system]
+        else:
+            parts = [c for c in system.split_components() if is_difference_system(c)]
+        for part in parts:
+            result = DifferenceLogicSolver().check(part)
+            if result.status is LPStatus.INFEASIBLE:
+                return [part.rows[i].tag for i in result.core_indices], True
+    simplex = SimplexSolver()
+    for component in system.split_components():
+        if _check_component(component).status is not LPStatus.FEASIBLE:
+            if simplex.check(component).status is not LPStatus.INFEASIBLE:
+                return _tags(component.rows), False
+            return _tags(extract_iis(component, simplex)), True
+    return _tags(system.rows), False
+
+
+class _SimplexSpy:
+    """Records the rows of every simplex check an adapter makes."""
+
+    def __init__(self, adapter):
+        self.calls = []
+        original = adapter._simplex.check
+
+        def check(system):
+            self.calls.append(frozenset(map(id, system.rows)))
+            return original(system)
+
+        adapter._simplex.check = check
+
+
+class TestRefineHandoff:
+    """``refine`` starts from the failed check of the same system object."""
+
+    ADAPTERS = {"simplex": SimplexLinearAdapter, "difference": DifferenceLinearAdapter}
+
+    @pytest.mark.parametrize("name", sorted(ADAPTERS))
+    def test_seeded_cores_match_the_reference(self, name):
+        difference = name == "difference"
+        refined = 0
+        for seed in range(150):
+            system = _seeded_system(seed, difference)
+            adapter = self.ADAPTERS[name]()
+            if adapter.check(system).status is LPStatus.FEASIBLE:
+                continue
+            refinement = adapter.refine(system)
+            expected = _reference_refine(system, difference)
+            assert (refinement.conflicting_tags, refinement.minimal) == expected, seed
+            refined += 1
+        assert refined >= 40
+
+    def test_real_component_is_not_solved_again(self):
+        checked = 0
+        for seed in range(150):
+            system = _seeded_system(seed, difference=False)
+            if system.integer_variables():
+                continue
+            adapter = SimplexLinearAdapter()
+            if adapter.check(system).status is LPStatus.FEASIBLE:
+                continue
+            failing = next(
+                c for c in system.split_components()
+                if SimplexSolver().check(c).status is LPStatus.INFEASIBLE
+            )
+            spy = _SimplexSpy(adapter)
+            adapter.refine(system)
+            assert frozenset(map(id, failing.rows)) not in spy.calls, seed
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("name", sorted(ADAPTERS))
+    def test_ip_infeasible_component_blocks_all_its_rows(self, name):
+        system = LinearSystem(
+            [row("y <= 3", tag=3), row("2*x >= 1", tag=1), row("2*x <= 1", tag=2)],
+            {"x": "int"},
+        )
+        adapter = self.ADAPTERS[name]()
+        assert adapter.check(system).status is LPStatus.INFEASIBLE
+        refinement = adapter.refine(system)
+        assert sorted(refinement.conflicting_tags) == [1, 2]
+        assert not refinement.minimal
+
+    CONFLICTS = {
+        "simplex": (
+            ["x + y <= 1", "x >= 2", "y >= 0"],
+            ["x + y >= 5", "x <= 1", "y <= 1"],
+        ),
+        "difference": (
+            ["x - y <= -1", "y - x <= -1"],
+            ["x - y <= 0", "y - z <= 0", "z - x <= -1"],
+        ),
+        "mixed": (
+            ["2*x + y <= 1", "x >= 1", "y >= 0", "a - b <= 0"],
+            ["2*x + y >= 9", "x <= 1", "y <= 1", "a - b <= 0"],
+        ),
+    }
+
+    @staticmethod
+    def _system(texts, first_tag):
+        return LinearSystem([row(text, tag=first_tag + i) for i, text in enumerate(texts)])
+
+    def _cases(self):
+        for kind, (old, new) in self.CONFLICTS.items():
+            difference = kind != "simplex"
+            adapter = self.ADAPTERS["difference" if difference else "simplex"]()
+            yield kind, adapter, difference, old, new
+
+    def _refined_as_reference(self, adapter, system, difference, kind):
+        refinement = adapter.refine(system)
+        expected = _reference_refine(system, difference)
+        assert (refinement.conflicting_tags, refinement.minimal) == expected, kind
+
+    def test_a_feasible_check_clears_the_handoff(self):
+        for kind, adapter, difference, old, new in self._cases():
+            system = self._system(old, 1)
+            assert adapter.check(system).status is LPStatus.INFEASIBLE
+            assert adapter.check(self._system(["x <= 1"], 50)).status is LPStatus.FEASIBLE
+            system.rows[:] = self._system(new, 11).rows
+            self._refined_as_reference(adapter, system, difference, kind)
+
+    def test_refine_consumes_the_handoff(self):
+        for kind, adapter, difference, old, new in self._cases():
+            system = self._system(old, 1)
+            assert adapter.check(system).status is LPStatus.INFEASIBLE
+            self._refined_as_reference(adapter, system, difference, kind)
+            system.rows[:] = self._system(new, 11).rows
+            self._refined_as_reference(adapter, system, difference, kind)
+
+    def test_handoff_matches_the_system_object_not_its_rows(self):
+        for kind, adapter, difference, old, _ in self._cases():
+            assert adapter.check(self._system(old, 1)).status is LPStatus.INFEASIBLE
+            # Rows compare equal whatever their tags.
+            twin = self._system(old, 31)
+            assert twin.rows == self._system(old, 1).rows
+            self._refined_as_reference(adapter, twin, difference, kind)
 
 
 class TestNonlinearAdapters:

@@ -17,6 +17,7 @@ from repro.sat import (
     solve_dpll,
     unit_propagate,
 )
+from repro.sat.cnf import normalize_clause
 
 
 def brute_force_models(cnf: CNF):
@@ -61,6 +62,72 @@ class TestCNF:
         duplicate = cnf.copy()
         duplicate.add_clause([-1])
         assert cnf.num_clauses == 1
+
+    def test_tautology_still_counts_its_variables(self):
+        cnf = CNF()
+        cnf.add_clause([2, -7, -2])
+        assert cnf.clauses == [] and cnf.num_vars == 7
+
+    def test_zero_after_a_tautology_is_rejected(self):
+        with pytest.raises(ValueError):
+            CNF().add_clause([1, -1, 0])
+
+    def test_normalize_clause_matches_the_clause_definition(self):
+        """Duplicates go (first occurrences keep their order), a clause with
+        ``v`` and ``-v`` is a tautology, and the top variable covers every
+        literal."""
+        rng = random.Random(5)
+        for _ in range(2000):
+            literals = [
+                rng.choice((-1, 1)) * rng.randint(1, 8) for _ in range(rng.randint(0, 6))
+            ]
+            clause, top = normalize_clause(literals)
+            assert top == max((abs(l) for l in literals), default=0)
+            if any(-l in literals for l in literals):
+                assert clause is None
+            else:
+                assert clause == tuple(dict.fromkeys(literals))
+
+    def test_clauses_hold_normalized_tuples(self):
+        rng = random.Random(6)
+        cnf = CNF()
+        for _ in range(300):
+            cnf.add_clause(
+                [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+            )
+        for clause in cnf.clauses:
+            assert isinstance(clause, tuple)
+            assert normalize_clause(clause) == (clause, max(map(abs, clause), default=0))
+            assert all(abs(l) <= cnf.num_vars for l in clause)
+
+    def test_is_satisfied_by_matches_its_definition(self):
+        """Every clause needs a literal that is true, a variable the
+        assignment leaves out counting as False; the empty clause never
+        holds."""
+
+        def reference(cnf, assignment):
+            return all(
+                any(assignment.get(abs(l), False) == (l > 0) for l in clause)
+                for clause in cnf.clauses
+            )
+
+        rng = random.Random(7)
+        for _ in range(1500):
+            num_vars = rng.randint(1, 6)
+            cnf = CNF(num_vars)
+            for _ in range(rng.randint(0, 8)):
+                width = rng.randint(0, 3)
+                cnf.add_clause(
+                    [rng.choice((-1, 1)) * rng.randint(1, num_vars) for _ in range(width)]
+                )
+            assignment = {
+                var: rng.random() < 0.5
+                for var in range(1, num_vars + 1)
+                if rng.random() < 0.7
+            }
+            assert cnf.is_satisfied_by(assignment) == reference(cnf, assignment)
+        assert not CNF(1, [[]]).is_satisfied_by({1: True})
+        assert CNF(2).is_satisfied_by({})
 
 
 class TestLuby:

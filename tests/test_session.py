@@ -8,6 +8,7 @@ statistics, and the ``--check-incremental`` / ``--stats-json`` CLI modes.
 """
 
 import json
+import random
 
 import pytest
 
@@ -136,6 +137,152 @@ class TestAssertionStack:
         other.define(1, "real", parse_constraint("x >= 99"))
         with pytest.raises(ValueError):
             session.assert_problem(other)
+
+
+def _assert_clause_by_clause(session: SolverSession, problem: ABProblem) -> None:
+    """What ``assert_problem`` amounts to, one ``assert_clause`` per clause."""
+    session.reserve_variables(problem.cnf.num_vars)
+    for clause in problem.cnf.clauses:
+        session.assert_clause(clause)
+    for definition in problem.definitions.values():
+        if definition.boolean_var not in session.problem.definitions:
+            session.define(definition.boolean_var, definition.domain, definition.constraint)
+    for variable, (low, high) in problem.bounds.items():
+        session.set_bounds(variable, low, high)
+
+
+def _random_delta(seed: int, num_vars: int) -> ABProblem:
+    """Random clauses over ``1..num_vars + 1`` (one variable is new)."""
+    rng = random.Random(seed)
+    delta = ABProblem()
+    for _ in range(rng.randint(1, 6)):
+        width = rng.randint(1, 3)
+        delta.add_clause(
+            [rng.choice((-1, 1)) * rng.randint(1, num_vars + 1) for _ in range(width)]
+        )
+    return delta
+
+
+class TestClauseIntake:
+    """``assert_problem`` takes a CNF's clauses in one step; the result must
+    be what asserting them one by one gives, whatever the session's state."""
+
+    SEEDS = range(12)
+
+    @staticmethod
+    def _pair(config=None):
+        return SolverSession(config), SolverSession(config)
+
+    @staticmethod
+    def _same_state(whole: SolverSession, single: SolverSession) -> None:
+        assert whole.problem.cnf.clauses == single.problem.cnf.clauses
+        assert whole.problem.cnf.num_vars == single.problem.cnf.num_vars
+        assert whole._max_var == single._max_var
+
+    def test_frame_zero_before_the_first_check(self):
+        for seed in self.SEEDS:
+            problem = planted_problem(seed).problem
+            whole, single = self._pair()
+            whole.assert_problem(problem)
+            _assert_clause_by_clause(single, problem)
+            self._same_state(whole, single)
+            assert whole.problem.cnf.clauses == problem.cnf.clauses
+            assert whole.check().status == single.check().status == ABStatus.SAT
+
+    @pytest.mark.parametrize("checked_first", [False, True])
+    def test_pushed_frame_is_retracted_by_pop(self, checked_first):
+        for seed in self.SEEDS:
+            base = planted_problem(seed).problem
+            fresh = base.cnf.num_vars + 2
+            delta = _random_delta(seed, base.cnf.num_vars)
+            delta.add_clause([fresh])
+            delta.add_clause([-fresh])  # the frame is UNSAT
+            whole, single = self._pair()
+            for session, intake in (
+                (whole, SolverSession.assert_problem),
+                (single, _assert_clause_by_clause),
+            ):
+                session.assert_problem(base)
+                if checked_first:
+                    assert session.check().is_sat
+                session.push()
+                intake(session, delta)
+            self._same_state(whole, single)
+            assert whole.check().status == single.check().status == ABStatus.UNSAT
+            whole.pop()
+            single.pop()
+            assert whole.problem.cnf.clauses == base.cnf.clauses
+            self._same_state(whole, single)
+            assert whole.check().status == single.check().status == ABStatus.SAT
+
+    def test_clauses_after_the_first_check_reach_the_engine(self):
+        # Without presolve only the Boolean engine can see the new clause,
+        # which blocks the model the first check returned.
+        config = ABSolverConfig(use_presolve=False)
+        for seed in self.SEEDS:
+            base = planted_problem(seed).problem
+            whole, single = self._pair(config)
+            first = None
+            for session, intake in (
+                (whole, SolverSession.assert_problem),
+                (single, _assert_clause_by_clause),
+            ):
+                session.assert_problem(base)
+                result = session.check()
+                assert result.is_sat
+                first = result.model.boolean
+                delta = _random_delta(seed, base.cnf.num_vars)
+                delta.add_clause(
+                    [-var if first[var] else var for var in sorted(base.cnf.variables())]
+                )
+                intake(session, delta)
+            self._same_state(whole, single)
+            verdict = whole.check()
+            assert verdict.status == single.check().status
+            if verdict.is_sat:
+                assert whole.problem.check_model(verdict.model.boolean, verdict.model.theory)
+                assert any(
+                    verdict.model.boolean.get(var, False) != first[var]
+                    for var in base.cnf.variables()
+                )
+
+    def test_presolve_sees_clauses_asserted_after_a_check(self):
+        for seed in self.SEEDS:
+            base = planted_problem(seed).problem
+            fresh = base.cnf.num_vars + 1
+            contradiction = ABProblem()
+            contradiction.add_clause([fresh])
+            contradiction.add_clause([-fresh])
+            whole, single = self._pair()
+            whole.assert_problem(base)
+            single.assert_problem(base)
+            assert whole.check().is_sat and single.check().is_sat
+            whole.assert_problem(contradiction)
+            _assert_clause_by_clause(single, contradiction)
+            self._same_state(whole, single)
+            for session in (whole, single):
+                result = session.check()
+                assert result.is_unsat
+                assert result.reason.startswith("presolve:")
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_activation_variable_fails_before_any_clause(self, position):
+        session = SolverSession()
+        session.assert_problem(_base_problem())
+        session.push()
+        session.assert_clause([1])
+        session.check()  # materializes the frame's activation variable (3)
+        clauses = session.problem.cnf.clauses[:]
+        problem = ABProblem()
+        # Each clause contradicts the units [1] and [2] asserted so far.
+        for index, clause in enumerate(([-1], [-2], [-1, -2])):
+            problem.add_clause(clause + [3] if index == position else clause)
+        with pytest.raises(ValueError, match="activation variable"):
+            session.assert_problem(problem)
+        assert session.problem.cnf.clauses == clauses
+        assert session.problem.cnf.num_vars == 2
+        # Nothing reached the engine either.
+        assert session.check().is_sat
 
 
 class TestReuse:

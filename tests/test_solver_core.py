@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.core.interface import CDCLBooleanAdapter
 from repro.core.registry import default_registry
+from repro.sat.cnf import CNF
 
 
 def solve(problem, **config_kwargs):
@@ -52,6 +53,52 @@ class TestBooleanOnly:
 
     def test_empty_problem_sat(self):
         assert solve(ABProblem()).is_sat
+
+
+class TestModelGuard:
+    """The loop re-checks an accepted candidate with ``check_model`` alone."""
+
+    def test_engine_violating_a_boolean_clause_is_caught(self):
+        """An engine whose assignment breaks a clause no definition touches
+        must make the solve fail loudly, never answer SAT."""
+
+        class Liar(CDCLBooleanAdapter):
+            def solve(self, cnf, assumptions=()):
+                alpha = super().solve(cnf, assumptions)
+                if alpha is not None:
+                    alpha = dict(alpha)
+                    alpha[2] = not alpha[2]
+                return alpha
+
+        registry = default_registry.copy()
+        registry.register("boolean", "liar", Liar)
+        problem = ABProblem()
+        problem.define(1, "real", parse_constraint("x >= 0"))
+        problem.add_clause([1])
+        problem.add_clause([2, 3])
+        problem.add_clause([2, -3])  # forces the Boolean-only variable 2
+        solver = ABSolver(ABSolverConfig(boolean="liar"), registry=registry)
+        with pytest.raises(AssertionError, match="model check"):
+            solver.solve(problem)
+
+    @pytest.mark.parametrize("boolean", default_registry.available("boolean"))
+    def test_engines_assign_every_clause_variable(self, boolean):
+        """``check_model`` reads a missing variable as False; every engine
+        leaves none of a clause's variables out of its assignment."""
+        rng = random.Random(11)
+        for _ in range(60):
+            num_vars = rng.randint(1, 12)
+            cnf = CNF(num_vars + rng.randint(0, 3))
+            for _ in range(rng.randint(1, 30)):
+                width = rng.randint(1, 3)
+                cnf.add_clause(
+                    [rng.choice((-1, 1)) * rng.randint(1, num_vars) for _ in range(width)]
+                )
+            engine = default_registry.create("boolean", boolean)
+            alpha = engine.solve(cnf)
+            if alpha is not None:
+                assert cnf.variables() <= set(alpha)
+                assert cnf.is_satisfied_by(alpha)
 
 
 class TestPaperExample:

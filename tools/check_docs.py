@@ -36,6 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 DOCTEST_MODULES = [
     "repro.linear.lp",
     "repro.linear.difference",
+    "repro.sat.cnf",
 ]
 
 _MERMAID_HEADERS = (
