@@ -598,9 +598,6 @@ class SolvePipeline:
                 value = getattr(config, knob)
                 if value is not None:
                     self.boolean_options.setdefault(knob, value)
-        boolean: BooleanSolverInterface = self.registry.create(
-            DOMAIN_BOOLEAN, config.boolean, **self.boolean_options
-        )
         linear: LinearSolverInterface = self.registry.create(
             DOMAIN_LINEAR, config.linear, **config.linear_options
         )
@@ -610,7 +607,7 @@ class SolvePipeline:
         ]
 
         self.presolve = PresolveStage(self)
-        self.candidate = CandidateGenerationStage(self, boolean)
+        self.candidate = self._new_candidate_stage()
         self.translation = TheoryTranslationStage(self)
         self.linear = LinearCheckStage(self, linear)
         self.nonlinear = NonlinearCheckStage(self, chain, config.tolerance)
@@ -623,6 +620,12 @@ class SolvePipeline:
         #: Memoized defined-variable order of :meth:`fallback_blocking_clause`
         #: (``None`` = recompute; invalidated on definition changes).
         self._blocking_vars: Optional[Tuple[int, ...]] = None
+
+    def _new_candidate_stage(self) -> CandidateGenerationStage:
+        boolean: BooleanSolverInterface = self.registry.create(
+            DOMAIN_BOOLEAN, self.config.boolean, **self.boolean_options
+        )
+        return CandidateGenerationStage(self, boolean)
 
     def stage(self, name: str, **args):
         """One stage entry, as one ``with``.
@@ -651,25 +654,37 @@ class SolvePipeline:
         # wrong verdict.  (Clearing them here is why warm_start_hits used to
         # flatline at 0 across session push/pop sequences.)
         self.translation.invalidate_definitions(variables)
-        self.presolve.invalidate()
+        self.presolve.retract(variables)
         self._blocking_vars = None
 
     def bounds_changed(self) -> None:
         # Same reasoning as definitions_removed: warm-start entries are keyed
         # on row structure and revalidated exactly, so bound shifts are safe.
+        # Presolve compares the box with the one it last saw: a widened or
+        # removed bound makes it start from empty.
         self.translation.bounds_changed()
         self.presolve.invalidate()
 
     def clauses_changed(self) -> None:
-        """The CNF gained or lost clauses: presolve's deductions are stale.
+        """The CNF gained clauses: presolve extends its store on the next query.
 
         Translation caches are untouched — they key on definition content,
         not on the clause set.
         """
         self.presolve.invalidate()
 
+    def clauses_retracted(self) -> None:
+        """The CNF lost clauses (``pop``): presolve starts from empty."""
+        self.presolve.retract()
+
+    def restart_boolean(self) -> None:
+        """Replace the Boolean engine, and every clause it learned or was
+        given, with a fresh one; it must be prepared again."""
+        self.candidate = self._new_candidate_stage()
+
     def presolve_store_changed(self) -> None:
-        """The :class:`BoundStore` recomputed with different deductions."""
+        """The :class:`BoundStore`'s bounds moved, or a store started from
+        empty differs from the last one."""
         self.translation.bounds_changed()
 
     # ------------------------------------------------------------------
@@ -830,10 +845,10 @@ class SolvePipeline:
         observer = self.observer
 
         # Stage 0: formula-level presolve.  Computed once per structural
-        # state of the problem (sessions invalidate on assert/define/pop),
-        # the store short-circuits provably-infeasible stacks, seeds the
-        # Boolean solver with deduced unit facts, and hands tightened
-        # bounds to every later stage.
+        # state of the problem (sessions extend it as the formula grows and
+        # start it from empty on a pop), the store short-circuits
+        # provably-infeasible stacks, seeds the Boolean solver with deduced
+        # unit facts, and hands tightened bounds to every later stage.
         store = self.presolve.ensure(problem)
         # First heartbeat before the control loop: even a query the presolve
         # stage settles outright emits >= 1 snapshot.
@@ -848,9 +863,11 @@ class SolvePipeline:
                     stats=stats,
                     reason=f"presolve: {store.infeasible_reason}",
                 )
-            if store.units and not store.emitted:
-                store.emitted = True
-                for literal in store.units:
+            # Only the units not sent yet: a resumed store appends units.
+            sent = store.units_sent
+            if sent < len(store.units):
+                store.units_sent = len(store.units)
+                for literal in store.units[sent:]:
                     stats.presolve_units_emitted += 1
                     unit = [literal]
                     solver_clause = (

@@ -19,7 +19,22 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from ..sat.cnf import CNF
 from .expr import ARITHMETIC_ERRORS, Constraint
 
-__all__ = ["Definition", "ABProblem", "ProblemStats"]
+__all__ = ["Definition", "ABProblem", "ProblemStats", "widens"]
+
+#: A declared box bound: (lower, upper), either end ``None`` for unbounded.
+Bound = Tuple[Optional[float], Optional[float]]
+
+
+def widens(old: Bound, new: Bound) -> bool:
+    """Whether the box bound ``new`` admits a value that ``old`` excludes.
+
+    >>> widens((0, 10), (0, 5)), widens((0, 10), (0, None))
+    (False, True)
+    """
+    (old_low, old_high), (low, high) = old, new
+    return (old_low is not None and (low is None or low < old_low)) or (
+        old_high is not None and (high is None or high > old_high)
+    )
 
 
 class Definition:

@@ -28,7 +28,10 @@ state carry no guard: they are frame-independent and survive every ``pop``,
 which is where the ``clauses_reused`` statistic comes from.  Candidates
 blocked only because the nonlinear stage could not settle them are tracked
 the same way; as long as such an *indefinite* lemma is active, an exhausted
-Boolean space answers UNKNOWN, not UNSAT.
+Boolean space answers UNKNOWN, not UNSAT.  A bound widened after a check
+is the one change no guard covers (a lemma derived under the narrower box
+may rest on a frame that stays open), so it restarts the Boolean engine
+and every lemma is derived again.
 
 The one-shot :meth:`repro.core.solver.ABSolver.solve` is a thin wrapper
 over a single-use session, so its behaviour (and every existing test) is
@@ -43,7 +46,7 @@ from ..obs.events import CheckStarted, FramePopped, FramePushed, LemmaReused, Le
 from ..sat.cnf import CNF, Clause, normalize_clause
 from .expr import Constraint
 from .pipeline import SolvePipeline
-from .problem import ABProblem
+from .problem import ABProblem, widens
 from .registry import SolverRegistry
 from .stats import SolveStatistics
 
@@ -170,7 +173,7 @@ class SolverSession:
         with observer.span("session.pop", category="session", depth=len(self._frames)):
             frame = self._frames.pop()
             del self.problem.cnf.clauses[frame.clause_mark :]
-            self.pipeline.clauses_changed()
+            self.pipeline.clauses_retracted()
             if frame.defined_vars:
                 for var in frame.defined_vars:
                     del self.problem.definitions[var]
@@ -255,15 +258,24 @@ class SolverSession:
         low: Optional[float] = None,
         high: Optional[float] = None,
     ) -> None:
-        """Declare a theory-variable box bound in the current frame."""
+        """Declare a theory-variable box bound in the current frame.
+
+        A bound that widens the variable's box after a check restarts the
+        Boolean engine (:meth:`_restart_boolean`): the theory lemmas and
+        presolve units it holds may rest on the narrower box, and a frame's
+        activation literal can retract only what rests on that frame.
+        """
+        previous = self.problem.bounds.get(variable)
         if self._frames:
             frame = self._frames[-1]
             if variable not in frame.saved_bounds:
-                frame.saved_bounds[variable] = self.problem.bounds.get(
-                    variable, _MISSING
+                frame.saved_bounds[variable] = (
+                    _MISSING if previous is None else previous
                 )
         self.problem.set_bounds(variable, low, high)
         self.pipeline.bounds_changed()
+        if self._started and previous is not None and widens(previous, (low, high)):
+            self._restart_boolean()
 
     def assert_problem(self, problem: ABProblem) -> None:
         """Assert a whole AB-problem (clauses, definitions, bounds) at once.
@@ -454,6 +466,30 @@ class SolverSession:
             bootstrap = self._bootstrap
             bootstrap.num_vars = max(bootstrap.num_vars, self._max_var)
             bootstrap.clauses.extend(clauses)
+
+    def _restart_boolean(self) -> None:
+        """Drop every lemma with the Boolean engine that holds them.
+
+        The next check starts a fresh engine on the asserted clauses, each
+        guarded by its frame's activation literal, as the first check does;
+        lemmas are derived again where they still hold.
+        """
+        self.pipeline.restart_boolean()
+        clauses = self.problem.cnf.clauses
+        marks = [frame.clause_mark for frame in self._frames]
+        marks.append(len(clauses))
+        bootstrap = CNF(self._max_var)
+        bootstrap.clauses.extend(clauses[: marks[0]])
+        for frame, start, end in zip(self._frames, marks, marks[1:]):
+            if end > start:
+                guard = -self._activation_var(frame)
+                bootstrap.clauses.extend(
+                    clause + (guard,) for clause in clauses[start:end]
+                )
+        self._bootstrap = bootstrap
+        self._started = False
+        self.stats.lemmas_retracted += len(self._lemmas)
+        self._lemmas = []
 
     def _send_clause(self, clause: List[int]) -> None:
         if self._started:

@@ -182,9 +182,17 @@ class CDCLSolver:
             heappush(self._heap, (-self._activity[self._num_vars], self._num_vars))
 
     def add_cnf(self, cnf: CNF) -> None:
+        """Add a CNF's clauses as protected clauses.
+
+        A :class:`CNF` holds normalized clauses over ``1..num_vars``, so the
+        variables are allocated once and each clause goes straight to
+        :meth:`_attach_normalized`.
+        """
+        if self._trail_limits:
+            self._backtrack(0)
         self._ensure_var(cnf.num_vars)
         for clause in cnf.clauses:
-            self.add_clause(clause)
+            self._attach_normalized(list(clause), False)
 
     def add_clause(self, literals: Sequence[int], protected: bool = True) -> None:
         """Add a clause (incremental use: backtracks to decision level 0).
@@ -209,10 +217,16 @@ class CDCLSolver:
             if literal not in seen:
                 seen.add(literal)
                 clause.append(literal)
+        self._attach_normalized(clause, not protected)
+
+    def _attach_normalized(self, clause: List[int], deletable: bool) -> None:
+        """Add a clause at level 0 whose literals are distinct, free of
+        complementary pairs and over allocated variables: an empty clause
+        makes the formula UNSAT, a unit is enqueued, anything else is
+        watched."""
         if not clause:
             self._unsat = True
             return
-        deletable = not protected
         if len(clause) == 1:
             # Unit clauses are enqueued directly at level 0.
             value = self._literal_value(clause[0])

@@ -222,3 +222,34 @@ class TestKernelContracts:
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
+
+
+class TestCnfIntake:
+    """``CDCLSolver(cnf)`` attaches a CNF's normalized clauses without
+    normalizing them again; it must build the solver that adding the same
+    clauses one by one builds."""
+
+    def test_cnf_intake_matches_clause_by_clause(self):
+        rng = random.Random(2201)
+        verdicts = set()
+        for trial in range(80):
+            num_vars = rng.randint(3, 14)
+            cnf = CNF()  # num_vars grows to the highest variable used
+            for _ in range(rng.randint(1, 60)):
+                width = rng.choice([1, 1, 2, 3, 3, 5, num_vars])
+                variables = rng.sample(range(1, num_vars + 1), min(width, num_vars))
+                cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+            if trial % 10 == 0:
+                cnf.add_clause([])
+            seed = None if trial % 2 else trial
+            whole = CDCLSolver(cnf, seed=seed)
+            by_clause = CDCLSolver(seed=seed)
+            for clause in cnf.clauses:
+                by_clause.add_clause(clause)
+            model = whole.solve()
+            assert model == by_clause.solve(), trial
+            assert whole.counters() == by_clause.counters(), trial
+            if model is not None:
+                check_model(cnf, model)
+            verdicts.add(model is not None)
+        assert verdicts == {True, False}

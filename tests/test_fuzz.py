@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import CVCLiteLikeSolver, MathSATLikeSolver
 from repro.benchgen.randgen import planted_problem, random_linear_problem
-from repro.core import ABProblem, ABSolver, ABSolverConfig, parse_constraint
+from repro.core import (
+    ABProblem,
+    ABSolver,
+    ABSolverConfig,
+    SolverSession,
+    parse_constraint,
+    presolve,
+)
 from repro.core.certify import verify_certificate
 
 
@@ -148,3 +155,126 @@ class TestDifferenceEngineMatrix:
                 assert certified.is_unsat, seed
                 assert verify_certificate(problem, certified.certificate), seed
         assert min(verdicts.values()) >= 40, verdicts
+
+
+def _session_script(seed):
+    """A seeded script of session steps over 3-6 integer variables.
+
+    Every variable gets a box inside [-8, 8] before anything else, so
+    propagation over the unit-coefficient rows converges well inside the
+    round caps; later boxes tighten or widen it, in frame 0 or in a frame.
+    """
+    rng = random.Random(seed)
+    names = [f"v{index}" for index in range(rng.randint(3, 6))]
+    boxes = [{}]  # the boxes each open frame set
+
+    def box(name):
+        """Mostly a box inside the current one, else any box."""
+        low, high = next(
+            (frame[name] for frame in reversed(boxes) if name in frame), (-8, 8)
+        )
+        if rng.random() < 0.3:
+            low = rng.randint(-8, 8)
+            high = 8
+        low = rng.randint(low, high)
+        boxes[-1][name] = (low, rng.randint(low, high))
+        return ("bounds", name) + boxes[-1][name]
+
+    steps = [box(name) for name in names]
+    frames = [[]]  # definition variables per open frame
+    next_var = 1
+    for _ in range(rng.randint(8, 16)):
+        defined = [var for frame in frames for var in frame]
+        kind = rng.choices(
+            ["define", "clause", "bounds", "push", "pop", "check"],
+            weights=[4, 4 if defined else 0, 2, 1, 1 if len(frames) > 1 else 0, 2],
+        )[0]
+        if kind == "define":
+            x, y = rng.sample(names, 2)
+            relation = rng.choice(["<=", "<", ">=", ">"] * 3 + ["="])
+            shape = rng.choice([f"{x} - {y}", f"{x} + {y}", x, f"0 - {x}"])
+            steps.append(("define", next_var, f"{shape} {relation} {rng.randint(-8, 8)}"))
+            frames[-1].append(next_var)
+            next_var += 1
+        elif kind == "clause":
+            width = rng.choice([1, 1, 1, 2, 3])
+            variables = rng.sample(defined, min(width, len(defined)))
+            steps.append(("clause", [var * rng.choice([1, -1]) for var in variables]))
+        elif kind == "bounds":
+            steps.append(box(rng.choice(names)))
+        elif kind == "push":
+            steps.append(("push",))
+            frames.append([])
+            boxes.append({})
+        elif kind == "pop":
+            steps.append(("pop",))
+            frames.pop()
+            boxes.pop()
+        else:
+            steps.append(("check",))
+    steps.append(("check",))
+    return steps
+
+
+def _apply(session, step):
+    kind = step[0]
+    if kind == "bounds":
+        session.set_bounds(*step[1:])
+    elif kind == "define":
+        session.define(step[1], "int", parse_constraint(step[2]))
+    elif kind == "clause":
+        session.assert_clause(step[1])
+    elif kind == "push":
+        session.push()
+    else:
+        session.pop()
+
+
+def _store_view(store):
+    if store.infeasible:
+        return True  # where each order stops on an empty box differs
+    return (store.snapshot(), set(store.units), dict(store.fixed), store.contentful)
+
+
+def _from_empty_view(problem):
+    session = SolverSession()
+    session.assert_problem(problem)
+    return _store_view(session.pipeline.presolve.ensure(session.problem))
+
+
+class TestPresolveSessionMatrix:
+    """Stage 0 inside sessions: at every check of a seeded script of
+    definitions, clauses, tightened and widened boxes, pushes and pops, the
+    verdict is the one a session without presolve gives, a SAT model
+    checks, and the store the session extended is the one a fresh session
+    computes from empty."""
+
+    def test_resumed_store_matches_from_empty(self, monkeypatch):
+        verdicts = {"sat": 0, "unsat": 0}
+        for seed in range(150):
+            session = SolverSession()
+            reference = SolverSession(ABSolverConfig(use_presolve=False))
+            for each in (session, reference):
+                each.reserve_variables(32)  # above every scripted definition
+            for step in _session_script(seed):
+                if step[0] != "check":
+                    _apply(session, step)
+                    _apply(reference, step)
+                    continue
+                result = session.check()
+                assert result.status == reference.check().status, seed
+                verdicts[result.status.value] += 1
+                if result.is_sat:
+                    assert session.problem.check_model(
+                        result.model.boolean, result.model.theory
+                    ), seed
+                store = session.pipeline.presolve.ensure(session.problem)
+                expected = _from_empty_view(session.problem)
+                assert _store_view(store) == expected, seed
+                # The script stays inside the round caps: doubling them
+                # changes nothing.
+                with monkeypatch.context() as patch:
+                    patch.setattr(presolve, "_DEDUCTION_ROUNDS", 2 * presolve._DEDUCTION_ROUNDS)
+                    patch.setattr(presolve, "_PROPAGATION_ROUNDS", 2 * presolve._PROPAGATION_ROUNDS)
+                    assert _from_empty_view(session.problem) == expected, seed
+        assert min(verdicts.values()) >= 100, verdicts

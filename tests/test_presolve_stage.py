@@ -13,6 +13,9 @@ validity, or an all-models set — only how fast the loop gets there.
   ``x <= 1``), exercised end-to-end and on the store directly;
 * incremental sessions: push/pop restores the store exactly (snapshot and
   fingerprint equality), frame deltas are picked up;
+* resumption: a store extended as a session's formula grows equals the
+  store a fresh session computes from empty, at every depth of both
+  unroll families; retraction starts from empty; units are sent once;
 * unit emission, infeasibility short-circuit, and the new obs events
   (``BoundTightened``, ``PresolveFixedVar``, ``PresolveInfeasible``).
 """
@@ -29,6 +32,7 @@ from repro import (
     SolverSession,
     parse_constraint,
 )
+from repro.benchgen import fischer_unroll_family, watertank_unroll_family
 from repro.benchgen.nonlinear_micro import nonlinear_unsat_problem
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.core.presolve import BoundStore, propagate_rows
@@ -224,8 +228,187 @@ class TestIncrementalSessions:
             ], f"use_presolve={use_presolve}"
 
 
+def store_view(store):
+    """What a resumed store and a store computed from empty agree on."""
+    return (
+        store.snapshot(),
+        set(store.units),
+        dict(store.fixed),
+        store.infeasible,
+        store.contentful,
+    )
+
+
+def from_empty_store(problem, config=None):
+    """The store a fresh session computes for ``problem``."""
+    session = SolverSession(config)
+    session.assert_problem(problem)
+    return session.pipeline.presolve.ensure(session.problem)
+
+
+#: Per-depth (verdict, Boolean queries, linear checks) of each sweep under
+#: the difference engine, as the from-scratch stage gave them.
+UNROLL_EXPECTED = {
+    "fischer": [("sat", 1, 1)] * 5
+    + [("sat", 2, 2), ("sat", 3, 3), ("sat", 6, 6), ("sat", 3, 3), ("sat", 5, 5)],
+    "watertank": [
+        ("unsat", 3, 2),
+        ("sat", 2, 2),
+        ("unsat", 7, 6),
+        ("unsat", 12, 11),
+        ("unsat", 14, 13),
+        ("unsat", 17, 16),
+        ("sat", 2, 2),
+        ("unsat", 39, 38),
+        ("unsat", 51, 50),
+        ("unsat", 76, 75),
+    ],
+}
+
+
+class TestResume:
+    """A session's store is extended while its formula only grows."""
+
+    @pytest.mark.parametrize(
+        "name, build, units",
+        [("fischer", fischer_unroll_family, 0), ("watertank", watertank_unroll_family, 2)],
+    )
+    def test_deepening_sweep_matches_from_empty(self, name, build, units):
+        family = build(10)
+        session = SolverSession(ABSolverConfig(linear="difference"))
+        stage = session.pipeline.presolve
+        family.layers[0].apply_to_session(session)
+        seen = []
+        emitted = 0
+        first = None
+        for depth in range(1, family.max_depth + 1):
+            family.layers[depth].apply_to_session(session)
+            result = session.check(family.check_assumptions(depth))
+            stats = result.stats
+            seen.append(
+                (result.status.value, stats.boolean_queries, stats.linear_checks)
+            )
+            emitted += stats.presolve_units_emitted
+            store = stage.ensure(session.problem)
+            first = first or store
+            assert store is first, depth  # extended, not recomputed
+            assert store_view(store) == store_view(
+                from_empty_store(session.problem)
+            ), depth
+        assert seen == UNROLL_EXPECTED[name]
+        # Each unit reaches the Boolean engine once, not once per depth.
+        assert emitted == units
+
+    def _row_session(self, low):
+        """``y >= x`` forced, ``x`` in ``[low, 10]``, ``y`` at most 20."""
+        session = SolverSession()
+        session.define(1, "int", parse_constraint("y - x >= 0"))
+        session.assert_clause([1])
+        session.set_bounds("x", low, 10)
+        session.set_bounds("y", None, 20)
+        assert session.check().is_sat
+        return session
+
+    def test_tightened_bound_propagates_through_an_earlier_row(self):
+        session = self._row_session(0)
+        stage = session.pipeline.presolve
+        store = stage.ensure(session.problem)
+        assert store.bounds_of("y").lower == 0
+        session.set_bounds("x", 4, 10)
+        assert session.check().is_sat
+        assert stage.ensure(session.problem) is store
+        assert store.bounds_of("y").lower == 4
+        assert store_view(store) == store_view(from_empty_store(session.problem))
+
+    def test_widened_bound_starts_from_empty(self):
+        session = self._row_session(5)
+        stage = session.pipeline.presolve
+        assert stage.ensure(session.problem).bounds_of("y").lower == 5
+        session.set_bounds("x", 0, 10)
+        assert session.check().is_sat
+        store = stage.ensure(session.problem)
+        assert store.bounds_of("y").lower == 0
+        assert store_view(store) == store_view(from_empty_store(session.problem))
+
+    def test_pop_starts_from_empty(self):
+        session = self._row_session(0)
+        session.define(2, "int", parse_constraint("x >= 7"))
+        stage = session.pipeline.presolve
+        session.push()
+        session.assert_clause([2])
+        assert session.check().is_sat
+        assert stage.ensure(session.problem).bounds_of("y").lower == 7
+        session.pop()
+        # As many clauses as before the pop: only the pop tells the stage.
+        session.assert_clause([1, 2])
+        assert session.check().is_sat
+        store = stage.ensure(session.problem)
+        assert store.bounds_of("y").lower == 0
+        assert store_view(store) == store_view(from_empty_store(session.problem))
+
+    def test_clause_asserted_after_a_check_conflicts_in_propagation(self):
+        session = SolverSession()
+        session.define(1, "real", parse_constraint("x >= 0"))
+        session.assert_clause([1])
+        session.assert_clause([-1, 2])
+        assert session.check().is_sat
+        session.assert_clause([-2])
+        result = session.check()
+        assert result.is_unsat
+        assert result.reason == "presolve: boolean unit propagation"
+
+    def _deduced_session(self):
+        """``x <= 50`` (variable 1) is deduced true over ``x`` in [0, 10]."""
+        session = SolverSession()
+        session.define(1, "real", parse_constraint("x <= 50"))
+        session.define(2, "real", parse_constraint("y <= 3"))
+        session.assert_clause([-1, 2])
+        session.set_bounds("x", 0, 10)
+        session.set_bounds("y", 0, 10)
+        result = session.check()
+        assert result.is_sat
+        assert result.stats.presolve_units_emitted == 1
+        assert session.pipeline.presolve.ensure(session.problem).units == [1]
+        return session
+
+    def test_deduced_units_stay_out_of_clause_propagation(self):
+        session = self._deduced_session()
+        # A new forced literal makes propagation pass over every clause;
+        # the deduced 1 must not force 2 through (-1 OR 2).
+        session.assert_constraint(parse_constraint("z >= 1"))
+        assert session.check().is_sat
+        store = session.pipeline.presolve.ensure(session.problem)
+        assert store.bounds_of("y").upper == 10
+        assert store_view(store) == store_view(from_empty_store(session.problem))
+
+    def test_deduced_unit_later_forced_leaves_the_units(self):
+        session = self._deduced_session()
+        session.assert_clause([1])
+        result = session.check()
+        assert result.is_sat
+        assert result.stats.presolve_units_emitted == 0
+        store = session.pipeline.presolve.ensure(session.problem)
+        assert store.units == []
+        assert store_view(store) == store_view(from_empty_store(session.problem))
+
+    def test_units_sent_once_and_again_after_pop(self):
+        session = SolverSession()
+        session.assert_problem(TestUnitsAndCounters._deduce_problem())
+        assert session.check().stats.presolve_units_emitted == 2  # +2, -3
+        assert session.check().stats.presolve_units_emitted == 0
+        session.define(4, "real", parse_constraint("x >= 1"))
+        session.assert_clause([4, 2])
+        assert session.check().stats.presolve_units_emitted == 0
+        session.push()
+        session.pop()
+        # The popped frame may have guarded them: a store started from
+        # empty sends all of its units.
+        assert session.check().stats.presolve_units_emitted == 2
+
+
 class TestUnitsAndCounters:
-    def _deduce_problem(self):
+    @staticmethod
+    def _deduce_problem():
         # Variable 1 is forced; 2 and 3 are free but decided by the box
         # ([0, 10]): "x <= 50" is implied, "x >= 90" impossible.
         problem = ABProblem()

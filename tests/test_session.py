@@ -347,6 +347,46 @@ class TestReuse:
         assert waived.is_sat and waived.model.theory["x"] < 7
 
 
+class TestWidenedBounds:
+    """A bound widened after a check re-admits what the narrower box
+    excluded: the theory lemmas and presolve units derived under it go."""
+
+    def _session(self, use_presolve):
+        session = SolverSession(ABSolverConfig(use_presolve=use_presolve))
+        session.define(1, "real", parse_constraint("x >= 20"))
+        session.define(2, "real", parse_constraint("x <= 50"))
+        session.assert_clause([1, -2])
+        session.set_bounds("x", 0, 10)
+        assert session.check().is_unsat
+        return session
+
+    @pytest.mark.parametrize("use_presolve", [True, False])
+    def test_in_frame_zero(self, use_presolve):
+        session = self._session(use_presolve)
+        session.set_bounds("x", 0, 30)
+        result = session.check()
+        assert result.is_sat
+        assert 20 <= result.model.theory["x"] <= 30
+        assert session.problem.check_model(result.model.boolean, result.model.theory)
+
+    @pytest.mark.parametrize("use_presolve", [True, False])
+    def test_in_a_frame_and_after_its_pop(self, use_presolve):
+        session = self._session(use_presolve)
+        session.push()
+        session.assert_clause([2])
+        session.set_bounds("x", 0, 30)
+        assert session.check().is_sat
+        session.pop()
+        assert session.check().is_unsat
+
+    def test_tightening_keeps_the_lemmas(self):
+        session = self._session(False)
+        session.set_bounds("x", 1, 10)
+        assert session.check().is_unsat
+        assert session.last_stats.clauses_reused > 0
+        assert session.stats.lemmas_retracted == 0
+
+
 class TestImportLemmas:
     """Imported lemmas take the path of derived ones: guarded, then sent."""
 

@@ -12,9 +12,12 @@ Stdlib-only so it runs identically in CI and on a bare checkout
    keyword, brackets balance per block, and every node referenced by an
    edge is defined somewhere in the block.
 3. **Dead-link check** — relative markdown links must resolve on disk
-   (``#fragments`` stripped), and ``src/...py:NNN``-style code anchors
-   must point inside the referenced file.  External ``http(s)`` URLs are
-   skipped: CI has no business depending on the network.
+   (``#fragments`` stripped), and ``path.py:NNN``-style code anchors must
+   point inside the referenced file.  An anchor's path is read from the
+   repository root (``src/...``, ``tests/...``, ``tools/...``) or, when its
+   first segment is a package of ``src/repro`` (``core/presolve.py:456``),
+   from ``src/repro``.  External ``http(s)`` URLs are skipped: CI has no
+   business depending on the network.
 4. **Doctests** — ``doctest.testmod`` over the modules listed in
    ``DOCTEST_MODULES``; the pass fails if a module yields zero tests, so
    deleting the examples cannot silently turn this into a no-op.
@@ -51,7 +54,23 @@ _MERMAID_HEADERS = (
 )
 
 _LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
-_ANCHOR_RE = re.compile(r"`((?:src|tests|benchmarks|examples|tools)/[\w./-]+\.\w+):(\d+)`")
+_ANCHOR_RE = re.compile(r"`([\w-]+/[\w./-]+\.\w+):(\d+)`")
+
+#: Top-level directories whose anchors are written from the repository root.
+_ROOT_DIRS = ("src", "tests", "benchmarks", "examples", "tools")
+
+#: Where anchors written relative to the package resolve.
+PACKAGE = REPO / "src" / "repro"
+
+
+def resolve_anchor(anchor: str):
+    """The file a code anchor's path names, or None when it is no anchor."""
+    first = anchor.split("/", 1)[0]
+    if first in _ROOT_DIRS:
+        return REPO / anchor
+    if (PACKAGE / first).is_dir():
+        return PACKAGE / anchor
+    return None
 
 
 def _doc_files() -> list[Path]:
@@ -147,7 +166,9 @@ def check_links(path: Path, lines: list[str], errors: list[str]) -> None:
         if not resolved.exists():
             errors.append(f"{path.name}: dead link -> {target}")
     for anchor, line_number in _ANCHOR_RE.findall(text):
-        resolved = REPO / anchor
+        resolved = resolve_anchor(anchor)
+        if resolved is None:
+            continue
         if not resolved.exists():
             errors.append(f"{path.name}: dead code anchor -> {anchor}")
             continue
