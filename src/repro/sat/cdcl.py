@@ -21,7 +21,13 @@ Implements the modern conflict-driven clause-learning kernel:
 * Luby-sequence restarts and phase saving,
 * incremental use: clauses may be added between ``solve`` calls, and each
   call may carry assumption literals (this is what the tightly-integrated
-  MathSAT-like baseline builds on).
+  MathSAT-like baseline builds on).  A clause added above level 0 keeps
+  the trail: like a learned clause it backjumps only as far as it must
+  (to the level where it would have propagated) and implies its
+  remaining literal there, so a blocking clause costs the search below
+  that level nothing.  The next ``solve`` under the same assumptions
+  resumes from that trail; other assumptions, or a call after one that
+  returned ``None`` or ran out of budget, start again from level 0.
 
 The public surface (``CDCLSolver``, ``solve_cdcl``, ``luby``) and the
 seed-reproducibility contract are unchanged: two solvers built with the
@@ -122,6 +128,9 @@ class CDCLSolver:
         self._propagation_head = 0
         self._unsat = False  # an empty clause was added
         self._conflicts_until_reduce = reduce_interval
+        #: Assumptions of the last ``solve`` that returned a model; only a
+        #: call under the same assumptions resumes from the trail it left.
+        self._resume_assumptions: Optional[Tuple[int, ...]] = None
 
         # statistics
         self.conflicts = 0
@@ -185,17 +194,29 @@ class CDCLSolver:
         """Add a CNF's clauses as protected clauses.
 
         A :class:`CNF` holds normalized clauses over ``1..num_vars``, so the
-        variables are allocated once and each clause goes straight to
-        :meth:`_attach_normalized`.
+        variables are allocated once and no clause is normalized again.
+        While nothing is assigned, a clause of two or more literals is
+        watched on its first two, which is all :meth:`_attach_normalized`
+        would do; from the first unit on, each clause goes through it.
         """
         if self._trail_limits:
             self._backtrack(0)
         self._ensure_var(cnf.num_vars)
+        trail = self._trail
+        attach = self._attach_clause
         for clause in cnf.clauses:
-            self._attach_normalized(list(clause), False)
+            if trail or len(clause) < 2:
+                self._attach_normalized(list(clause), False)
+            else:
+                attach(list(clause), False, len(clause))
 
     def add_clause(self, literals: Sequence[int], protected: bool = True) -> None:
-        """Add a clause (incremental use: backtracks to decision level 0).
+        """Add a clause for later ``solve`` calls, keeping the trail.
+
+        A unit, or any clause while no decision is open, is added at level
+        0.  A longer clause above level 0 is attached where the search
+        stands (:meth:`_attach_above_root`), backjumping only as far as a
+        learned clause would.
 
         ``protected`` clauses (the default for every external add: problem
         clauses, the pipeline's blocking clauses, allsat's model-blocking
@@ -204,8 +225,6 @@ class CDCLSolver:
         the rest of the database (e.g. externally shared lemmas), where
         dropping them is sound.
         """
-        if self._trail_limits:
-            self._backtrack(0)
         seen = set()
         clause: List[int] = []
         for literal in literals:
@@ -217,7 +236,74 @@ class CDCLSolver:
             if literal not in seen:
                 seen.add(literal)
                 clause.append(literal)
+        if len(clause) > 1 and self._trail_limits:
+            self._attach_above_root(clause, not protected)
+            return
+        self._backtrack(0)
         self._attach_normalized(clause, not protected)
+
+    def _attach_above_root(self, clause: List[int], deletable: bool) -> None:
+        """Attach a normalized clause of two or more literals while decisions
+        are open, keeping every assignment below its assertion level.
+
+        One pass ranks the literals: non-false ones above false ones, false
+        ones by level.  The top two take the watch slots, and
+
+        * two non-false literals: the clause is watched on them;
+        * one non-false literal ``p`` over false ones of top level ``m``:
+          ``p`` unassigned, or true above ``m``, would have been implied at
+          ``m`` — backjump there and imply it; ``p`` true at or below ``m``
+          is watched with the false literal at ``m``;
+        * all false, one literal on the top level: backjump to the level of
+          the next and imply the top literal;
+        * all false, two on the top level ``l``: backjump to ``l - 1``,
+          which frees both watches.
+
+        So a watched false literal always has a true partner at or below
+        its level, and a later backjump cannot silently make the clause
+        unit.  A backjump to level 0 takes :meth:`_attach_normalized`'s
+        path (which also flags a clause false at level 0 as UNSAT).
+        """
+        values = self._values
+        levels = self._levels
+        current = len(self._trail_limits)
+        top = second = -1
+        top_level = second_level = -1
+        for position, literal in enumerate(clause):
+            var = literal if literal > 0 else -literal
+            # Non-false literals rank above every false one.
+            level = levels[var] if values[var] == (literal < 0) else current + 1
+            if level > top_level:
+                second, second_level = top, top_level
+                top, top_level = position, level
+            elif level > second_level:
+                second, second_level = position, level
+                if second_level > current:
+                    break  # two non-false literals: nothing more to learn
+        if second_level > current:  # two non-false literals
+            target, implied = current, False
+        elif top_level == second_level:  # false, two on the top level
+            target, implied = top_level - 1, False
+        else:
+            # The top literal stands alone above the rest: implied at the
+            # next level down unless it is already true at or below it.
+            var = abs(clause[top])
+            implied = values[var] == self._UNASSIGNED or levels[var] > second_level
+            target = second_level if implied else current
+        if target <= 0:
+            self._backtrack(0)
+            self._attach_normalized(clause, deletable)
+            return
+        if top != 0:
+            clause[0], clause[top] = clause[top], clause[0]
+            if second == 0:
+                second = top
+        if second != 1:
+            clause[1], clause[second] = clause[second], clause[1]
+        self._backtrack(target)
+        index = self._attach_clause(clause, deletable, len(clause))
+        if implied:
+            self._enqueue(clause[0], index)
 
     def _attach_normalized(self, clause: List[int], deletable: bool) -> None:
         """Add a clause at level 0 whose literals are distinct, free of
@@ -725,18 +811,28 @@ class CDCLSolver:
 
         Assumption literals are decided first (in order); if the formula is
         unsatisfiable under the assumptions, None is returned.
+
+        Under the assumptions of the last call that returned a model, the
+        search resumes from the trail that call (and any clause added since)
+        left.  A call that returns None or raises leaves a trail that may
+        hide a conflict, so the next call starts from level 0.
         """
         if self._unsat:
             return None
+        assumptions = tuple(assumptions)
+        resume = assumptions == self._resume_assumptions
+        self._resume_assumptions = None
         for literal in assumptions:
             # Sessions may assume activation literals the clause database has
             # not mentioned yet; allocate them instead of index-erroring.
             self._ensure_var(abs(literal))
-        self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            self._unsat = True
-            return None
+        if not resume:
+            self._backtrack(0)
+        if not self._trail_limits:
+            conflict = self._propagate()
+            if conflict is not None:
+                self._unsat = True
+                return None
 
         conflicts_until_restart = self.restart_base * luby(self.restarts + 1)
         conflicts_at_start = self.conflicts
@@ -792,6 +888,7 @@ class CDCLSolver:
             # No conflict: decide.
             literal = self._next_decision(assumptions)
             if literal is None:
+                self._resume_assumptions = assumptions
                 return self._extract_model()
             if literal == 0:
                 return None  # conflicting assumptions

@@ -15,7 +15,7 @@ import pytest
 from repro.sat.allsat import AllSATSolver
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.cnf import CNF
-from repro.sat.dpll import solve_dpll
+from repro.sat.dpll import DPLLSolver, solve_dpll
 
 #: Kernel knobs that force reduction sweeps to trigger on tiny formulas.
 AGGRESSIVE = dict(reduce_interval=3, restart_base=5, seed=7)
@@ -253,3 +253,146 @@ class TestCnfIntake:
                 check_model(cnf, model)
             verdicts.add(model is not None)
         assert verdicts == {True, False}
+
+
+def between_solves_script(seed: int) -> dict:
+    """One seeded script of ``solve`` and ``add_clause`` calls on one solver.
+
+    Solves run under repeated or changed assumption cubes; between them
+    come blocking clauses of the last model over a random variable subset,
+    random clauses and units.  Every verdict must be DPLL's on the clauses
+    added so far under the same assumptions, and every model must satisfy
+    all of them and the assumptions.  Returns what the script exercised.
+    """
+    rng = random.Random(seed)
+    num_vars = rng.randint(3, 10)
+    reference = random_cnf(rng, num_vars, rng.randint(1, 2 * num_vars))
+    options = rng.choice([{}, AGGRESSIVE, dict(seed=seed)])
+    solver = CDCLSolver(reference, **options)
+    dpll = DPLLSolver()
+    literal = lambda var: var if rng.random() < 0.5 else -var
+    assumptions = ()
+    model = None
+    failed = False  # the last solve was UNSAT under assumptions only
+    exercised = {"kept_trail": 0, "unsat_repeated": 0}
+    for _ in range(rng.randint(3, 10)):
+        if rng.random() < 0.3:
+            variables = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
+            changed = tuple(literal(var) for var in variables)
+            failed = failed and changed == assumptions
+            assumptions = changed
+        exercised["unsat_repeated"] += failed
+        expected = dpll.solve(reference, assumptions) is not None
+        model = solver.solve(assumptions)
+        assert (model is not None) == expected, (seed, assumptions)
+        failed = model is None and dpll.solve(reference) is not None
+        if model is not None:
+            check_model(reference, model)
+            assert all(model[abs(lit)] == (lit > 0) for lit in assumptions), seed
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if model is not None and kind < 0.5:
+                variables = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
+                clause = [-var if model[var] else var for var in variables]
+            elif kind < 0.85:
+                variables = rng.sample(range(1, num_vars + 1), rng.randint(2, min(4, num_vars)))
+                clause = [literal(var) for var in variables]
+            else:
+                clause = [literal(rng.randint(1, num_vars))]
+            solver.add_clause(clause)
+            reference.add_clause(clause)
+            exercised["kept_trail"] += bool(solver._trail_limits)
+    return exercised
+
+
+class TestClausesBetweenSolves:
+    """A clause added above level 0 keeps the trail, and the next solve
+    under the same assumptions resumes from it; verdicts and models must be
+    those of a solver that starts every call from scratch."""
+
+    def test_scripts_match_dpll(self):
+        totals = {"kept_trail": 0, "unsat_repeated": 0}
+        for seed in range(1500):
+            for key, count in between_solves_script(seed).items():
+                totals[key] += count
+        # Not vacuous: clauses were attached with decisions kept, and
+        # assumptions that had just failed were solved under again.
+        assert totals["kept_trail"] > 1000, totals
+        assert totals["unsat_repeated"] > 100, totals
+
+    def test_failed_assumptions_stay_failed(self):
+        """A solve that returns None under assumptions may leave a trail
+        holding an unresolved conflict, so solving under them again starts
+        from level 0 instead of resuming."""
+        solver = CDCLSolver(CNF(2))
+        assumptions = (-1, 2)
+        assert solver.solve(assumptions) is not None
+        solver.add_clause([1, 2])
+        solver.add_clause([-2, 1])  # 2 now forces 1 against the assumption
+        for _ in range(3):
+            assert solver.solve(assumptions) is None
+        assert solver.solve() == {1: True, 2: True}
+
+
+ASSUMED = (1, 2, 3, 4)
+LEVELED = ([-4, 5], [6], [7])
+
+
+def leveled_solver() -> CDCLSolver:
+    """A solver holding a model at level 4: 6 and 7 true at level 0, and
+    assumptions 1..4 at levels 1..4, with 5 implied by 4 at level 4.
+    Variables 8 and 9 are still unallocated."""
+    cnf = CNF(7)
+    for clause in LEVELED:
+        cnf.add_clause(clause)
+    solver = CDCLSolver(cnf)
+    assert solver.solve(ASSUMED) is not None
+    return solver
+
+
+class TestAttachAboveRoot:
+    """Where a clause added above level 0 leaves the trail: the level it
+    backjumps to, and the literal it implies there (with itself as the
+    reason), or none."""
+
+    @pytest.mark.parametrize(
+        "clause, level, implied",
+        [
+            ([-1, -3, 8], 3, 8),  # unit: implied below the current level
+            ([-1, 4], 1, 4),  # true only above its false literal
+            ([2, -3], 4, None),  # true at or below its false literal
+            ([-2, -4], 2, -4),  # false, one literal on the top level
+            ([-1, -4, -5], 3, None),  # false, two on the top level
+            ([-1, 8, 9], 4, None),  # two non-false literals
+            ([-6, 8], 0, 8),  # the rest false at level 0
+        ],
+    )
+    def test_backjump_and_implication(self, clause, level, implied):
+        solver = leveled_solver()
+        limits = list(solver._trail_limits)
+        kept = solver._trail[: limits[level]] if level < len(limits) else solver._trail[:]
+        solver.add_clause(clause)
+        assert len(solver._trail_limits) == level
+        if implied is None:
+            assert solver._trail == kept
+        else:
+            assert solver._trail == kept + [implied]
+            var = abs(implied)
+            assert solver._levels[var] == level
+            reason = solver._reasons[var]
+            assert reason is not None and solver._clauses[reason][0] == implied
+        cnf = CNF(9)
+        for added in LEVELED + (clause,):
+            cnf.add_clause(added)
+        for assumptions in (ASSUMED, ASSUMED, ()):
+            model = solver.solve(assumptions)
+            assert (model is not None) == (solve_dpll(cnf, assumptions) is not None)
+            if model is not None:
+                check_model(cnf, model)
+                assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
+
+    def test_clause_false_at_level_zero_is_unsat(self):
+        solver = leveled_solver()
+        solver.add_clause([-6, -7])
+        assert solver.solve(ASSUMED) is None
+        assert solver.solve() is None

@@ -7,8 +7,10 @@ immutable/hashable :class:`~repro.core.solver.ABModel`, the per-stage
 statistics, and the ``--check-incremental`` / ``--stats-json`` CLI modes.
 """
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -534,6 +536,38 @@ class TestEveryBooleanEngine:
         models = set(ABSolver(ABSolverConfig(boolean=boolean)).all_solutions(problem))
         assert len(reference) == 5
         assert models == reference
+
+
+class TestLifetime:
+    """The pipeline and its stages form no reference cycle, so a dropped
+    session frees its engines and caches without the cyclic collector."""
+
+    @staticmethod
+    def _problem() -> ABProblem:
+        """A linear conflict to refine (``y <= x - 5`` against ``y >= x``,
+        the first candidate), then a nonlinear search."""
+        problem = _base_problem()
+        problem.define(3, "real", parse_constraint("y >= x"))
+        problem.define(4, "real", parse_constraint("x * x >= 4"))
+        problem.define(5, "real", parse_constraint("y > x - 5"))
+        problem.add_clause([3])
+        problem.add_clause([-5, 4])
+        return problem
+
+    @pytest.mark.parametrize("linear", ["simplex", "difference"])
+    def test_dropped_session_frees_its_pipeline(self, linear):
+        gc.disable()
+        try:
+            session = SolverSession(ABSolverConfig(linear=linear))
+            session.assert_problem(self._problem())
+            result = session.check()
+            assert result.status == ABStatus.SAT
+            assert result.stats.conflicts_refined and result.stats.nonlinear_calls
+            pipeline = weakref.ref(session.pipeline)
+            del session
+            assert pipeline() is None
+        finally:
+            gc.enable()
 
 
 class TestABModel:
