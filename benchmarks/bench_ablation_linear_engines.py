@@ -16,8 +16,8 @@ query runs on the engine best shaped for it.
    :class:`~repro.linear.simplex.SimplexSolver` against
    :class:`~repro.linear.numpy_simplex.NumpySimplexSolver`.  This is the
    workload the float filter exists for: the float64 tableau proposes the
-   basis, one exact Gaussian solve certifies it, and the Fraction
-   blow-up of pivot-by-pivot exact arithmetic never happens.  The report
+   basis, one exact Gaussian solve certifies it, and the exact engine's
+   pivot-by-pivot growth of its integer rows never happens.  The report
    asserts the numpy engine is at least 2x faster and that every check
    was float-accepted (``numpy_accepts``), i.e. the speedup came from the
    filter, not from falling back to the exact engine.

@@ -242,7 +242,7 @@ class SimplexLinearAdapter(LinearSolverInterface):
             and answer re-checks by exact revalidation (on by default —
             stale entries are revalidated before use, so the cache is
             always sound; see :class:`~repro.linear.simplex.SimplexSolver`).
-        engine: ``"exact"`` for the pure-Fraction simplex, ``"numpy"`` for
+        engine: ``"exact"`` for the exact rational simplex, ``"numpy"`` for
             the float64 filter with exact certification
             (:class:`~repro.linear.numpy_simplex.NumpySimplexSolver`; falls
             back to exact transparently when numpy is unavailable).

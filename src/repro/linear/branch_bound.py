@@ -4,9 +4,12 @@ The paper's Sudoku encoding (Sec. 5.3) "can make use of integers", i.e. some
 theory variables are integer-typed (``c def int`` in the input language).
 COIN provides MILP machinery for this; our stand-in is a depth-first
 branch-and-bound on the LP relaxation: solve the relaxation, pick a variable
-with a fractional value, branch on ``x <= floor`` / ``x >= ceil``.
+with a fractional value, branch on ``x <= floor`` / ``x >= ceil``.  A
+node's system holds at most one branch row per variable and side: a deeper
+bound on the same side replaces the earlier one, so a dive does not grow
+the tableau it re-solves at every level.
 
-Because the LP is exact (Fractions), integrality detection is exact too.
+Because the LP is exact (rational), integrality detection is exact too.
 """
 
 from __future__ import annotations
@@ -43,12 +46,18 @@ class BranchAndBoundSolver:
 
     # ------------------------------------------------------------------
     def _search(self, system: LinearSystem, integer_vars: List[str]) -> LPResult:
-        stack: List[LinearSystem] = [system]
+        # A node is its system plus the position of its branch row on each
+        # (variable, relation); positions, not tags, mark branch rows, since
+        # an input row may carry any tag.  A child's row replaces the node's
+        # row on the same variable and side: the node's relaxation point
+        # satisfies that row and is fractional in the variable, so the new
+        # bound is strictly tighter.
+        stack: List[Tuple[LinearSystem, Dict[Tuple[str, Relation], int]]] = [(system, {})]
         while stack:
             self.nodes_explored += 1
             if self.nodes_explored > self.max_nodes:
                 raise RuntimeError("branch-and-bound node budget exhausted")
-            node = stack.pop()
+            node, branch_rows = stack.pop()
             relaxation = self.simplex.check(node)
             if relaxation.status is not LPStatus.FEASIBLE:
                 continue
@@ -58,17 +67,18 @@ class BranchAndBoundSolver:
                 return LPResult(LPStatus.FEASIBLE, point)
             var, value = fractional
             floor_value = Fraction(math.floor(value))
-            left = node.copy()
-            left.add(
-                LinearConstraint({var: Fraction(1)}, Relation.LE, floor_value, tag="branch")
-            )
-            right = node.copy()
-            right.add(
-                LinearConstraint({var: Fraction(1)}, Relation.GE, floor_value + 1, tag="branch")
-            )
             # Depth-first, floor branch explored first.
-            stack.append(right)
-            stack.append(left)
+            for relation, bound in ((Relation.GE, floor_value + 1), (Relation.LE, floor_value)):
+                child = node.copy()
+                child_rows = dict(branch_rows)
+                row = LinearConstraint({var: Fraction(1)}, relation, bound, tag="branch")
+                position = child_rows.get((var, relation))
+                if position is None:
+                    child_rows[(var, relation)] = len(child.rows)
+                    child.add(row)
+                else:
+                    child.rows[position] = row
+                stack.append((child, child_rows))
         return LPResult(LPStatus.INFEASIBLE)
 
     @staticmethod

@@ -6,13 +6,12 @@ verdicts stay sound.  :class:`NumpySimplexSolver` implements the classic
 
 1. Run a vectorized float64 two-phase simplex (Dantzig pricing, dense numpy
    tableau) over the same ``A x <= b`` normalization the exact engine uses.
-2. Certify the float outcome with exact :class:`fractions.Fraction`
-   arithmetic:
+2. Certify the float outcome with exact rational arithmetic:
 
-   * float **FEASIBLE** — re-solve the final *basis* exactly (one Gaussian
-     elimination over Fractions, not a pivot-by-pivot replay) and validate
-     the resulting point against every input row, strict inequalities
-     included;
+   * float **FEASIBLE** — re-solve the final *basis* exactly (one
+     Gauss–Jordan elimination on the exact engine's integer tableau, not a
+     pivot-by-pivot replay) and validate the resulting point against every
+     input row, strict inequalities included;
    * float **INFEASIBLE** — collect the rows with nonzero dual multipliers
      (the float Farkas support, typically a handful of rows) and re-check
      just that subsystem with the exact engine; its exact Farkas core is
@@ -25,8 +24,8 @@ verdicts stay sound.  :class:`NumpySimplexSolver` implements the classic
 
 The float run therefore only ever *proposes* a basis or a conflict support;
 every verdict that leaves this module is backed by exact arithmetic, so the
-SAT/UNSAT answers ABsolver derives from it are as sound as the pure
-Fraction engine's.  When numpy is not importable the class degrades to the
+SAT/UNSAT answers ABsolver derives from it are as sound as the exact
+engine's.  When numpy is not importable the class degrades to the
 exact engine transparently.
 """
 
@@ -37,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.expr import Relation
 from .lp import LinearConstraint
-from .simplex import EPSILON_VAR, LPResult, LPStatus, SimplexSolver
+from .simplex import EPSILON_VAR, LPResult, LPStatus, SimplexSolver, _Tableau
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy as _np
@@ -370,30 +369,22 @@ class NumpySimplexSolver(SimplexSolver):
 def _exact_gaussian_solve(
     matrix: List[List[Fraction]], rhs: List[Fraction]
 ) -> Optional[List[Fraction]]:
-    """Solve a square Fraction system by Gaussian elimination.
+    """Solve a square Fraction system by Gauss–Jordan elimination.
 
-    Returns the solution vector, or ``None`` when the matrix is singular
-    (the float run proposed a rank-deficient basis).
+    The elimination pivots the exact simplex's integer tableau, one column
+    at a time on the first row not pivoted yet.  Returns the solution
+    vector, or ``None`` when the matrix is singular (the float run proposed
+    a rank-deficient basis).
     """
     n = len(matrix)
-    m = [row[:] for row in matrix]
-    v = list(rhs)
+    tableau = _Tableau(n)
+    for row, value in zip(matrix, rhs):
+        tableau.add_row({j: entry for j, entry in enumerate(row) if entry}, value, -1)
+    free = list(range(n))
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
+        row_index = next((r for r in free if tableau.rows[r][col]), None)
+        if row_index is None:
             return None
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            v[col], v[pivot_row] = v[pivot_row], v[col]
-        inv = _ONE / m[col][col]
-        m[col] = [value * inv for value in m[col]]
-        v[col] *= inv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = m[r][col]
-            if factor == 0:
-                continue
-            m[r] = [value - factor * m[col][j] for j, value in enumerate(m[r])]
-            v[r] -= factor * v[col]
-    return v
+        free.remove(row_index)
+        tableau.pivot(row_index, col)
+    return tableau.solution()

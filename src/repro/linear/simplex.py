@@ -3,10 +3,16 @@
 ABsolver routes the linear constituent of an AB-problem to an LP engine and
 only needs three answers back: a feasible point, INFEASIBLE, or (when an
 objective is supplied, e.g. by branch-and-bound) an optimum.  This module
-implements a textbook two-phase primal simplex over exact
-:class:`fractions.Fraction` arithmetic with Bland's anti-cycling rule, so the
-SAT/UNSAT verdicts that ABsolver derives from it are sound — no float
-tolerance games.
+implements a textbook two-phase primal simplex in exact rational arithmetic
+with Bland's anti-cycling rule, so the SAT/UNSAT verdicts that ABsolver
+derives from it are sound — no float tolerance games.
+
+The tableau pivots over integers: each row is its integer numerators, its
+rhs numerator and one positive denominator, built from the rows'
+:class:`fractions.Fraction` coefficients scaled by their LCM and kept reduced
+by the gcd after each pivot.  Every value equals the one a tableau of
+Fractions would hold, so Bland's rule picks the same pivots; Fractions
+appear only in the points and objectives handed back.
 
 Strict inequalities are decided with the standard infinitesimal trick: a
 fresh epsilon variable is added, every ``<`` / ``>`` row is weakened by
@@ -22,6 +28,7 @@ point and objective the tableau would.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -74,46 +81,113 @@ class LPResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions.
+    """Simplex tableau over integers: one positive denominator per row.
 
-    Rows are equality constraints ``A x = b`` with ``b >= 0`` and an initial
-    basis of slack/artificial columns; the objective row is kept separately.
+    Row ``i`` reads ``sum(rows[i][j] * x_j) = rhs[i]`` divided through by
+    ``den[i] > 0``, so its entry at column ``j`` is ``rows[i][j] / den[i]``
+    and its right-hand side ``rhs[i] / den[i]``.  Each row is kept reduced
+    (its numerators, rhs and denominator share no factor), every value is
+    exact, and no :class:`~fractions.Fraction` is built while pivoting.  The
+    simplex driver adds equality rows ``A x = b`` with ``b >= 0`` and an
+    initial basis of slack/artificial columns, and keeps its objective row
+    apart in the same form (:func:`_subtract`).
     """
 
     def __init__(self, num_cols: int):
         self.num_cols = num_cols
-        self.rows: List[List[Fraction]] = []
-        self.rhs: List[Fraction] = []
+        self.rows: List[List[int]] = []
+        self.rhs: List[int] = []
+        self.den: List[int] = []
         self.basis: List[int] = []
 
-    def add_row(self, row: List[Fraction], rhs: Fraction, basic_col: int) -> None:
-        assert rhs >= 0, "tableau rows require non-negative rhs"
+    def add_row(self, coeffs: Mapping[int, Fraction], rhs: Fraction, basic_col: int) -> None:
+        """Append ``sum(coeffs[j] * x_j) = rhs`` scaled by its denominators' LCM.
+
+        The scaled row is reduced already: some value's denominator carries
+        each prime of the LCM to its full power.
+        """
+        scale = math.lcm(rhs.denominator, *(coeff.denominator for coeff in coeffs.values()))
+        row = [0] * self.num_cols
+        for col, coeff in coeffs.items():
+            row[col] = coeff.numerator * (scale // coeff.denominator)
         self.rows.append(row)
-        self.rhs.append(rhs)
+        self.rhs.append(rhs.numerator * (scale // rhs.denominator))
+        self.den.append(scale)
         self.basis.append(basic_col)
 
-    def pivot(self, row_index: int, col: int) -> None:
-        pivot_row = self.rows[row_index]
-        pivot_value = pivot_row[col]
-        inv = _ONE / pivot_value
-        self.rows[row_index] = [value * inv for value in pivot_row]
-        self.rhs[row_index] *= inv
-        pivot_row = self.rows[row_index]
-        for i, row in enumerate(self.rows):
-            if i == row_index:
-                continue
-            factor = row[col]
-            if factor == 0:
-                continue
-            self.rows[i] = [value - factor * pivot_row[j] for j, value in enumerate(row)]
-            self.rhs[i] -= factor * self.rhs[row_index]
+    def pivot(self, row_index: int, col: int) -> List[int]:
+        """Make ``col`` basic in ``row_index`` and return that row's support.
+
+        The pivot row keeps its numerators and takes the pivot element as
+        its denominator (negating the row when the element is negative), so
+        its entry at ``col`` reads 1; every other row with a nonzero entry at
+        ``col`` subtracts its multiple of it at the pivot row's nonzero
+        columns only.
+        """
+        rows, rhs, den = self.rows, self.rhs, self.den
+        pivot_row = rows[row_index]
+        pivot_rhs = rhs[row_index]
+        pivot_den = pivot_row[col]
+        if pivot_den < 0:
+            pivot_row = [-value for value in pivot_row]
+            pivot_rhs = -pivot_rhs
+            pivot_den = -pivot_den
+        pivot_row, pivot_rhs, pivot_den = _reduced(pivot_row, pivot_rhs, pivot_den)
+        rows[row_index], rhs[row_index], den[row_index] = pivot_row, pivot_rhs, pivot_den
+        support = [j for j, value in enumerate(pivot_row) if value]
+        for i, row in enumerate(rows):
+            if i != row_index and row[col]:
+                rows[i], rhs[i], den[i] = _subtract(
+                    row, rhs[i], den[i], col, pivot_row, pivot_rhs, pivot_den, support
+                )
         self.basis[row_index] = col
+        return support
 
     def solution(self) -> List[Fraction]:
         values = [_ZERO] * self.num_cols
         for row_index, col in enumerate(self.basis):
-            values[col] = self.rhs[row_index]
+            values[col] = Fraction(self.rhs[row_index], self.den[row_index])
         return values
+
+
+def _reduced(row: List[int], rhs: int, den: int) -> Tuple[List[int], int, int]:
+    """``row``, ``rhs`` and ``den`` divided by their greatest common divisor."""
+    divisor = math.gcd(den, rhs)
+    if divisor != 1:
+        divisor = math.gcd(divisor, *row)
+        if divisor != 1:
+            return [value // divisor for value in row], rhs // divisor, den // divisor
+    return row, rhs, den
+
+
+def _subtract(
+    row: List[int],
+    rhs: int,
+    den: int,
+    col: int,
+    pivot_row: List[int],
+    pivot_rhs: int,
+    pivot_den: int,
+    support: Sequence[int],
+) -> Tuple[List[int], int, int]:
+    """Eliminate ``col`` from a row by a pivot row whose entry there is 1.
+
+    Both rows are ``(numerators, rhs, denominator)`` triples; ``support``
+    lists the pivot row's nonzero columns, the only ones whose numerators
+    change beyond the common rescaling.  Returns the reduced result, which
+    may be ``row`` itself updated in place.
+    """
+    factor = row[col]
+    divisor = math.gcd(factor, pivot_den)
+    scale = pivot_den // divisor
+    factor //= divisor
+    if scale != 1:
+        row = [value * scale for value in row]
+        rhs *= scale
+        den *= scale
+    for j in support:
+        row[j] -= factor * pivot_row[j]
+    return _reduced(row, rhs - factor * pivot_rhs, den)
 
 
 class SimplexSolver:
@@ -431,27 +505,22 @@ class SimplexSolver:
 
         tableau = _Tableau(total_cols)
         artificial_cols: List[int] = []
-        art_index = 0
         for i, (cols, bound) in enumerate(normalized):
-            row_vec = [_ZERO] * total_cols
             slack_col = slack_base + i
             if bound >= 0:
-                for col, coeff in cols.items():
-                    row_vec[col] = coeff
-                row_vec[slack_col] = _ONE
-                tableau.add_row(row_vec, bound, slack_col)
+                coeffs = dict(cols)
+                coeffs[slack_col] = _ONE
+                tableau.add_row(coeffs, bound, slack_col)
             else:
                 # Multiply by -1: -a x - s = -b, add artificial.
-                for col, coeff in cols.items():
-                    row_vec[col] = -coeff
-                row_vec[slack_col] = -_ONE
-                art_col = artificial_base + art_index
-                art_index += 1
-                row_vec[art_col] = _ONE
+                coeffs = {col: -coeff for col, coeff in cols.items()}
+                coeffs[slack_col] = -_ONE
+                art_col = artificial_base + len(artificial_cols)
+                coeffs[art_col] = _ONE
                 artificial_cols.append(art_col)
-                tableau.add_row(row_vec, -bound, art_col)
+                tableau.add_row(coeffs, -bound, art_col)
 
-        def farkas_core(z: List[Fraction]) -> List[int]:
+        def farkas_core(z: List[int]) -> List[int]:
             """Rows with a nonzero dual in the certificate: y_i = ∓z[slack_i]."""
             core: set = set()
             for i in range(num_rows):
@@ -461,9 +530,7 @@ class SimplexSolver:
 
         # ---- Phase 1: minimize the sum of artificials -------------------
         if artificial_cols:
-            cost = [_ZERO] * total_cols
-            for col in artificial_cols:
-                cost[col] = _ONE
+            cost = {col: _ONE for col in artificial_cols}
             value, z = self._run_phase(tableau, cost, minimize=True, banned=set())
             if value > 0:
                 return LPResult(LPStatus.INFEASIBLE, core_indices=farkas_core(z))
@@ -476,12 +543,12 @@ class SimplexSolver:
             point = self._extract_point(tableau, variables, col_of_pos, col_of_neg)
             return LPResult(LPStatus.FEASIBLE, point, _ZERO)
 
-        cost = [_ZERO] * total_cols
+        cost: Dict[int, Fraction] = {}
         for var, coeff in objective.items():
             if var in col_of_pos:
-                cost[col_of_pos[var]] += coeff
+                cost[col_of_pos[var]] = Fraction(coeff)
             if var in col_of_neg:
-                cost[col_of_neg[var]] -= coeff
+                cost[col_of_neg[var]] = -Fraction(coeff)
         try:
             value, z = self._run_phase(tableau, cost, minimize=not maximize, banned=banned)
         except _Unbounded:
@@ -497,28 +564,38 @@ class SimplexSolver:
     def _run_phase(
         self,
         tableau: _Tableau,
-        cost: List[Fraction],
+        cost: Mapping[int, Fraction],
         minimize: bool,
         banned: Set[int],
-    ) -> Tuple[Fraction, List[Fraction]]:
-        """Run simplex on the given objective.
+    ) -> Tuple[Fraction, List[int]]:
+        """Run simplex on the objective ``sum(cost[j] * x_j)``.
 
-        Returns ``(objective value, reduced-cost row)``; the reduced costs on
-        slack columns encode the dual solution used for Farkas cores.
-        ``banned`` columns (phase-1 artificials during phase 2) never enter
-        the basis.  Raises :class:`_Unbounded` on an unbounded objective.
+        Returns ``(objective value, reduced-cost numerators)``; the reduced
+        costs share one positive denominator, so their signs on slack
+        columns encode the dual solution used for Farkas cores.  ``banned``
+        columns (phase-1 artificials during phase 2) never enter the basis.
+        Raises :class:`_Unbounded` on an unbounded objective.
+
+        The reduced-cost row is kept like a tableau row, with ``-(objective)``
+        in the "minimize" orientation as its rhs.  A row's rhs and entering
+        coefficient share its denominator, so the ratio test compares
+        ``rhs_i / a_i`` by cross-multiplying numerators.
         """
-        sign = _ONE if minimize else -_ONE
+        sign = 1 if minimize else -1
+        z_den = math.lcm(*(coeff.denominator for coeff in cost.values()))
+        z = [0] * tableau.num_cols
+        for col, coeff in cost.items():
+            z[col] = sign * coeff.numerator * (z_den // coeff.denominator)
+        z_rhs = 0
+        rows, rhs, den, basis = tableau.rows, tableau.rhs, tableau.den, tableau.basis
         # Reduced-cost row: start from cost, eliminate basic columns.
-        z = [sign * c for c in cost]
-        z_value = _ZERO
-        for row_index, col in enumerate(tableau.basis):
-            factor = z[col]
-            if factor == 0:
-                continue
-            row = tableau.rows[row_index]
-            z = [zj - factor * row[j] for j, zj in enumerate(z)]
-            z_value -= factor * tableau.rhs[row_index]
+        for row_index, col in enumerate(basis):
+            if z[col]:
+                row = rows[row_index]
+                support = [j for j, value in enumerate(row) if value]
+                z, z_rhs, z_den = _subtract(
+                    z, z_rhs, z_den, col, row, rhs[row_index], den[row_index], support
+                )
 
         while True:
             entering = -1
@@ -532,32 +609,31 @@ class SimplexSolver:
                 break
             # Ratio test (Bland tie-break on basis variable index).
             leaving = -1
-            best_ratio: Optional[Fraction] = None
-            for row_index, row in enumerate(tableau.rows):
+            best_rhs = best_coeff = 0
+            for row_index, row in enumerate(rows):
                 coeff = row[entering]
                 if coeff <= 0:
                     continue
-                ratio = tableau.rhs[row_index] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and tableau.basis[row_index] < tableau.basis[leaving])
+                if leaving < 0:
+                    leaving, best_rhs, best_coeff = row_index, rhs[row_index], coeff
+                    continue
+                ratio, best_ratio = rhs[row_index] * best_coeff, best_rhs * coeff
+                if ratio < best_ratio or (
+                    ratio == best_ratio and basis[row_index] < basis[leaving]
                 ):
-                    best_ratio = ratio
-                    leaving = row_index
+                    leaving, best_rhs, best_coeff = row_index, rhs[row_index], coeff
             if leaving < 0:
                 raise _Unbounded()
             self.pivots += 1
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot budget exhausted")
-            factor = z[entering]
-            tableau.pivot(leaving, entering)
-            pivot_row = tableau.rows[leaving]
-            z = [zj - factor * pivot_row[j] for j, zj in enumerate(z)]
-            z_value -= factor * tableau.rhs[leaving]
-        # z_value now holds -(objective) in the "sign" orientation.
-        objective_value = -z_value
-        return (objective_value if minimize else -objective_value), z
+            support = tableau.pivot(leaving, entering)
+            z, z_rhs, z_den = _subtract(
+                z, z_rhs, z_den, entering, rows[leaving], rhs[leaving], den[leaving], support
+            )
+        # z_rhs / z_den now holds -(objective) in the "sign" orientation.
+        value = Fraction(z_rhs, z_den)
+        return (-value if minimize else value), z
 
     def _drive_out_artificials(self, tableau: _Tableau, artificial_cols: Set[int]) -> None:
         """Pivot basic artificials (at value 0) out of the basis if possible."""

@@ -4,11 +4,11 @@ The benchmark harness prints paper-vs-measured tables, but across PRs the
 perf trajectory of this reproduction was only recoverable by re-reading CI
 logs.  A ``BENCH_<name>.json`` file holds a *trajectory*: a list of run
 records — wall time, per-stage latency breakdown, counter snapshot, git
-SHA, timestamp — appended to on every benchmark run (capped at
-:data:`TRAJECTORY_LIMIT` entries, oldest dropped first).  The file is
-written next to the working directory (or wherever
-``REPRO_BENCH_RECORD_DIR`` points); the committed copies at the repo root
-accumulate the perf history across PRs, which is what
+SHA and whether tracked files differed from it, timestamp — appended to
+on every benchmark run (capped at :data:`TRAJECTORY_LIMIT` entries, oldest
+dropped first).  The file is written next to the working directory (or
+wherever ``REPRO_BENCH_RECORD_DIR`` points); the committed copies at the
+repo root accumulate the perf history across PRs, which is what
 ``tools/bench_compare.py`` gates regressions against.
 
 ``benchmarks/conftest.py`` exposes a ``record_bench`` helper over
@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional
 
 __all__ = [
     "git_sha",
+    "git_dirty",
     "bench_record_payload",
     "write_bench_record",
     "load_trajectory",
@@ -46,11 +47,11 @@ SCHEMA_VERSION = 2
 TRAJECTORY_LIMIT = 50
 
 
-def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """The current commit SHA, or None outside a git checkout."""
+def _git(args: List[str], cwd: Optional[str]) -> Optional[str]:
+    """Standard output of a git command, or None when it cannot run or fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=cwd,
             capture_output=True,
             text=True,
@@ -58,8 +59,22 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(cwd: Optional[str] = None) -> Optional[str]:
+    """The current commit SHA, or None outside a git checkout."""
+    return (_git(["rev-parse", "HEAD"], cwd) or "").strip() or None
+
+
+def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether tracked files differ from HEAD, or None outside a git checkout.
+
+    Untracked files are ignored: a record made before its change is
+    committed says so, while stray outputs of the run itself do not count.
+    """
+    status = _git(["status", "--porcelain", "--untracked-files=no"], cwd)
+    return None if status is None else bool(status.strip())
 
 
 def bench_record_payload(
@@ -82,6 +97,7 @@ def bench_record_payload(
         "benchmark": name,
         "recorded_unix": time.time(),
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "argv": list(sys.argv),

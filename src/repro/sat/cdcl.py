@@ -851,7 +851,6 @@ class CDCLSolver:
                 if not self._conflict_above_assumptions(assumptions):
                     return None
                 learned, backjump_level, lbd = self._analyze(conflict)
-                backjump_level = max(backjump_level, self._assumption_level(assumptions, learned))
                 self._backtrack(backjump_level)
                 if len(learned) == 1:
                     if self._literal_value(learned[0]) == 0:
@@ -917,9 +916,6 @@ class CDCLSolver:
     def _assumption_floor(self, assumptions: Sequence[int]) -> int:
         """Deepest level restarts may clear without dropping assumptions."""
         return min(self._decision_level, len(assumptions))
-
-    def _assumption_level(self, assumptions: Sequence[int], learned: List[int]) -> int:
-        return 0  # learned clauses are global; assumptions re-decided on the way down
 
     def _conflict_above_assumptions(self, assumptions: Sequence[int]) -> bool:
         """False when the conflict is at an assumption level => UNSAT(assumps)."""

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import CVCLiteLikeSolver, MathSATLikeSolver
 from repro.benchgen.randgen import planted_problem, random_linear_problem
@@ -53,6 +53,12 @@ class TestPlantedSolving:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
+    # Seeds whose branch-and-bound dives once took minutes each.
+    @example(191)
+    @example(205)
+    @example(225)
+    @example(459)
+    @example(506)
     def test_absolver_integer_instances(self, seed):
         instance = planted_problem(seed, integer_vars=True)
         result = ABSolver().solve(instance.problem)

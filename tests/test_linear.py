@@ -209,6 +209,30 @@ class TestBranchAndBound:
         assert result.point["x"].denominator == 1
         assert result.point["x"] + result.point["y"] == Fraction(5, 2)
 
+    def test_dive_keeps_one_branch_row_per_variable_and_side(self):
+        # The floor-first dive on this system bounds y from above three times
+        # over; each bound must replace the last one, never pile up behind it.
+        input_rows = [
+            row("8*y >= -1", tag=1),
+            row("-4*x - 3*y = -9", tag=2),
+            row("y <= 10", tag="branch"),  # an input row may carry any tag
+        ]
+        seen = []
+
+        class Spy(SimplexSolver):
+            def check(self, system):
+                seen.append(list(system.rows))
+                return super().check(system)
+
+        sys_ = LinearSystem(input_rows, {"x": "int", "y": "int"})
+        result = BranchAndBoundSolver(simplex=Spy()).check(sys_)
+        assert result.status is LPStatus.FEASIBLE and sys_.check_point(result.point)
+        assert max(len(rows) for rows in seen) > len(input_rows) + 1
+        for rows in seen:
+            assert all(a is b for a, b in zip(rows, input_rows))
+            sides = [(tuple(r.coeffs), r.relation) for r in rows[len(input_rows):]]
+            assert len(sides) == len(set(sides)), [str(r) for r in rows]
+
     def test_node_budget(self):
         solver = BranchAndBoundSolver(max_nodes=1)
         sys_ = system("x + y = 2.5", "x >= 0", "y >= 0", domains={"x": "int", "y": "int"})

@@ -5,6 +5,7 @@ overhead guard."""
 
 import io
 import json
+import subprocess
 import time
 
 import pytest
@@ -13,7 +14,13 @@ from repro import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_cons
 from repro.core.stats import SolveStatistics
 # Aliased: the repo's pytest config collects bench_* names as benchmarks.
 from repro.obs.bench_record import bench_record_payload as make_bench_payload
-from repro.obs.bench_record import latest_record, load_trajectory, write_bench_record
+from repro.obs.bench_record import (
+    git_dirty,
+    git_sha,
+    latest_record,
+    load_trajectory,
+    write_bench_record,
+)
 from repro.obs.events import (
     BlockingClauseAdded,
     CandidateFound,
@@ -439,6 +446,33 @@ class TestBenchRecord:
         assert payload["stages"]["boolean"]["samples"] >= 1
         assert payload["extra"] == {"depth": 3}
         assert payload["git_sha"] is None or len(payload["git_sha"]) == 40
+
+    def test_payload_marks_a_dirty_tree(self, tmp_path, monkeypatch):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                cwd=tmp_path,
+                check=True,
+                capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "base")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "untracked.txt").write_text("ignored\n")
+        clean = make_bench_payload("demo")
+        assert clean["git_dirty"] is False
+        assert len(clean["git_sha"]) == 40
+        (tmp_path / "tracked.txt").write_text("two\n")
+        dirty = make_bench_payload("demo")
+        assert dirty["git_dirty"] is True
+        assert dirty["git_sha"] == clean["git_sha"]
+
+    def test_git_dirty_is_none_outside_git(self, tmp_path):
+        assert git_dirty(str(tmp_path)) is None
+        assert git_sha(str(tmp_path)) is None
 
     def test_payload_carries_memory_attribution(self):
         payload = make_bench_payload(
