@@ -20,7 +20,7 @@ representation.  This package provides:
 * :mod:`repro.obs` — observability: one observer (the single
   ``ABSolverConfig(observer=...)`` setting) carrying nested span tracing
   (Chrome ``trace_event`` / JSONL export), typed solver events and the
-  other diagnostics as sinks, the metrics registry behind
+  other diagnostics as sinks, the stage histograms of
   :class:`~repro.core.stats.SolveStatistics`, and benchmark trajectory
   records.
 
@@ -50,7 +50,7 @@ from .core.registry import SolverRegistry, default_registry
 from .core.tristate import Tri, TT, FF, UNKNOWN
 from .io.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, format_dimacs
 from .io.smtlib import parse_smtlib
-from .obs import CollectingSink, MetricsRegistry, Observer, SpanTracer, VerboseSink
+from .obs import CollectingSink, Observer, SpanTracer, VerboseSink
 from .parallel import ParallelSolver
 
 __version__ = "1.0.0"
@@ -87,6 +87,5 @@ __all__ = [
     "SpanTracer",
     "CollectingSink",
     "VerboseSink",
-    "MetricsRegistry",
     "__version__",
 ]

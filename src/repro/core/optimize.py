@@ -34,6 +34,7 @@ from ..linear.branch_bound import BranchAndBoundSolver
 from ..sat.cnf import Assignment
 from .expr import Relation
 from .interface import BooleanSolverInterface, UnsupportedTheoryError
+from .pipeline import complete_theory_model, declared_bound_rows
 from .problem import ABProblem
 from .registry import DOMAIN_BOOLEAN, SolverRegistry, default_registry
 from .solver import ABModel
@@ -119,6 +120,7 @@ class ABOptimizer:
         simplex = SimplexSolver()
         branch_bound = BranchAndBoundSolver(simplex=simplex)
         boolean: BooleanSolverInterface = self.registry.create(DOMAIN_BOOLEAN, self.boolean)
+        bound_rows = declared_bound_rows(problem)
 
         incumbent_value: Optional[Fraction] = None
         incumbent_model: Optional[ABModel] = None
@@ -132,7 +134,7 @@ class ABOptimizer:
             unbounded = False
             for branch_rows in self._branch_rows(problem, alpha):
                 system = LinearSystem(branch_rows, dict(domains))
-                for bound_row in self._bound_rows(problem):
+                for bound_row in bound_rows:
                     system.add(bound_row)
                 if incumbent_value is not None:
                     # incumbent cut: only strictly better points matter
@@ -165,7 +167,7 @@ class ABOptimizer:
                 if incumbent_value is None or self._better(value, incumbent_value, maximize):
                     incumbent_value = value
                     theory = {v: float(x) for v, x in point.items()}
-                    self._complete(problem, theory, domains)
+                    complete_theory_model(problem, theory, domains)
                     incumbent_model = ABModel(alpha, theory)
             # Block this branch's defined-variable combination and continue.
             blocking = [
@@ -274,32 +276,3 @@ class ABOptimizer:
             )
         for choice in itertools.product(*splits) if splits else [()]:
             yield fixed + list(choice)
-
-    def _bound_rows(self, problem: ABProblem) -> List[LinearConstraint]:
-        rows: List[LinearConstraint] = []
-        for var, (low, high) in problem.bounds.items():
-            if low is not None:
-                rows.append(
-                    LinearConstraint(
-                        {var: Fraction(1)},
-                        Relation.GE,
-                        Fraction(low).limit_denominator(10**9),
-                    )
-                )
-            if high is not None:
-                rows.append(
-                    LinearConstraint(
-                        {var: Fraction(1)},
-                        Relation.LE,
-                        Fraction(high).limit_denominator(10**9),
-                    )
-                )
-        return rows
-
-    @staticmethod
-    def _complete(problem: ABProblem, theory: Dict[str, float], domains) -> None:
-        for var in problem.theory_variables():
-            if var not in theory:
-                theory[var] = 0.0
-            elif domains.get(var) == "int":
-                theory[var] = float(round(theory[var]))

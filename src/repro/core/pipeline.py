@@ -91,6 +91,7 @@ __all__ = [
     "SolvePipeline",
     "CDCL_FAMILY",
     "complete_theory_model",
+    "declared_bound_rows",
 ]
 
 #: The Boolean engines built on the CDCL kernel: the only ones that take
@@ -181,6 +182,21 @@ def complete_theory_model(
         if domains.get(var) == "int":
             value = float(math.ceil(value)) if low is not None and value == low else float(round(value))
         theory_model[var] = value
+
+
+def declared_bound_rows(problem: ABProblem) -> List[LinearConstraint]:
+    """The problem's declared variable box as untagged linear rows."""
+    rows: List[LinearConstraint] = []
+    for var, (low, high) in problem.bounds.items():
+        if low is not None:
+            rows.append(
+                LinearConstraint({var: Fraction(1)}, Relation.GE, Fraction(low).limit_denominator(10**9))
+            )
+        if high is not None:
+            rows.append(
+                LinearConstraint({var: Fraction(1)}, Relation.LE, Fraction(high).limit_denominator(10**9))
+            )
+    return rows
 
 
 def _integral_ok(
@@ -354,19 +370,7 @@ class TheoryTranslationStage:
             self._pipeline.stats.bound_rows_cache_hits += 1
             return self._bound_rows
         store = self._pipeline.presolve.active_store()
-        if store is not None:
-            rows = store.bound_rows()
-        else:
-            rows = []
-            for var, (low, high) in problem.bounds.items():
-                if low is not None:
-                    rows.append(
-                        LinearConstraint({var: Fraction(1)}, Relation.GE, Fraction(low).limit_denominator(10**9))
-                    )
-                if high is not None:
-                    rows.append(
-                        LinearConstraint({var: Fraction(1)}, Relation.LE, Fraction(high).limit_denominator(10**9))
-                    )
+        rows = store.bound_rows() if store is not None else declared_bound_rows(problem)
         self._bound_rows = rows
         return rows
 

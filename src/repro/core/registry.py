@@ -8,7 +8,7 @@ configurations then reference solvers purely by name (mirroring the
 command-line parameters of the original tool).
 
 The default substrate solvers are pre-registered at import time; the scipy
-backend registers itself only when scipy is importable.
+backend is registered only when scipy is installed.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .interface import (
     DPLLBooleanAdapter,
     LSATBooleanAdapter,
     NewtonNonlinearAdapter,
+    ScipyNonlinearAdapter,
     SimplexLinearAdapter,
 )
+from ..nonlinear.scipy_backend import scipy_available
 
 __all__ = [
     "SolverRegistry",
@@ -92,15 +94,8 @@ def _build_default_registry() -> SolverRegistry:
     )
     registry.register(DOMAIN_NONLINEAR, "newton", NewtonNonlinearAdapter)
     registry.register(DOMAIN_NONLINEAR, "auglag", AugLagNonlinearAdapter)
-    try:
-        from ..nonlinear.scipy_backend import scipy_available
-
-        if scipy_available():
-            from .interface import ScipyNonlinearAdapter
-
-            registry.register(DOMAIN_NONLINEAR, "scipy-slsqp", ScipyNonlinearAdapter)
-    except ImportError:  # pragma: no cover - scipy probing never hard-fails
-        pass
+    if scipy_available():
+        registry.register(DOMAIN_NONLINEAR, "scipy-slsqp", ScipyNonlinearAdapter)
     return registry
 
 

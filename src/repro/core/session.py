@@ -340,8 +340,7 @@ class SolverSession:
         frame = self._frames[level - 1] if level else None
         for clause in clauses:
             self._send_clause(self._guard(clause, True, frame))
-        if clauses:
-            self.stats.registry.counter("lemmas_imported").value += len(clauses)
+        self.stats.lemmas_imported += len(clauses)
         return len(clauses)
 
     # ------------------------------------------------------------------

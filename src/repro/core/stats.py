@@ -1,26 +1,23 @@
-"""Solve-run statistics: a facade over the observability metrics registry.
+"""Solve-run statistics: plain counters plus per-stage latency histograms.
 
-:class:`SolveStatistics` keeps its historical surface — named counter
-attributes, ``timed``/``timers``, ``merge``, ``as_dict`` — but the storage
-now lives in a :class:`repro.obs.metrics.MetricsRegistry` of counters and
-latency histograms.  That buys two things the flat object could not do:
-
-* lossless aggregation — ``merge`` folds *every* registered counter and
-  histogram, including ones newer components register outside the
-  historical ``_COUNTERS`` tuple (which used to vanish silently);
-* latency distributions — each ``timed(key)`` context records one
-  observation in the ``key`` histogram, so per-stage p50/p95 summaries are
-  available (``stage_summaries``) next to the accumulated totals that
-  ``timers`` and ``as_dict`` keep exposing.
+Every counter the program sets is declared once, in
+:attr:`SolveStatistics._COUNTERS`, and is a plain ``int`` attribute; the
+class uses ``__slots__``, so a misspelt counter raises ``AttributeError``
+instead of becoming an attribute that ``merge`` and ``as_dict`` ignore.
+Each ``timed(key)`` context records one wall-clock observation in the
+``key`` :class:`~repro.obs.metrics.Histogram`, so per-stage p50/p95
+summaries (``stage_summaries``) sit next to the accumulated totals that
+``timers`` and ``as_dict`` expose.  :meth:`SolveStatistics.snapshot` is the
+one serialisation bench records and flight dumps write.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram
 
 __all__ = ["SolveStatistics"]
 
@@ -43,17 +40,9 @@ class SolveStatistics:
     a ``pop`` retracted the frame they depended on).  Per-stage wall clock
     lands in ``timers`` under the stage names (``boolean``, ``translate``,
     ``linear``, ``nonlinear``, ``refine``).
-
-    Counter reads and writes go through :attr:`registry`; accessing an
-    attribute named like a registered counter returns its current value,
-    and assigning one sets it, so ``stats.boolean_queries += 1`` behaves
-    exactly as it did when these were plain ints.
     """
 
-    #: The historical counter set, kept for attribute pre-registration and
-    #: for the stable leading key order of :meth:`as_dict`.  Counters
-    #: registered beyond this tuple are first-class citizens everywhere
-    #: (attribute access, ``merge``, ``as_dict``).
+    #: Every counter, in the key order of :meth:`as_dict`.
     _COUNTERS = (
         "boolean_queries",
         "linear_checks",
@@ -70,7 +59,7 @@ class SolveStatistics:
         "warm_start_hits",
         "lemmas_retracted",
         "bound_rows_cache_hits",
-        # No longer incremented: registered because perfbench reads it.
+        # No longer incremented: kept because perfbench reads it.
         "blocking_template_hits",
         "numpy_accepts",
         "numpy_fallbacks",
@@ -85,36 +74,29 @@ class SolveStatistics:
         "heap_decisions",
         "clauses_reduced",
         "clauses_minimized_lits",
+        "lemmas_imported",
+        # Set by the parallel coordinator on the stats of one parallel solve.
+        "parallel_tasks",
+        "cubes_dispatched",
+        "parallel_workers",
+        "lemmas_shared",
+        "lemmas_deduped",
+        "parallel_cancellations",
     )
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        object.__setattr__(self, "registry", registry or MetricsRegistry())
-        for field in self._COUNTERS:
-            self.registry.counter(field)
+    __slots__ = _COUNTERS + ("histograms",)
 
-    # -- counter attribute facade --------------------------------------
-    def __getattr__(self, name: str):
-        # Only reached when normal attribute lookup fails: route reads of
-        # registered counters to the registry.
-        if name.startswith("__"):
-            raise AttributeError(name)
-        registry = self.__dict__.get("registry")
-        if registry is not None:
-            counter = registry.counters.get(name)
-            if counter is not None:
-                return counter.value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
+    def __init__(self) -> None:
+        for name in self._COUNTERS:
+            setattr(self, name, 0)
+        #: Stage name -> wall-clock seconds of each ``timed`` entry.
+        self.histograms: Dict[str, Histogram] = {}
 
-    def __setattr__(self, name: str, value) -> None:
-        registry = self.__dict__.get("registry")
-        if registry is not None and isinstance(value, int) and not name.startswith("_"):
-            counter = registry.counters.get(name)
-            if counter is not None or name in self._COUNTERS:
-                registry.counter(name).value = value
-                return
-        object.__setattr__(self, name, value)
+    def _histogram(self, key: str) -> Histogram:
+        histogram = self.histograms.get(key)
+        if histogram is None:
+            histogram = self.histograms[key] = Histogram(key)
+        return histogram
 
     # -- timing ---------------------------------------------------------
     @contextmanager
@@ -124,22 +106,16 @@ class SolveStatistics:
         try:
             yield
         finally:
-            self.registry.histogram(key).observe(time.perf_counter() - started)
+            self._histogram(key).observe(time.perf_counter() - started)
 
     @property
     def timers(self) -> Dict[str, float]:
         """Accumulated wall-clock per key (histogram totals), as a dict."""
-        return {
-            name: histogram.total
-            for name, histogram in self.registry.histograms.items()
-        }
+        return {name: histogram.total for name, histogram in self.histograms.items()}
 
     def stage_summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-key latency summaries (count/total/mean/p50/p95/max)."""
-        return {
-            name: histogram.summary()
-            for name, histogram in self.registry.histograms.items()
-        }
+        return {name: histogram.summary() for name, histogram in self.histograms.items()}
 
     # -- aggregation ----------------------------------------------------
     def merge(self, other: "SolveStatistics") -> "SolveStatistics":
@@ -147,25 +123,30 @@ class SolveStatistics:
 
         Sessions use this for cross-query aggregation: each ``check`` fills
         a fresh :class:`SolveStatistics`, which is then merged into the
-        session's cumulative record.  The merge is registry-level, so every
-        counter registered on either side aggregates — including counters a
-        newer component added outside :attr:`_COUNTERS`.  Returns ``self``
-        for chaining.
+        session's cumulative record.  Returns ``self`` for chaining.
         """
-        self.registry.merge(other.registry)
+        for name in self._COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, histogram in other.histograms.items():
+            self._histogram(name).merge(histogram)
         return self
 
+    # -- serialisation --------------------------------------------------
     def as_dict(self) -> Dict[str, float]:
-        """Counters (historical ones first) plus ``time_<key>`` totals."""
-        result: Dict[str, float] = {
-            field: self.registry.counter_value(field) for field in self._COUNTERS
-        }
-        for name in sorted(self.registry.counters):
-            if name not in result:
-                result[name] = self.registry.counters[name].value
-        for name, histogram in self.registry.histograms.items():
+        """Counters in declaration order plus ``time_<key>`` totals."""
+        result: Dict[str, float] = {name: getattr(self, name) for name in self._COUNTERS}
+        for name, histogram in self.histograms.items():
             result[f"time_{name}"] = histogram.total
         return result
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Counter values and per-stage summaries, JSON-ready, keys sorted."""
+        return {
+            "counters": {name: getattr(self, name) for name in sorted(self._COUNTERS)},
+            "stages": {
+                name: self.histograms[name].summary() for name in sorted(self.histograms)
+            },
+        }
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())

@@ -5,11 +5,14 @@ task can be integrated and used" (abstract).  This module demonstrates the
 claim by wrapping :func:`scipy.optimize.minimize` (SLSQP) behind the exact
 same feasibility interface as the from-scratch augmented-Lagrangian engine.
 It is registered in the solver registry under ``"scipy-slsqp"`` when scipy
-is importable, and silently absent otherwise — no hard dependency.
+is installed, and silently absent otherwise — no hard dependency.  scipy
+itself is imported only when the solver runs, so importing :mod:`repro`
+does not pay for it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -21,18 +24,10 @@ from .auglag import Bounds, NLPResult, NLPStatus, STRICT_MARGIN
 
 __all__ = ["ScipySLSQPSolver", "scipy_available"]
 
-try:  # pragma: no cover - exercised only when scipy is installed
-    from scipy.optimize import minimize as _scipy_minimize
-
-    _SCIPY = True
-except ImportError:  # pragma: no cover
-    _scipy_minimize = None
-    _SCIPY = False
-
 
 def scipy_available() -> bool:
-    """True when scipy could be imported in this environment."""
-    return _SCIPY
+    """True when scipy is installed in this environment (it is not imported)."""
+    return importlib.util.find_spec("scipy") is not None
 
 
 class ScipySLSQPSolver:
@@ -44,7 +39,7 @@ class ScipySLSQPSolver:
     """
 
     def __init__(self, max_starts: int = 8, tolerance: float = 1e-9, seed: int = 20070416):
-        if not _SCIPY:
+        if not scipy_available():
             raise RuntimeError("scipy is not available; use AugmentedLagrangianSolver")
         self.max_starts = max_starts
         self.tolerance = tolerance
@@ -58,6 +53,8 @@ class ScipySLSQPSolver:
     ) -> NLPResult:
         if not constraints:
             return NLPResult(NLPStatus.SAT, {}, residual=0.0, certified=True)
+        from scipy.optimize import minimize
+
         variables = sorted({name for c in constraints for name in c.variables()})
 
         scipy_constraints = []
@@ -124,7 +121,7 @@ class ScipySLSQPSolver:
         best_residual = math.inf
         best_point: Dict[str, float] = {}
         for index, start in enumerate(starts):
-            result = _scipy_minimize(
+            result = minimize(
                 lambda x: 0.0,
                 start,
                 jac=lambda x: np.zeros(len(variables)),

@@ -33,12 +33,13 @@ The sinks:
 * :mod:`repro.obs.profile` — per-stage memory attribution via sampled
   ``tracemalloc`` (``--profile-memory``).
 
-:mod:`repro.obs.metrics` is a metrics registry of counters and latency
-histograms.  :class:`repro.core.stats.SolveStatistics` is a thin facade
-over it, which is how per-stage p50/p95 summaries reach ``--stats-json``.
-:mod:`repro.obs.bench_record` writes per-run ``BENCH_<name>.json``
-trajectory records (wall time, per-stage breakdown, counter snapshot, git
-SHA) from the benchmark harness.  See ``docs/OBSERVABILITY.md``.
+:mod:`repro.obs.metrics` holds the latency histograms that
+:class:`repro.core.stats.SolveStatistics` keeps per stage next to its
+plain counters, which is how per-stage p50/p95 summaries reach
+``--stats-json``.  :mod:`repro.obs.bench_record` writes per-run
+``BENCH_<name>.json`` trajectory records (wall time, per-stage breakdown,
+counter snapshot, git SHA) from the benchmark harness.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from .observer import Observer
@@ -60,7 +61,7 @@ from .events import (
     VerboseSink,
     VerdictReached,
 )
-from .metrics import Counter, Histogram, MetricsRegistry, RESERVOIR_SIZE
+from .metrics import Histogram, RESERVOIR_SIZE
 from .bench_record import (
     bench_record_payload,
     latest_record,
@@ -90,9 +91,7 @@ __all__ = [
     "VerdictReached",
     "CollectingSink",
     "VerboseSink",
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
     "RESERVOIR_SIZE",
     "bench_record_payload",
     "write_bench_record",

@@ -86,10 +86,9 @@ def bench_record_payload(
 ) -> Dict[str, Any]:
     """Build the record dict for one benchmark run.
 
-    ``stats`` is a :class:`~repro.core.stats.SolveStatistics` (or anything
-    exposing a ``registry`` :class:`~repro.obs.metrics.MetricsRegistry`);
-    its counters become the counter snapshot and its stage histograms the
-    per-stage breakdown.  ``memory`` is a per-stage memory-attribution
+    ``stats`` is a :class:`~repro.core.stats.SolveStatistics`; its
+    :meth:`~repro.core.stats.SolveStatistics.snapshot` gives the record's
+    ``counters`` and its per-stage breakdown, ``stages``.  ``memory`` is a per-stage memory-attribution
     summary (see :class:`repro.obs.profile.MemoryProfiler.summary`) for
     runs profiled with ``--profile-memory``.
     """
@@ -105,15 +104,7 @@ def bench_record_payload(
     if wall_seconds is not None:
         payload["wall_seconds"] = wall_seconds
     if stats is not None:
-        registry = getattr(stats, "registry", stats)
-        payload["counters"] = {
-            cname: counter.value
-            for cname, counter in sorted(registry.counters.items())
-        }
-        payload["stages"] = {
-            hname: histogram.summary()
-            for hname, histogram in sorted(registry.histograms.items())
-        }
+        payload.update(stats.snapshot())
     if memory:
         payload["memory"] = memory
     if extra:

@@ -1,17 +1,8 @@
-"""Counters and latency histograms behind :class:`~repro.core.stats.SolveStatistics`.
+"""Latency histograms behind the stage timers of :class:`~repro.core.stats.SolveStatistics`.
 
-The registry is deliberately small: named monotone :class:`Counter`\\ s and
-:class:`Histogram`\\ s of observations (seconds, for the stage timers).
-It exists to fix two limits of the old flat statistics object:
-
-* **Extensibility** — ``SolveStatistics.merge()`` used to iterate a
-  hard-coded ``_COUNTERS`` tuple, silently dropping any counter a newer
-  component registered outside it.  Registry merge walks *the other side's
-  registered names*, so unknown counters aggregate instead of vanishing.
-* **Distributions** — per-stage wall clock used to be a single
-  accumulated float per stage.  Histograms keep observations, so
-  ``--stats-json`` can report p50/p95 latency summaries and the benchmark
-  trajectory records a real per-stage breakdown.
+A :class:`Histogram` keeps a stage's observations (seconds), not just their
+total, so ``--stats-json`` can report p50/p95 latency summaries and the
+benchmark trajectory records a real per-stage breakdown.
 
 Histograms are **bounded**: up to :data:`RESERVOIR_SIZE` observations are
 kept verbatim (percentiles are then exact); beyond that, new observations
@@ -29,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "RESERVOIR_SIZE"]
+__all__ = ["Histogram", "RESERVOIR_SIZE"]
 
 #: Observations kept verbatim per histogram before reservoir sampling
 #: kicks in.  Below this count percentiles are exact; above it they are
@@ -39,22 +30,6 @@ __all__ = ["Counter", "Histogram", "MetricsRegistry", "RESERVOIR_SIZE"]
 #: single query sit well below the cutoff; the bound exists for long-lived
 #: sessions and serve-mode processes that observe forever.
 RESERVOIR_SIZE = 1024
-
-
-class Counter:
-    """A named integer counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0):
-        self.name = name
-        self.value = value
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:
@@ -170,69 +145,3 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, total={self.total:.6f})"
-
-
-class MetricsRegistry:
-    """Named counters + histograms with lossless merge."""
-
-    __slots__ = ("counters", "histograms")
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    # -- counters -------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Fetch (registering on first use) the counter called ``name``."""
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        self.counter(name).value += amount
-
-    def counter_value(self, name: str) -> int:
-        counter = self.counters.get(name)
-        return counter.value if counter is not None else 0
-
-    # -- histograms -----------------------------------------------------
-    def histogram(self, name: str) -> Histogram:
-        """Fetch (registering on first use) the histogram called ``name``."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(name)
-        return histogram
-
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
-
-    # -- aggregation ----------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry into this one, losslessly.
-
-        Every counter and histogram registered on *either* side survives:
-        the iteration is over ``other``'s registered names (plus whatever
-        already exists here), so a counter a newer component invented is
-        aggregated rather than dropped.  Returns ``self`` for chaining.
-        """
-        for name, counter in other.counters.items():
-            self.counter(name).value += counter.value
-        for name, histogram in other.histograms.items():
-            self.histogram(name).merge(histogram)
-        return self
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready dump: counter values + histogram summaries."""
-        return {
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "histograms": {
-                name: h.summary() for name, h in sorted(self.histograms.items())
-            },
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry({len(self.counters)} counters, "
-            f"{len(self.histograms)} histograms)"
-        )

@@ -32,11 +32,19 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Dict, IO, List, Union
+from typing import Any, Dict, IO, Iterable, List, Union
 
 from .events import SolveEvent
+from .trace import write_text
 
-__all__ = ["FlightRecorder"]
+__all__ = ["FlightRecorder", "write_jsonl"]
+
+
+def write_jsonl(target: Union[str, IO[str]], lines: Iterable[Dict[str, Any]]) -> None:
+    """Write dump lines as JSONL: one sorted-key JSON object per line."""
+    write_text(
+        target, "".join(json.dumps(line, sort_keys=True, default=str) + "\n" for line in lines)
+    )
 
 
 class FlightRecorder:
@@ -155,23 +163,8 @@ class FlightRecorder:
             }
         ]
         lines.extend(dict(entry) for entry in self._entries)
-        stats = self._stats
-        if stats is not None:
-            registry = getattr(stats, "registry", None)
-            if registry is not None:
-                lines.append(
-                    {
-                        "kind": "counters",
-                        "counters": {
-                            name: counter.value
-                            for name, counter in sorted(registry.counters.items())
-                        },
-                        "stages": {
-                            name: histogram.summary()
-                            for name, histogram in sorted(registry.histograms.items())
-                        },
-                    }
-                )
+        if self._stats is not None:
+            lines.append(dict(self._stats.snapshot(), kind="counters"))
         tracer = self._observer.tracer if self._observer is not None else None
         if tracer is not None:
             lines.append({"kind": "active-spans", "spans": tracer.open_spans()})
@@ -181,14 +174,7 @@ class FlightRecorder:
         self, target: Union[str, IO[str]], reason: str = "requested"
     ) -> None:
         """Write the post-mortem dump as JSONL (one object per line)."""
-        lines = self.snapshot_lines(reason)
-        if hasattr(target, "write"):
-            for line in lines:
-                target.write(json.dumps(line, sort_keys=True, default=str) + "\n")  # type: ignore[union-attr]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                for line in lines:
-                    handle.write(json.dumps(line, sort_keys=True, default=str) + "\n")
+        write_jsonl(target, self.snapshot_lines(reason))
 
     def __repr__(self) -> str:
         return (

@@ -33,7 +33,28 @@ import threading
 import time
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["Span", "SpanTracer", "write_chrome_trace", "write_text"]
+
+
+def write_text(target: Union[str, IO[str]], text: str) -> None:
+    """Write ``text`` to an open text handle, or to a new file at a path."""
+    if hasattr(target, "write"):
+        target.write(text)  # type: ignore[union-attr]
+    else:
+        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
+            handle.write(text)
+
+
+def write_chrome_trace(
+    target: Union[str, IO[str]], events: List[Dict[str, Any]], producer: str
+) -> None:
+    """Write ``events`` in the Chrome ``trace_event`` JSON object format."""
+    payload = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"producer": producer},
+    }
+    write_text(target, json.dumps(payload))
 
 
 class Span:
@@ -241,16 +262,7 @@ class SpanTracer:
 
     def export_chrome(self, target: Union[str, IO[str]]) -> None:
         """Write the Chrome ``trace_event`` JSON object format."""
-        payload = {
-            "traceEvents": self.to_chrome_events(),
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": f"repro.obs {self.process_name}"},
-        }
-        if hasattr(target, "write"):
-            json.dump(payload, target)  # type: ignore[arg-type]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                json.dump(payload, handle)
+        write_chrome_trace(target, self.to_chrome_events(), f"repro.obs {self.process_name}")
 
     def iter_jsonl(self) -> Iterator[str]:
         for span in self.spans:
@@ -260,10 +272,4 @@ class SpanTracer:
 
     def export_jsonl(self, target: Union[str, IO[str]]) -> None:
         """Write one JSON object per span, in completion order."""
-        if hasattr(target, "write"):
-            for line in self.iter_jsonl():
-                target.write(line + "\n")  # type: ignore[union-attr]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                for line in self.iter_jsonl():
-                    handle.write(line + "\n")
+        write_text(target, "".join(line + "\n" for line in self.iter_jsonl()))

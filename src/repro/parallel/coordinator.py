@@ -58,7 +58,8 @@ from ..obs.events import (
     WorkerFinished,
 )
 from ..obs.observer import Observer
-from ..obs.recorder import FlightRecorder
+from ..obs.recorder import FlightRecorder, write_jsonl
+from ..obs.trace import write_chrome_trace
 from .cubes import build_cubes
 from .portfolio import portfolio_configs
 from .tasks import SolveTask, WorkerOutcome
@@ -381,18 +382,7 @@ class ParallelSolver:
 
     def export_chrome(self, target) -> None:
         """Write the merged Chrome ``trace_event`` JSON object format."""
-        import json
-
-        payload = {
-            "traceEvents": self.chrome_trace_events(),
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro.parallel coordinator"},
-        }
-        if hasattr(target, "write"):
-            json.dump(payload, target)
-        else:
-            with open(target, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+        write_chrome_trace(target, self.chrome_trace_events(), "repro.parallel coordinator")
 
     # ------------------------------------------------------------------
     # Task building and joining
@@ -540,15 +530,14 @@ class ParallelSolver:
         for outcome in outcomes.values():
             if outcome.stats is not None:
                 stats.merge(outcome.stats)
-        registry = stats.registry
-        registry.counter("parallel_tasks").value = len(tasks)
+        stats.parallel_tasks = len(tasks)
         if self.mode == "cube" or tasks and tasks[0].kind == SolveTask.ALL_MODELS:
-            registry.counter("cubes_dispatched").value = len(tasks)
-        registry.counter("parallel_workers").value = self.worker_count()
-        registry.counter("lemmas_shared").value = self._lemmas_shared
-        registry.counter("lemmas_deduped").value = self._lemmas_deduped
-        registry.counter("parallel_cancellations").value = self._cancellations
-        registry.counter("cubes_split").value = sum(
+            stats.cubes_dispatched = len(tasks)
+        stats.parallel_workers = self.worker_count()
+        stats.lemmas_shared = self._lemmas_shared
+        stats.lemmas_deduped = self._lemmas_deduped
+        stats.parallel_cancellations = self._cancellations
+        stats.cubes_split = sum(
             1
             for outcome in outcomes.values()
             if outcome.status == WorkerOutcome.SPLIT
@@ -604,8 +593,6 @@ class ParallelSolver:
         ``task`` ids.  Returns the target written to, or ``None`` when
         flight recording is off.
         """
-        import json
-
         recorder = self.flight_recorder
         if recorder is None:
             return None
@@ -620,13 +607,7 @@ class ParallelSolver:
             lines.extend(
                 dict(line, worker=worker_id, task=task_id) for line in dump
             )
-        if hasattr(target, "write"):
-            for line in lines:
-                target.write(json.dumps(line, sort_keys=True, default=str) + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(json.dumps(line, sort_keys=True, default=str) + "\n")
+        write_jsonl(target, lines)
         return target
 
     # ------------------------------------------------------------------

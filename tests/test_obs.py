@@ -1,10 +1,11 @@
 """Tests for the observability layer: the observer and its sinks (span
 tracer, event sinks, flight recorder, progress monitor, memory profiler),
-the metrics registry, the SolveStatistics facade, bench records, and the
-overhead guard."""
+the stage histograms, SolveStatistics, bench records, and the overhead
+guard."""
 
 import io
 import json
+import pickle
 import subprocess
 import time
 
@@ -34,7 +35,7 @@ from repro.obs.events import (
     VerboseSink,
     VerdictReached,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.observer import Observer
 from repro.obs.profile import MemoryProfiler
 from repro.obs.progress import (
@@ -318,16 +319,9 @@ class TestTracedSolve:
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
+# Stage histograms
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_counter_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.increment("a")
-        registry.increment("a", 4)
-        assert registry.counter_value("a") == 5
-        assert registry.counter_value("missing") == 0
-
     def test_histogram_percentiles(self):
         histogram = Histogram("t")
         for value in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]:
@@ -345,25 +339,13 @@ class TestMetrics:
         assert summary["count"] == 0
         assert summary["p95"] == 0.0
 
-    def test_registry_merge_is_lossless(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.increment("shared", 1)
-        b.increment("shared", 2)
-        b.increment("only_b", 7)
-        b.observe("lat", 0.5)
-        merged = a.merge(b)
-        assert merged is a
-        assert a.counter_value("shared") == 3
-        assert a.counter_value("only_b") == 7
-        assert a.histogram("lat").count == 1
-
 
 # ----------------------------------------------------------------------
-# SolveStatistics facade
+# SolveStatistics
 # ----------------------------------------------------------------------
 class TestStatsFacade:
     def test_facade_matches_legacy_dict_output(self):
-        """The registry-backed as_dict equals the old flat implementation."""
+        """as_dict lists every counter, then the ``time_<key>`` totals."""
         stats = SolveStatistics()
         stats.boolean_queries = 3
         stats.linear_checks += 2
@@ -384,11 +366,20 @@ class TestStatsFacade:
         stats.nonlinear_calls += 1
         stats.nonlinear_calls += 1
         assert stats.nonlinear_calls == 2
-        assert stats.registry.counter_value("nonlinear_calls") == 2
+        assert stats.as_dict()["nonlinear_calls"] == 2
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             SolveStatistics().no_such_counter
+
+    def test_assigning_an_undeclared_counter_raises(self):
+        """A misspelt counter fails loudly instead of becoming an attribute
+        that merge and as_dict never see."""
+        stats = SolveStatistics()
+        with pytest.raises(AttributeError):
+            stats.boolean_querys = 1
+        with pytest.raises(AttributeError):
+            stats.no_such_counter += 1
 
     def test_merge_known_counters_and_timers(self):
         a, b = SolveStatistics(), SolveStatistics()
@@ -402,15 +393,38 @@ class TestStatsFacade:
         assert a.timers["linear"] == pytest.approx(b.timers["linear"])
 
     def test_merge_preserves_unknown_counters(self):
-        """Regression: counters outside _COUNTERS used to vanish on merge."""
+        """Regression: a counter only one side set used to vanish on merge
+        when it sat outside the historical counter tuple."""
         a, b = SolveStatistics(), SolveStatistics()
-        b.registry.increment("shard_migrations", 4)
-        a.registry.increment("shard_migrations", 1)
+        b.parallel_tasks += 4
         a.merge(b)
-        assert a.registry.counter_value("shard_migrations") == 5
-        assert a.as_dict()["shard_migrations"] == 5
-        # And attribute access picks the registered counter up, facade-style.
-        assert a.shard_migrations == 5
+        assert a.parallel_tasks == 4
+        assert a.as_dict()["parallel_tasks"] == 4
+        a.merge(b)
+        assert a.parallel_tasks == 8
+
+    def test_pickle_round_trip_keeps_counters_and_histograms(self):
+        """Workers send their statistics home pickled (WorkerOutcome.stats)."""
+        stats = SolveStatistics()
+        stats.boolean_queries = 7
+        stats.lemmas_shared = 2
+        for _ in range(3):
+            with stats.timed("linear"):
+                pass
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy.as_dict() == stats.as_dict()
+        assert copy.stage_summaries() == stats.stage_summaries()
+        assert copy.stage_summaries()["linear"]["count"] == 3
+
+    def test_snapshot_counters_match_as_dict(self):
+        stats = ABSolver().solve(_sat_problem()).stats
+        snapshot = stats.snapshot()
+        flat = stats.as_dict()
+        assert set(snapshot["counters"]) == {
+            name for name in flat if not name.startswith("time_")
+        }
+        assert all(snapshot["counters"][name] == flat[name] for name in snapshot["counters"])
+        assert snapshot["stages"] == stats.stage_summaries()
 
     def test_stage_summaries_expose_percentiles(self):
         stats = SolveStatistics()

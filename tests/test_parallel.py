@@ -150,8 +150,8 @@ class TestDynamicSplitting:
             result = solver.solve(problem)
         assert result.is_sat
         assert result.status is ABSolver(config).solve(problem).status
-        split = solver.last_stats.registry.counter("cubes_split").value
-        dispatched = solver.last_stats.registry.counter("cubes_dispatched").value
+        split = solver.last_stats.cubes_split
+        dispatched = solver.last_stats.cubes_dispatched
         assert split >= 1
         assert dispatched >= 2 + 2 * split  # children joined the task set
 
@@ -444,7 +444,7 @@ class TestParallelSolve:
         assert small_problem().check_model(
             result.model.boolean, result.model.theory
         )
-        assert solver.last_stats.registry.counter("parallel_tasks").value == 4
+        assert solver.last_stats.parallel_tasks == 4
 
     def test_portfolio_mode_sat(self):
         with ParallelSolver(jobs=2, mode="portfolio") as solver:
@@ -531,7 +531,7 @@ class TestLemmaSharing:
             )
         assert result.is_sat
         assert solver.shared_lemmas, "expected definite lemmas from the workers"
-        imported = session.stats.registry.counter("lemmas_imported").value
+        imported = session.stats.lemmas_imported
         assert imported >= len(solver.shared_lemmas)
         # the enriched session still answers correctly
         assert session.check(family.check_assumptions(4)).is_sat
@@ -543,7 +543,7 @@ class TestLemmaSharing:
                 family.problem_at_depth(4),
                 assumptions=family.check_assumptions(4),
             )
-            shared = solver.last_stats.registry.counter("lemmas_shared").value
+            shared = solver.last_stats.lemmas_shared
             assert shared > 0
 
 

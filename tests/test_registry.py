@@ -1,7 +1,12 @@
 """Tests for the solver registry and the extensibility story."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.interface import (
     CDCLBooleanAdapter,
     LSATBooleanAdapter,
@@ -35,6 +40,20 @@ class TestDefaults:
 
         registered = default_registry.is_registered(DOMAIN_NONLINEAR, "scipy-slsqp")
         assert registered == scipy_available()
+
+    def test_importing_the_package_does_not_import_scipy(self):
+        """scipy is imported only when the SLSQP backend runs."""
+        script = (
+            "import sys\n"
+            "import repro, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=source)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_create_passes_options(self):
         solver = default_registry.create(DOMAIN_BOOLEAN, "lsat", seed=3)

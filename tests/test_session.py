@@ -398,7 +398,7 @@ class TestImportLemmas:
         with pytest.raises(ValueError, match="variable 7"):
             session.import_lemmas([[1], [-1, 7]])
         # Nothing was imported, not even the valid first clause.
-        assert session.stats.registry.counter("lemmas_imported").value == 0
+        assert session.stats.lemmas_imported == 0
         assert session.check().is_sat
 
     def test_lemma_listener_is_not_called(self):
