@@ -8,11 +8,11 @@ Three measurements, three acceptance gates:
   :class:`~repro.core.verdict_cache.VerdictCache` every round after the
   first answers from the cache (zero Boolean queries), so the warm sweep
   must be **>= 2x** faster than the cold one.
-* **worker pickle size** — a BMC-style unrolled problem is packed into a
-  :class:`~repro.parallel.tasks.SolveTask` with interning on and off.
-  Unrolling repeats the same template constraints at every depth, so with
-  hash-consing the pickle memo serializes each shared subterm once;
-  the payload must shrink by **>= 30%**.
+* **problem pickle size** — a BMC-style unrolled problem is pickled with
+  interning on and off.  This gate guards the pickle-memo sharing of
+  ``Expr.__reduce__``: unrolling repeats the same template constraints at
+  every depth, so with hash-consing the pickle memo serializes each shared
+  subterm once; the payload must shrink by **>= 30%**.
 * **disabled-mode overhead guard** — with interning switched off
   (``REPRO_EXPR_INTERN=0`` / :func:`set_interning`), the layer must cost
   nearly nothing: on an all-distinct construction workload (where
@@ -35,7 +35,6 @@ from repro.benchgen.randgen import planted_problem
 from repro.core import ABSolver, ABSolverConfig, ABStatus
 from repro.core.expr import Add, Const, Mul, Var, clear_intern_table, set_interning
 from repro.core.verdict_cache import VerdictCache
-from repro.parallel.tasks import SolveTask
 
 from conftest import record_bench, register_report, report_rows
 
@@ -97,31 +96,22 @@ def _measure_repeated_queries():
 
 
 # ---------------------------------------------------------------------------
-# 2. Worker IPC payload: pickle size with interning on vs off
+# 2. Problem pickle size with interning on vs off
 # ---------------------------------------------------------------------------
-def _task_pickle_bytes(enabled: bool) -> int:
+def _problem_pickle_bytes(enabled: bool) -> int:
     previous = set_interning(enabled)
     try:
         clear_intern_table()
         depth = _unroll_depth()
-        family = watertank_unroll_family(depth)
-        problem = family.problem_at_depth(depth)
-        task = SolveTask(
-            task_id=1,
-            gen=0,
-            kind=SolveTask.CHECK,
-            problem=problem,
-            config=ABSolverConfig(),
-            assumptions=family.check_assumptions(depth),
-        )
-        return len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+        problem = watertank_unroll_family(depth).problem_at_depth(depth)
+        return len(pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL))
     finally:
         set_interning(previous)
 
 
 def _measure_pickle_size():
-    interned = _task_pickle_bytes(True)
-    plain = _task_pickle_bytes(False)
+    interned = _problem_pickle_bytes(True)
+    plain = _problem_pickle_bytes(False)
     _MEASURED["pickle"] = {
         "interned_bytes": interned,
         "plain_bytes": plain,
@@ -189,7 +179,7 @@ def _report():
             f"{repeated['speedup']:.1f}x",
         ],
         [
-            "worker pickle",
+            "problem pickle",
             f"{pickle_m['plain_bytes']} B plain",
             f"{pickle_m['interned_bytes']} B interned",
             f"-{pickle_m['reduction'] * 100:.1f}%",

@@ -19,8 +19,8 @@ tank controller) twice each:
   sweep derived at depth *d*.  Both sessions hold the same assertions at
   that point, so each lemma is sound there; it enters the Boolean engine
   as a clause, and the candidates it rules out never reach the theory
-  stages.  This is the sequential measurement of the mechanism parallel
-  workers use to deduplicate refinement work across cubes.
+  stages.  This measures what ``import_lemmas`` and the session's
+  ``lemma_listener`` save when one session hands its lemmas to another.
 
 The end-of-session report table shows the sweep times, the speedups, the
 reuse counters (``clauses_reused``, ``translation_cache_hits``,

@@ -51,7 +51,6 @@ from .core.tristate import Tri, TT, FF, UNKNOWN
 from .io.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, format_dimacs
 from .io.smtlib import parse_smtlib
 from .obs import CollectingSink, Observer, SpanTracer, VerboseSink
-from .parallel import ParallelSolver
 
 __version__ = "1.0.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "ABSolverConfig",
     "ABStatus",
     "SolverSession",
-    "ParallelSolver",
     "Circuit",
     "SolverRegistry",
     "default_registry",

@@ -15,7 +15,7 @@ Examples::
     absolver --check-incremental base.cnf step1.cnf step2.cnf
     absolver --stats-json - problem.cnf
     absolver --trace-chrome trace.json --trace spans.jsonl problem.cnf
-    absolver --progress --flight-record flight.jsonl --jobs 4 problem.cnf
+    absolver --progress --flight-record flight.jsonl problem.cnf
     absolver --profile-memory --stats-json - problem.cnf
 
 ``--trace-chrome`` writes the solve as a Chrome ``trace_event`` file —
@@ -28,7 +28,7 @@ The deep-diagnostics flags (see ``docs/OBSERVABILITY.md``): ``--progress``
 prints live heartbeats (and stall alarms, tunable via
 ``--progress-interval`` / ``--stall-budget``) to stderr;
 ``--flight-record PATH`` keeps a bounded ring of recent events/spans and
-writes a JSONL post-mortem on exception, parallel timeout, or exit;
+writes a JSONL post-mortem on exception or exit;
 ``--profile-memory`` attributes allocations to pipeline stages via
 sampled ``tracemalloc`` (summary in ``--stats-json`` under ``memory``).
 
@@ -174,51 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="keep a bounded in-memory flight recorder and write its JSONL "
-        "post-mortem to PATH on exception, parallel timeout, or exit",
+        "post-mortem to PATH on exception or exit",
     )
     parser.add_argument(
         "--profile-memory",
         action="store_true",
         help="attribute allocations to pipeline stages via sampled "
         "tracemalloc (summary lands in --stats-json under 'memory')",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="solve across N worker processes (default 1 = in-process)",
-    )
-    parser.add_argument(
-        "--parallel",
-        default="cube",
-        choices=("cube", "portfolio"),
-        help="parallel mode with --jobs > 1: cube-and-conquer partitioning "
-        "or a diversified portfolio race (default: cube)",
-    )
-    parser.add_argument(
-        "--cube-depth",
-        type=int,
-        default=None,
-        metavar="K",
-        help="split into 2^K cubes (default: smallest K covering --jobs)",
-    )
-    parser.add_argument(
-        "--cube-split-budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --parallel cube: iteration budget after which a worker "
-        "abandons a hard cube and hands back two lookahead-refined halves "
-        "(0 disables self-splitting; default 64 when --jobs > 1)",
-    )
-    parser.add_argument(
-        "--parallel-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget for a parallel solve; on expiry workers are "
-        "cancelled (then terminated) and the verdict is unknown",
     )
     parser.add_argument(
         "--verdict-cache",
@@ -232,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persist verdict-cache entries as JSON files under DIR so "
-        "repeated runs (and parallel workers) share verdicts; implies "
-        "--verdict-cache",
+        "repeated runs share verdicts; implies --verdict-cache",
     )
     parser.add_argument(
         "--clause-decay",
@@ -307,9 +268,7 @@ def _build_observer(args):
     """The one observer the CLI flags ask for, with its sinks attached.
 
     With no diagnostics flag it has no sinks, so the default invocation
-    keeps the zero-overhead fast paths.  For parallel runs the coordinator
-    owns its own flight recorder (merging per-worker rings), so the
-    CLI-side recorder is only attached for in-process solves.
+    keeps the zero-overhead fast paths.
     """
     from .obs.events import VerboseSink
     from .obs.observer import Observer
@@ -333,7 +292,7 @@ def _build_observer(args):
             stall_budget=args.stall_budget if args.stall_budget > 0 else None,
         ).start_watchdog()
         ProgressRenderer().attach(observer)
-    if args.flight_record and args.jobs <= 1:
+    if args.flight_record:
         FlightRecorder().attach(observer)
     if observer.profiler is not None:
         observer.profiler.start()
@@ -352,14 +311,9 @@ def _export_traces(args, observer) -> None:
 
 
 def _dump_flight(args, observer, stats=None, reason="requested") -> None:
-    """Write the in-process flight dump to the ``--flight-record`` path.
-
-    Parallel runs are left alone: the coordinator writes the merged dump
-    (its ring plus every worker's) itself, and overwriting it with the
-    coordinator's ring alone would lose the workers' post-mortems.
-    """
+    """Write the flight dump to the ``--flight-record`` path."""
     recorder = observer.recorder
-    if recorder is None or not args.flight_record or args.jobs > 1:
+    if recorder is None or not args.flight_record:
         return
     if stats is not None:
         recorder.bind_stats(stats)
@@ -390,9 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if name not in default_registry.available(DOMAIN_NONLINEAR):
             print(f"error: unknown nonlinear solver {name!r}", file=sys.stderr)
             return 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     verdict_cache = None
     if args.verdict_cache or args.verdict_cache_dir:
@@ -416,8 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(args, config)
     except BaseException:
-        # The post-mortem must survive the exception it explains (the
-        # parallel coordinator writes its own dump before raising).
+        # The post-mortem must survive the exception it explains.
         _dump_flight(args, observer, reason="exception")
         raise
     finally:
@@ -428,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args, config) -> int:
-    """Route to the incremental / optimizing / parallel / in-process path."""
+    """Route to the incremental / optimizing / one-shot path."""
     observer = config.observer
     if args.check_incremental:
         exit_code = _run_incremental(args, config)
@@ -440,9 +390,6 @@ def _dispatch(args, config) -> int:
 
     if args.minimize is not None or args.maximize is not None:
         return _run_optimization(args, problem)
-
-    if args.jobs > 1:
-        return _run_parallel(args, config, problem)
 
     solver = ABSolver(config)
 
@@ -482,66 +429,6 @@ def _dispatch(args, config) -> int:
     if result.is_unsat:
         return 20
     return 0
-
-
-def _run_parallel(args, config, problem) -> int:
-    """``--jobs N``: route the solve through the parallel coordinator.
-
-    Chrome traces are the *merged* coordinator + worker events (one lane
-    per worker process); JSONL span traces stay coordinator-only.
-    """
-    from .parallel import ParallelSolver
-
-    solver = ParallelSolver(
-        config=config,
-        jobs=args.jobs,
-        mode=args.parallel,
-        cube_depth=args.cube_depth,
-        timeout=args.parallel_timeout,
-        split_budget=args.cube_split_budget,
-        flight_record=args.flight_record,
-    )
-    started = time.perf_counter()
-    with solver:
-        if args.all_models:
-            models = solver.all_solutions(problem, limit=args.max_models)
-            elapsed = time.perf_counter() - started
-            for count, model in enumerate(models, start=1):
-                if not args.quiet:
-                    print(
-                        f"model {count}: boolean={model.boolean} theory={model.theory}"
-                    )
-            print(f"{len(models)} model(s) in {elapsed:.3f}s")
-            stats = solver.last_stats
-            exit_code = 0 if models else 20
-        else:
-            result = solver.solve(problem)
-            elapsed = time.perf_counter() - started
-            print(f"{result.status.value} ({elapsed:.3f}s)")
-            if result.is_sat and not args.quiet:
-                assert result.model is not None
-                print(f"boolean: {result.model.boolean}")
-                print(f"theory:  {result.model.theory}")
-            if result.status is ABStatus.UNKNOWN and result.reason:
-                print(f"reason: {result.reason}")
-            if not args.quiet:
-                summary = ", ".join(
-                    f"{label}={status}" for label, status in solver.last_tasks
-                )
-                print(f"parallel: mode={args.parallel} jobs={args.jobs} [{summary}]")
-            stats = result.stats
-            exit_code = 10 if result.is_sat else 20 if result.is_unsat else 0
-        if args.stats and stats is not None:
-            print(f"stats: {stats.as_dict()}")
-        if stats is not None:
-            _emit_stats_json(args, stats, config.observer)
-        if args.trace:
-            config.observer.tracer.export_jsonl(args.trace)
-        if args.trace_chrome:
-            solver.export_chrome(args.trace_chrome)
-        if args.flight_record:
-            solver.write_flight_dump()
-    return exit_code
 
 
 def _run_incremental(args, config) -> int:

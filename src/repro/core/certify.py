@@ -7,9 +7,10 @@ control loop rests on two ingredients:
 1. a set of **theory lemmas** — blocking clauses, each claiming that a
    particular combination of definition phases is arithmetically
    infeasible, and
-2. the Boolean fact that the CNF *plus those lemmas* is unsatisfiable.
+2. the Boolean fact that the CNF *plus those lemmas* is unsatisfiable —
+   under the query's assumptions, when it had any.
 
-:class:`UnsatCertificate` records the lemmas;
+:class:`UnsatCertificate` records the lemmas and the assumptions;
 :func:`verify_certificate` re-establishes both ingredients with
 *independent* machinery: every lemma is re-proved with a fresh exact
 simplex (or, for nonlinear lemmas, the interval refuter), and the final
@@ -41,10 +42,15 @@ class CertificateError(Exception):
 
 
 class UnsatCertificate:
-    """The recorded lemmas of one UNSAT run."""
+    """The recorded lemmas of one UNSAT run and the literals it assumed.
 
-    def __init__(self, lemmas: Sequence[Sequence[int]]):
+    A session's certificate also holds the definite lemmas it kept from
+    earlier checks, since the verdict may rest on them too.
+    """
+
+    def __init__(self, lemmas: Sequence[Sequence[int]], assumptions: Sequence[int] = ()):
         self.lemmas: List[Tuple[int, ...]] = [tuple(lemma) for lemma in lemmas]
+        self.assumptions: Tuple[int, ...] = tuple(assumptions)
 
     def __len__(self) -> int:
         return len(self.lemmas)
@@ -133,7 +139,8 @@ def verify_certificate(
     """Full certificate check; raises :class:`CertificateError` on failure.
 
     Step 1 re-proves every theory lemma; step 2 re-checks the Boolean
-    unsatisfiability of CNF + lemmas with the independent DPLL engine.
+    unsatisfiability of CNF + lemmas + one unit clause per assumption with
+    the independent DPLL engine.
     """
     for index, lemma in enumerate(certificate.lemmas):
         tags = [-literal for literal in lemma]
@@ -146,6 +153,8 @@ def verify_certificate(
     strengthened: CNF = problem.cnf.copy()
     for lemma in certificate.lemmas:
         strengthened.add_clause(list(lemma))
+    for literal in certificate.assumptions:
+        strengthened.add_clause([literal])
     if DPLLSolver().solve(strengthened) is not None:
         raise CertificateError(
             "CNF plus lemmas is still satisfiable: the lemma set does not "

@@ -38,8 +38,8 @@ plain construction.  Nodes remain fully interoperable across the two modes
 
 Pickling reconstructs nodes through the interning constructor
 (``__reduce__``), so shared subterms stay shared after a round-trip and
-worker IPC payloads shrink: the pickle memo emits one copy per distinct
-subterm instead of one per occurrence.
+pickles shrink: the pickle memo emits one copy per distinct subterm
+instead of one per occurrence.
 """
 
 from __future__ import annotations

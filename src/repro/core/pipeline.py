@@ -554,9 +554,7 @@ class ConflictRefinementStage:
                 low if low is not None else -math.inf,
                 high if high is not None else math.inf,
             )
-        refuter = IntervalRefuter(
-            **(getattr(pipeline.config, "refuter_options", None) or {})
-        )
+        refuter = IntervalRefuter()
         with pipeline.stage(self.name, kind="interval", constraints=len(constraints)):
             result = refuter.refute(constraints, bounds)
         if result.status is RefuteStatus.REFUTED:
@@ -596,14 +594,13 @@ class SolvePipeline:
         self.verdict_cache = getattr(config, "verdict_cache", None)
 
         #: The Boolean engine's keyword arguments: ``boolean_options`` over
-        #: the config-level ``seed`` (reproducible VSIDS/phase
-        #: diversification), ``clause_decay`` and ``reduce_interval``.
-        #: Only CDCL-family engines take those three; other Boolean
-        #: backends (plain DPLL) stay deterministic.  All-models
-        #: enumeration builds its enumerator from the same options.
+        #: the config-level ``clause_decay`` and ``reduce_interval``.  Only
+        #: CDCL-family engines take those two; other Boolean backends
+        #: (plain DPLL) ignore them.  All-models enumeration builds its
+        #: enumerator from the same options.
         self.boolean_options = dict(config.boolean_options)
         if config.boolean in CDCL_FAMILY:
-            for knob in ("seed", "clause_decay", "reduce_interval"):
+            for knob in ("clause_decay", "reduce_interval"):
                 value = getattr(config, knob)
                 if value is not None:
                     self.boolean_options.setdefault(knob, value)
@@ -734,9 +731,8 @@ class SolvePipeline:
         space from UNSAT to UNKNOWN.
 
         ``poll`` is called once per control-loop iteration; returning False
-        abandons the query with an UNKNOWN "cancelled" result.  Parallel
-        workers use it both as their cancellation check and as the point
-        where foreign lemmas received from other workers are injected.
+        abandons the query with an UNKNOWN "cancelled" result (a caller's
+        deadline or cancellation check).
 
         When the config carries a :class:`VerdictCache`, the cache is
         consulted before stage 0 — keyed on the canonical problem

@@ -1,7 +1,7 @@
 """Formula-level presolve: stage 0 of the solve pipeline.
 
 Presolve is a formula-level deduction, not an LP-call reduction: the
-CDCL, interval, and cube layers all consume what it derives, while the
+CDCL and interval layers both consume what it derives, while the
 linear engine decides single-variable bound systems in closed form
 (:meth:`repro.linear.simplex.SimplexSolver.check`).
 :class:`PresolveStage` runs the deduction at most **once per query** and
@@ -13,9 +13,7 @@ consumes:
 * the nonlinear search and the interval refuter start from the tightened
   (outward-rounded) float box;
 * deduced unit facts are emitted to the CDCL layer as definite lemmas, so
-  the Boolean search space shrinks before the first candidate;
-* cube-and-conquer refines each cube's box with the same propagator
-  (:func:`repro.parallel.cubes.refine_cube_bounds`).
+  the Boolean search space shrinks before the first candidate.
 
 Everything the store deduces is *implied* by the asserted formula: the
 declared bounds, plus the constraints of definition literals that Boolean
@@ -440,10 +438,6 @@ def propagate_rows(
     the round before tightened, found through ``occurrences`` (variable ->
     indices of the rows over it, built from ``rows`` when None), for at
     most ``_PROPAGATION_ROUNDS`` rounds.  Returns the variables tightened.
-
-    Module-level so the cube splitter
-    (:func:`repro.parallel.cubes.refine_cube_bounds`) can run the same
-    propagation over a cube's decision literals without a pipeline.
     """
     if occurrences is None:
         occurrences = {}

@@ -199,8 +199,8 @@ class ABProblem:
         Stable across processes and across presentation differences that do
         not change the problem: clause order, literal order within a
         clause, and the commutative/orientation normalizations of
-        :meth:`Constraint.fingerprint`.  Used as the shared cache key by
-        the verdict cache and the parallel worker session cache.
+        :meth:`Constraint.fingerprint`.  Used as the cache key by the
+        verdict cache.
 
         Recomputed per call — sessions mutate problems in place (push/pop
         truncates the clause list directly), so no version counter can be

@@ -126,8 +126,8 @@ class SolverSession:
         self.last_stats: Optional[SolveStatistics] = None
 
         #: Optional callback ``listener(clause, definite)`` invoked for every
-        #: theory lemma this session derives (before guarding).  Parallel
-        #: workers stream definite lemmas to the coordinator through it.
+        #: theory lemma this session derives (before guarding), e.g. to
+        #: hand definite lemmas to another session's :meth:`import_lemmas`.
         self.lemma_listener = None
 
         self._frames: List[_Frame] = []
@@ -310,8 +310,8 @@ class SolverSession:
             self.problem.name = problem.name
 
     def import_lemmas(self, clauses: Sequence[Sequence[int]]) -> int:
-        """Adopt definite theory lemmas derived elsewhere (e.g. by a parallel
-        worker, or by another session holding the same assertions).
+        """Adopt definite theory lemmas derived elsewhere (e.g. by another
+        session holding the same assertions).
 
         Each clause must be over this session's variable numbering, and
         every variable it mentions must carry a definition here; otherwise
@@ -322,8 +322,8 @@ class SolverSession:
         session cannot see what a foreign lemma rests on — under presolve,
         bounds deduced from any frame's clauses — so that frame is the
         deepest one holding any state.  ``lemma_listener`` is not called:
-        the lemma is not this session's own, and a worker would otherwise
-        echo every foreign lemma back to the coordinator that sent it.
+        the lemma is not this session's own, and a listener feeding the
+        session that sent it would otherwise echo every lemma back.
 
         Returns the number of lemmas adopted (also counted in the session
         stats as ``lemmas_imported``).
@@ -356,8 +356,7 @@ class SolverSession:
 
         ``poll`` (optional, zero-arg, returns bool) is consulted once per
         pipeline iteration; returning False cancels the query (UNKNOWN,
-        reason "cancelled").  Parallel workers drain their shared-lemma
-        queue inside it.
+        reason "cancelled").
         """
         from .solver import ABModel, ABResult, ABStatus
 
@@ -388,6 +387,13 @@ class SolverSession:
         self._started = True
 
         prior_incomplete = any(not lemma.definite for lemma in self._lemmas)
+        # A certificate must also carry the lemmas kept from earlier checks:
+        # the Boolean engine still holds them, so the verdict may rest on them.
+        kept = (
+            [lemma.clause for lemma in self._lemmas if lemma.definite]
+            if self.config.record_certificate
+            else []
+        )
         with observer.span(
             "session.check",
             category="session",
@@ -406,6 +412,14 @@ class SolverSession:
                 # clauses they guard are already mirrored into
                 # ``self.problem.cnf`` and thus into the fingerprint.
                 cache_assumptions=tuple(assumptions),
+            )
+        if result.certificate is not None:
+            from .certify import UnsatCertificate
+
+            # User assumptions only: activation literals name no variable
+            # of the mirrored problem.
+            result.certificate = UnsatCertificate(
+                kept + result.certificate.lemmas, assumptions
             )
         if result.model is not None and self._act_set:
             boolean = {

@@ -87,7 +87,7 @@ class ABModel:
 
     def __reduce__(self):
         # Immutability breaks default slot-state pickling; rebuild through
-        # the constructor instead (models travel between parallel workers).
+        # the constructor instead.
         return (ABModel, (self._boolean, self._theory))
 
     def __repr__(self) -> str:
@@ -196,8 +196,6 @@ class ABSolverConfig:
         boolean_options: Optional[Dict] = None,
         linear_options: Optional[Dict] = None,
         nonlinear_options: Optional[Dict] = None,
-        refuter_options: Optional[Dict] = None,
-        seed: Optional[int] = None,
         observer: Optional[object] = None,
         use_presolve: bool = True,
         verdict_cache: Optional[object] = None,
@@ -216,16 +214,6 @@ class ABSolverConfig:
         self.boolean_options = dict(boolean_options or {})
         self.linear_options = dict(linear_options or {})
         self.nonlinear_options = dict(nonlinear_options or {})
-        #: Extra keyword arguments for the interval branch-and-prune refuter
-        #: (e.g. ``max_boxes`` — the contraction budget portfolio configs
-        #: diversify over).
-        self.refuter_options = dict(refuter_options or {})
-        #: Seed for the Boolean solver's randomized diversification (VSIDS
-        #: jitter + initial phases).  ``None`` keeps the historical fully
-        #: deterministic heuristics; any int is reproducible.  Only CDCL-family
-        #: solvers accept it; it is injected in
-        #: :class:`repro.core.pipeline.SolvePipeline`.
-        self.seed = seed
         #: Optional :class:`repro.obs.observer.Observer`, the one
         #: observability setting: its sinks (span tracer, event sinks,
         #: flight recorder, progress monitor, memory profiler) see every
@@ -246,10 +234,9 @@ class ABSolverConfig:
         #: activities (smaller forgets faster); ``reduce_interval`` is the
         #: conflict count between clause-database reduction sweeps (``0``
         #: disables reduction entirely).  ``None`` keeps the kernel
-        #: defaults.  Like ``seed`` they only reach CDCL-family Boolean
-        #: engines (``cdcl``, ``lsat``) and explicit
-        #: ``boolean_options`` entries win.  CLI: ``--clause-decay`` /
-        #: ``--reduce-interval``.
+        #: defaults.  They only reach CDCL-family Boolean engines
+        #: (``cdcl``, ``lsat``) and explicit ``boolean_options`` entries
+        #: win.  CLI: ``--clause-decay`` / ``--reduce-interval``.
         self.clause_decay = clause_decay
         self.reduce_interval = reduce_interval
 

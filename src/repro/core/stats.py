@@ -63,7 +63,6 @@ class SolveStatistics:
         "blocking_template_hits",
         "numpy_accepts",
         "numpy_fallbacks",
-        "cubes_split",
         "presolve_rows_dropped",
         "presolve_units_emitted",
         "contractor_presolve_calls",
@@ -75,13 +74,6 @@ class SolveStatistics:
         "clauses_reduced",
         "clauses_minimized_lits",
         "lemmas_imported",
-        # Set by the parallel coordinator on the stats of one parallel solve.
-        "parallel_tasks",
-        "cubes_dispatched",
-        "parallel_workers",
-        "lemmas_shared",
-        "lemmas_deduped",
-        "parallel_cancellations",
     )
 
     __slots__ = _COUNTERS + ("histograms",)

@@ -29,11 +29,11 @@ Entries written with a ``lemmas`` list (the format before lemmas were
 dropped from the cache) still load; the list is ignored.
 
 The store is in-memory (bounded LRU) with an optional on-disk mirror: one
-JSON file per key, written atomically (tmp + rename) so concurrent workers
-can share a cache directory without torn reads.  ``capacity`` bounds the
-mirror too: a file's mtime marks its last use (its write, or a lookup it
-answered), and each write deletes the least recently used files beyond
-``capacity``.
+JSON file per key, written atomically (tmp + rename) so concurrent
+processes can share a cache directory without torn reads.  ``capacity``
+bounds the mirror too: a file's mtime marks its last use (its write, or a
+lookup it answered), and each write deletes the least recently used files
+beyond ``capacity``.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ class VerdictCache:
     ``directory=None`` keeps the cache purely in-memory (bounded LRU of
     ``capacity`` entries).  With a directory, entries are mirrored to
     ``<directory>/<key>.json`` and missing memory entries fall back to
-    disk, so separate processes — including parallel workers — share
-    verdicts across runs.  The directory keeps at most ``capacity`` entry
-    files, evicted least recently used first (by mtime, which a lookup
-    answered from disk refreshes); in-flight ``.tmp`` files are left alone.
+    disk, so separate processes share verdicts across runs.  The
+    directory keeps at most ``capacity`` entry files, evicted least
+    recently used first (by mtime, which a lookup answered from disk
+    refreshes); in-flight ``.tmp`` files are left alone.
     """
 
     def __init__(self, directory: Optional[str] = None, capacity: int = 1024):
@@ -118,13 +118,6 @@ class VerdictCache:
         self.stores = 0
         if directory:
             os.makedirs(directory, exist_ok=True)
-
-    def __reduce__(self):
-        # A pickled cache (a parallel task's config) arrives as a fresh,
-        # empty cache on the same directory: each process keeps its own
-        # memory layer and counters and shares entries through the disk
-        # mirror.
-        return (VerdictCache, (self.directory, self.capacity))
 
     # ------------------------------------------------------------------
     # Keys

@@ -24,8 +24,8 @@ The sinks:
   :class:`~repro.obs.events.VerboseSink` / ``CollectingSink`` consumers.
 * :mod:`repro.obs.recorder` — a bounded ring-buffer
   :class:`~repro.obs.recorder.FlightRecorder` of the observer's events
-  and span closes, dumped as JSONL post-mortems on exception, parallel
-  timeout, or ``--flight-record`` request.
+  and span closes, dumped as JSONL post-mortems on exception or
+  ``--flight-record`` request.
 * :mod:`repro.obs.progress` — periodic
   :class:`~repro.obs.progress.ProgressSnapshot` heartbeats plus a
   wall-clock stall watchdog (:class:`~repro.obs.progress.StageStalled`),

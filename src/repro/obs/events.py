@@ -35,10 +35,6 @@ __all__ = [
     "FramePushed",
     "FramePopped",
     "VerdictReached",
-    "CubeDispatched",
-    "WorkerFinished",
-    "LemmaShared",
-    "ParallelCancelled",
     "CollectingSink",
     "VerboseSink",
 ]
@@ -216,46 +212,6 @@ class VerdictReached(SolveEvent):
     iterations: int
 
     legacy_name = "verdict"
-
-
-@dataclass(frozen=True)
-class CubeDispatched(SolveEvent):
-    """The parallel coordinator handed one cube (or portfolio task) out."""
-
-    task: int
-    literals: int
-
-    legacy_name = "cube-dispatched"
-
-
-@dataclass(frozen=True)
-class WorkerFinished(SolveEvent):
-    """A parallel worker reported a task verdict back to the coordinator."""
-
-    task: int
-    worker: int
-    status: str
-
-    legacy_name = "worker-finished"
-
-
-@dataclass(frozen=True)
-class LemmaShared(SolveEvent):
-    """A definite theory lemma crossed worker boundaries (deduplicated)."""
-
-    size: int
-
-    legacy_name = "lemma-shared"
-
-
-@dataclass(frozen=True)
-class ParallelCancelled(SolveEvent):
-    """A parallel solve cancelled its remaining tasks (first verdict wins)."""
-
-    reason: str
-    pending: int
-
-    legacy_name = "parallel-cancelled"
 
 
 class CollectingSink:

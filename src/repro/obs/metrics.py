@@ -112,7 +112,7 @@ class Histogram:
         are concatenated and, past :data:`RESERVOIR_SIZE`, uniformly
         down-sampled (deterministic shuffle + truncate) — an approximation
         that is exact until either side was thinned, and close enough for
-        cross-worker stage-latency percentiles after.
+        cross-query stage-latency percentiles after.
         """
         self._count += other._count
         self._total += other._total

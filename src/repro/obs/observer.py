@@ -9,8 +9,8 @@ and every diagnostic is a sink attached to it:
   histogram; only when a :class:`~repro.obs.trace.SpanTracer` or a
   :class:`~repro.obs.profile.MemoryProfiler` is attached does it also open
   a span and take a (sampled) memory reading;
-* **spans** — session ``check``/``pop`` and coordinator solves open spans
-  with :meth:`Observer.span`; closed spans also reach the attached
+* **spans** — session ``check`` and ``pop`` open spans with
+  :meth:`Observer.span`; closed spans also reach the attached
   :class:`~repro.obs.recorder.FlightRecorder`;
 * **events** — typed :mod:`repro.obs.events` are published to subscribed
   sinks (``--verbose``, ``--progress`` rendering, the flight recorder);
@@ -176,7 +176,8 @@ class Observer:
         """Report liveness to the progress monitor (a no-op without one).
 
         ``stats`` fills the heartbeat's loop counters (Boolean queries,
-        blocking clauses, presolve units); ``gauges`` carries the rest.
+        blocking clauses, presolve units); ``gauges`` carries the rest
+        (the loop iteration).
         """
         progress = self.progress
         if progress is None:

@@ -5,8 +5,7 @@ typed events to the event taxonomy and a small state machine emitting them:
 
 * :class:`ProgressSnapshot` — a periodic heartbeat carrying the counters a
   human watches while waiting: Boolean queries done, blocking clauses
-  learned, presolve units, the current stage, and (for parallel solves)
-  the cube queue depth and lemmas shared so far.
+  learned, presolve units and the current stage.
 * :class:`StageStalled` — the watchdog's alarm: no progress tick arrived
   for longer than the configured budget, i.e. the named stage is sitting
   inside one long backend call.
@@ -16,7 +15,7 @@ typed events to the event taxonomy and a small state machine emitting them:
 :meth:`Observer.tick <repro.obs.observer.Observer.tick>` calls from the hot
 loop — :meth:`repro.core.pipeline.SolvePipeline.run_query` ticks once per
 control-loop iteration (the same cadence as the ``poll`` cancellation
-hook) and the parallel coordinator ticks from its collect loop.  The
+hook).  The
 *first* tick always emits a snapshot (so even sub-interval solves produce
 at least one heartbeat); later ticks emit at most one snapshot per
 ``interval`` seconds.  Stalls are detected two ways: at tick
@@ -43,11 +42,7 @@ __all__ = ["ProgressSnapshot", "StageStalled", "ProgressMonitor", "ProgressRende
 
 @dataclass(frozen=True)
 class ProgressSnapshot(SolveEvent):
-    """Periodic heartbeat: where the solve is and how much it has done.
-
-    ``cube_queue_depth`` and ``lemmas_shared`` are zero for in-process
-    solves; the parallel coordinator fills them from its collect loop.
-    """
+    """Periodic heartbeat: where the solve is and how much it has done."""
 
     elapsed: float
     stage: str
@@ -55,8 +50,6 @@ class ProgressSnapshot(SolveEvent):
     boolean_queries: int
     blocking_clauses: int
     presolve_units: int
-    cube_queue_depth: int
-    lemmas_shared: int
 
     legacy_name = "progress"
 
@@ -120,8 +113,6 @@ class ProgressMonitor:
         boolean_queries: int = 0,
         blocking_clauses: int = 0,
         presolve_units: int = 0,
-        cube_queue_depth: int = 0,
-        lemmas_shared: int = 0,
     ) -> None:
         """Report liveness from the solve loop; emits at most one snapshot
         per :attr:`interval` (the first tick always emits)."""
@@ -150,8 +141,6 @@ class ProgressMonitor:
                     boolean_queries=boolean_queries,
                     blocking_clauses=blocking_clauses,
                     presolve_units=presolve_units,
-                    cube_queue_depth=cube_queue_depth,
-                    lemmas_shared=lemmas_shared,
                 )
             )
 
@@ -224,8 +213,7 @@ class ProgressRenderer:
                 f"[progress +{event.elapsed:.1f}s] stage={event.stage} "
                 f"iter={event.iteration} boolean={event.boolean_queries} "
                 f"blocked={event.blocking_clauses} "
-                f"presolve_units={event.presolve_units} "
-                f"queue={event.cube_queue_depth} lemmas={event.lemmas_shared}"
+                f"presolve_units={event.presolve_units}"
             )
         else:
             line = (

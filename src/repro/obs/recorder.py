@@ -8,9 +8,9 @@ event and every closed span, keeping only the most recent
 costs one dict append per event, and memory never grows past the ring, no
 matter how long the solve runs.
 
-On demand — an exception, a parallel timeout, or an explicit
-``--flight-record`` request — :meth:`dump_jsonl` writes a post-mortem as
-JSONL, one JSON object per line:
+On demand — an exception or an explicit ``--flight-record`` request —
+:meth:`dump_jsonl` writes a post-mortem as JSONL, one JSON object per
+line:
 
 1. a ``flight-header`` line (schema version, reason, pid, totals);
 2. the retained ring entries in order (``event`` / ``span`` / ``note``
@@ -20,10 +20,7 @@ JSONL, one JSON object per line:
 4. an ``active-spans`` line listing every span still open at dump time —
    the live "stack trace" of where the solve was stuck.
 
-Parallel workers each run their own recorder; their :meth:`snapshot_lines`
-lists travel back in :attr:`repro.parallel.tasks.WorkerOutcome.observed`
-and the coordinator merges them (each worker line tagged with its worker
-and task ids) into one dump file.  See ``docs/OBSERVABILITY.md``.
+See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -32,19 +29,12 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Dict, IO, Iterable, List, Union
+from typing import Any, Dict, IO, List, Union
 
 from .events import SolveEvent
 from .trace import write_text
 
-__all__ = ["FlightRecorder", "write_jsonl"]
-
-
-def write_jsonl(target: Union[str, IO[str]], lines: Iterable[Dict[str, Any]]) -> None:
-    """Write dump lines as JSONL: one sorted-key JSON object per line."""
-    write_text(
-        target, "".join(json.dumps(line, sort_keys=True, default=str) + "\n" for line in lines)
-    )
+__all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
@@ -56,7 +46,7 @@ class FlightRecorder:
 
     #: Default ring size.  512 entries cover the tail of any realistic
     #: stall (the control loop emits a handful of entries per iteration)
-    #: while keeping worker dumps cheap to pickle back to the coordinator.
+    #: while keeping a dump small.
     DEFAULT_CAPACITY = 512
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = "absolver"):
@@ -127,7 +117,7 @@ class FlightRecorder:
         self._append(entry)
 
     def note(self, name: str, **fields: Any) -> None:
-        """Record a free-form marker (coordinator dispatch, teardown, ...)."""
+        """Record a free-form marker (a phase boundary, a teardown, ...)."""
         entry = dict(fields)
         entry["t"] = time.monotonic() - self._epoch
         entry["kind"] = "note"
@@ -144,11 +134,8 @@ class FlightRecorder:
 
     # -- dumping --------------------------------------------------------
     def snapshot_lines(self, reason: str = "requested") -> List[Dict[str, Any]]:
-        """The dump as a list of JSON-ready dicts (one per JSONL line).
-
-        The list form is what crosses the worker -> coordinator process
-        boundary; :meth:`dump_jsonl` serializes it.
-        """
+        """The dump as a list of JSON-ready dicts (one per JSONL line);
+        :meth:`dump_jsonl` serializes it."""
         lines: List[Dict[str, Any]] = [
             {
                 "kind": "flight-header",
@@ -173,8 +160,15 @@ class FlightRecorder:
     def dump_jsonl(
         self, target: Union[str, IO[str]], reason: str = "requested"
     ) -> None:
-        """Write the post-mortem dump as JSONL (one object per line)."""
-        write_jsonl(target, self.snapshot_lines(reason))
+        """Write the post-mortem dump as JSONL: one sorted-key JSON object
+        per line."""
+        write_text(
+            target,
+            "".join(
+                json.dumps(line, sort_keys=True, default=str) + "\n"
+                for line in self.snapshot_lines(reason)
+            ),
+        )
 
     def __repr__(self) -> str:
         return (

@@ -33,7 +33,7 @@ import threading
 import time
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Span", "SpanTracer", "write_chrome_trace", "write_text"]
+__all__ = ["Span", "SpanTracer", "write_text"]
 
 
 def write_text(target: Union[str, IO[str]], text: str) -> None:
@@ -43,18 +43,6 @@ def write_text(target: Union[str, IO[str]], text: str) -> None:
     else:
         with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
             handle.write(text)
-
-
-def write_chrome_trace(
-    target: Union[str, IO[str]], events: List[Dict[str, Any]], producer: str
-) -> None:
-    """Write ``events`` in the Chrome ``trace_event`` JSON object format."""
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": producer},
-    }
-    write_text(target, json.dumps(payload))
 
 
 class Span:
@@ -262,7 +250,12 @@ class SpanTracer:
 
     def export_chrome(self, target: Union[str, IO[str]]) -> None:
         """Write the Chrome ``trace_event`` JSON object format."""
-        write_chrome_trace(target, self.to_chrome_events(), f"repro.obs {self.process_name}")
+        payload = {
+            "traceEvents": self.to_chrome_events(),
+            "displayTimeUnit": "ms",
+            "otherData": {"producer": f"repro.obs {self.process_name}"},
+        }
+        write_text(target, json.dumps(payload))
 
     def iter_jsonl(self) -> Iterator[str]:
         for span in self.spans:

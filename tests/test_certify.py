@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.benchgen import fischer_unsat_problem, nonlinear_unsat_problem
-from repro.core import ABProblem, ABSolver, ABSolverConfig, parse_constraint
+from repro.benchgen import fischer_unsat_problem, nonlinear_unsat_problem, watertank_unroll_family
+from repro.core import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_constraint
 from repro.core.certify import CertificateError, UnsatCertificate, verify_certificate
 
 
@@ -66,6 +66,50 @@ class TestRecording:
         result = solve_certified(problem, linear="difference")
         assert result.is_unsat
         assert verify_certificate(problem, result.certificate)
+
+
+WATERTANK = watertank_unroll_family(8)
+
+
+class TestCertificatesUnderAssumptions:
+    """A certificate holds the assumptions of its query; a session's also
+    holds the definite lemmas it kept from earlier checks."""
+
+    @pytest.mark.parametrize("linear", ["difference", "simplex"])
+    def test_one_shot_unroll_certificates_verify(self, linear):
+        solver = ABSolver(ABSolverConfig(linear=linear, record_certificate=True))
+        verified = 0
+        for depth in range(1, 9):
+            problem = WATERTANK.problem_at_depth(depth)
+            result = solver.solve(problem, WATERTANK.check_assumptions(depth))
+            if result.is_unsat:
+                assert verify_certificate(problem, result.certificate)
+                verified += 1
+        assert verified == 6
+
+    @pytest.mark.parametrize("linear", ["difference", "simplex"])
+    def test_deepening_session_certificates_verify(self, linear):
+        session = SolverSession(ABSolverConfig(linear=linear, record_certificate=True))
+        WATERTANK.layers[0].apply_to_session(session)
+        verified = 0
+        for depth in range(1, 9):
+            WATERTANK.layers[depth].apply_to_session(session)
+            result = session.check(WATERTANK.check_assumptions(depth))
+            if result.is_unsat:
+                assert verify_certificate(session.problem, result.certificate)
+                verified += 1
+        assert verified == 6
+
+    def test_certificate_without_its_assumptions_is_rejected(self):
+        problem = WATERTANK.problem_at_depth(1)
+        assumptions = WATERTANK.check_assumptions(1)
+        config = ABSolverConfig(linear="difference", record_certificate=True)
+        result = ABSolver(config).solve(problem, assumptions)
+        assert result.is_unsat
+        assert result.certificate.assumptions == tuple(assumptions)
+        stripped = UnsatCertificate(result.certificate.lemmas)
+        with pytest.raises(CertificateError, match="satisfiable"):
+            verify_certificate(problem, stripped)
 
 
 class TestVerificationRejectsBadCertificates:

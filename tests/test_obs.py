@@ -396,18 +396,17 @@ class TestStatsFacade:
         """Regression: a counter only one side set used to vanish on merge
         when it sat outside the historical counter tuple."""
         a, b = SolveStatistics(), SolveStatistics()
-        b.parallel_tasks += 4
+        b.lemmas_imported += 4
         a.merge(b)
-        assert a.parallel_tasks == 4
-        assert a.as_dict()["parallel_tasks"] == 4
+        assert a.lemmas_imported == 4
+        assert a.as_dict()["lemmas_imported"] == 4
         a.merge(b)
-        assert a.parallel_tasks == 8
+        assert a.lemmas_imported == 8
 
     def test_pickle_round_trip_keeps_counters_and_histograms(self):
-        """Workers send their statistics home pickled (WorkerOutcome.stats)."""
         stats = SolveStatistics()
         stats.boolean_queries = 7
-        stats.lemmas_shared = 2
+        stats.lemmas_imported = 2
         for _ in range(3):
             with stats.timed("linear"):
                 pass
@@ -708,15 +707,13 @@ class TestProgress:
                 boolean_queries=9,
                 blocking_clauses=4,
                 presolve_units=2,
-                cube_queue_depth=3,
-                lemmas_shared=1,
             )
         )
         renderer(StageStalled(stage="nonlinear", stalled_for=31.0, budget=30.0))
         lines = stream.getvalue().splitlines()
         assert lines[0] == (
             "[progress +1.5s] stage=linear iter=7 boolean=9 blocked=4 "
-            "presolve_units=2 queue=3 lemmas=1"
+            "presolve_units=2"
         )
         assert lines[1] == (
             "[stalled] stage=nonlinear no progress for 31.0s (budget 30.0s)"

@@ -6,8 +6,7 @@ constraints, so turning the stage on must never change a verdict, a model's
 validity, or an all-models set — only how fast the loop gets there.
 
 * verdict + model agreement with/without presolve on 55 random problems
-  (the ``test_parallel_agreement`` corpus: 30 unconstrained random linear
-  + 25 planted-SAT instances);
+  (30 unconstrained random linear + 25 planted-SAT instances);
 * all-models *set* equality with/without presolve;
 * strict-vs-nonstrict bound edge cases (``x > 1`` vs ``x >= 1`` against
   ``x <= 1``), exercised end-to-end and on the store directly;
@@ -453,8 +452,8 @@ class TestUnitsAndCounters:
 
     def test_interval_refuter_off_disables_nonlinear_deduction(self):
         # With the refuter disabled the stage must not use interval
-        # arithmetic at all (TestUnknownAgreement in the parallel suite
-        # relies on x*x + y*y <= -1 staying UNKNOWN).
+        # arithmetic at all: x*x + y*y <= -1 stays UNKNOWN, the honest
+        # answer of the local search alone.
         problem = ABProblem()
         problem.define(1, "real", parse_constraint("x * x + y * y <= -1"))
         problem.add_clause([1])

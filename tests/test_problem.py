@@ -1,8 +1,10 @@
-"""Tests for the ABProblem container and model checking."""
+"""Tests for the ABProblem container, model checking and pickling."""
+
+import pickle
 
 import pytest
 
-from repro.core import parse_constraint
+from repro.core import ABSolver, parse_constraint
 from repro.core.expr import Constraint
 from repro.core.problem import ABProblem, Definition
 
@@ -127,3 +129,32 @@ class TestCheckModel:
         monkeypatch.setattr(Constraint, "evaluate", broken)
         with pytest.raises(RuntimeError):
             problem.check_model({1: True}, {"x": 1.0})
+
+
+def small_problem() -> ABProblem:
+    problem = ABProblem()
+    problem.define(1, "real", parse_constraint("x + y <= 4"))
+    problem.define(2, "real", parse_constraint("x - y >= 1"))
+    problem.define(3, "real", parse_constraint("x >= 2.5"))
+    problem.add_clause([1])
+    problem.add_clause([2, 3])
+    return problem
+
+
+class TestPickleProtocol:
+    def test_problem_round_trip(self):
+        problem = small_problem()
+        clone = pickle.loads(pickle.dumps(problem))
+        assert clone.cnf.clauses == problem.cnf.clauses
+        assert set(clone.definitions) == set(problem.definitions)
+        for var in problem.definitions:
+            original = problem.definitions[var].constraint
+            copied = clone.definitions[var].constraint
+            assert str(copied) == str(original)
+
+    def test_model_round_trip(self):
+        result = ABSolver().solve(small_problem())
+        assert result.is_sat
+        clone = pickle.loads(pickle.dumps(result.model))
+        assert clone == result.model
+        assert hash(clone) == hash(result.model)

@@ -41,12 +41,14 @@ class TestDefaults:
         registered = default_registry.is_registered(DOMAIN_NONLINEAR, "scipy-slsqp")
         assert registered == scipy_available()
 
-    def test_importing_the_package_does_not_import_scipy(self):
-        """scipy is imported only when the SLSQP backend runs."""
+    @pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+    def test_importing_the_package_does_not_import(self, module):
+        """scipy is imported only when the SLSQP backend runs; every solve
+        runs in one process, so nothing loads ``multiprocessing``."""
         script = (
             "import sys\n"
             "import repro, repro.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            f"print(sorted(m for m in sys.modules if m == {module!r} or m.startswith({module + '.'!r})))\n"
         )
         source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ, PYTHONPATH=source)

@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 from repro import ABProblem, ABSolver, ABSolverConfig, SolverSession, parse_constraint
-from repro.benchgen import watertank_unroll_family
+from repro.benchgen import fischer_unroll_family, watertank_unroll_family
 from repro.benchgen.randgen import planted_problem, random_linear_problem
 from repro.cli import main
 from repro.core.registry import DOMAIN_BOOLEAN, default_registry
@@ -452,6 +452,56 @@ class TestImportLemmas:
         assert session.check([4]).is_unsat
         session.pop()
         assert session.check([4]).is_sat
+
+
+def _conflicted() -> ABProblem:
+    """``x >= 0``, ``x <= 10`` and ``x >= 20``, all forced: one theory conflict."""
+    problem = ABProblem()
+    problem.define(1, "real", parse_constraint("x >= 0"))
+    problem.define(2, "real", parse_constraint("x <= 10"))
+    problem.define(3, "real", parse_constraint("x >= 20"))
+    for var in (1, 2, 3):
+        problem.add_clause([var])
+    return problem
+
+
+def _derived_lemmas():
+    """The definite lemmas one session derives while refuting ``_conflicted``."""
+    derived = []
+    # Presolve would prove this UNSAT before any lemma is derived; disable
+    # it so the producer actually hits the theory conflict.
+    producer = SolverSession(ABSolverConfig(use_presolve=False))
+    producer.lemma_listener = (
+        lambda clause, definite: derived.append(clause) if definite else None
+    )
+    producer.assert_problem(_conflicted())
+    assert producer.check().is_unsat
+    assert derived
+    return derived
+
+
+class TestMemoization:
+    def test_bound_rows_cache_hits(self):
+        family = fischer_unroll_family(3)
+        solver = ABSolver(ABSolverConfig())
+        result = solver.solve(
+            family.problem_at_depth(3), assumptions=family.check_assumptions(3)
+        )
+        assert result.is_sat
+        assert solver.stats.bound_rows_cache_hits > 0
+
+    def test_imported_lemmas_preempt_the_conflict(self):
+        # A definite lemma derived by one session and imported into another
+        # rules out the conflicting candidate before any theory check: no
+        # linear check, no duplicate IIS refinement.
+        derived = _derived_lemmas()
+        consumer = SolverSession(ABSolverConfig(use_presolve=False))
+        consumer.assert_problem(_conflicted())
+        assert consumer.import_lemmas(derived) == len(derived)
+        result = consumer.check()
+        assert result.is_unsat
+        assert consumer.stats.linear_checks == 0
+        assert consumer.stats.conflicts_refined == 0
 
 
 class TestOneShotParity:

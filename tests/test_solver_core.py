@@ -11,6 +11,7 @@ from repro.core import (
     ABStatus,
     parse_constraint,
 )
+from repro.benchgen.randgen import random_linear_problem
 from repro.core.interface import CDCLBooleanAdapter
 from repro.core.registry import default_registry
 from repro.sat.cnf import CNF
@@ -356,6 +357,27 @@ class TestAllSolutions:
         solver = ABSolver(config)
         assert len(list(solver.all_solutions(problem))) == 3
         assert solver.stats.clauses_reduced > 0
+
+
+class TestSeedDeterminism:
+    def test_same_seed_identical_statistics(self):
+        problem = random_linear_problem(11)
+
+        def counters(seed):
+            solver = ABSolver(ABSolverConfig(boolean_options={"seed": seed}))
+            solver.solve(problem)
+            return {
+                key: value
+                for key, value in solver.stats.as_dict().items()
+                # Wall-clock and intern-table hits measure the process
+                # environment, not the seeded search: the first run
+                # populates the global hash-cons table, so an identical
+                # second run hits entries the first one created.
+                if not key.startswith("time_") and key != "intern_hits"
+            }
+
+        assert counters(7) == counters(7)
+        assert counters(123) == counters(123)
 
 
 class TestConfig:
