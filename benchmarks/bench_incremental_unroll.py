@@ -39,10 +39,11 @@ sweep over the Table 1 nonlinear micro-benchmarks
 (:data:`repro.benchgen.nonlinear_micro.MICRO_BENCHMARKS`) plus one
 instance of this bench's own is merged into the record, so
 ``nonlinear_calls`` and ``interval_refutations`` are exercised and
-asserted nonzero.  Table 1's UNSAT row is settled by stage 0's interval
-contraction before the refuter runs, so the refuter's instance is
-``annulus_product``: ``1 <= x*x + y*y <= 4`` and ``x*y >= 2.5``, UNSAT
-because ``2xy <= x*x + y*y <= 4``.  Contraction alone cannot see that;
+asserted nonzero.  Table 1's UNSAT row is settled by one interval
+contraction (the nonlinear branch probe, before any local search), so
+the instance that needs the full refuter is ``annulus_product``:
+``1 <= x*x + y*y <= 4`` and ``x*y >= 2.5``, UNSAT because
+``2xy <= x*x + y*y <= 4``.  Contraction alone cannot see that;
 branch-and-prune can.
 
 Environment knobs:

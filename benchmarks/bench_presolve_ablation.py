@@ -1,11 +1,11 @@
 """Ablation — the formula-level presolve stage, on vs off.
 
-One switch (``ABSolverConfig(use_presolve=...)`` / ``--no-presolve``)
-toggles stage 0 of the pipeline: Boolean unit propagation over the mirror
-CNF, bound propagation to fixpoint through every forced linear row, one
-interval-contraction pass over the nonlinear definitions, and unit
-deduction for definitions the tightened box already decides.  This bench
-measures what that buys on three workloads:
+One opt-in switch (``ABSolverConfig(use_presolve=...)``, off by default)
+toggles stage 0 of the pipeline: Boolean unit propagation
+over the mirror CNF, bound propagation to fixpoint through every forced
+linear row, one interval-contraction pass over the nonlinear definitions,
+and unit deduction for definitions the tightened box already decides.
+This bench measures what that buys on three workloads:
 
 * **fischer** — process-unroll sweep of the mutual-exclusion protocol
   (difference logic; mostly SAT depths, little for presolve to deduce);

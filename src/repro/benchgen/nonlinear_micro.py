@@ -10,9 +10,10 @@ Three small instances exercising the nonlinear pipeline:
 * ``nonlinear_unsat`` — two nonlinear constraints whose conjunction is
   infeasible (``x * x + y * y < 1`` and ``(x + y) * (x + y) > 8``); the
   correct answer is UNSAT, which needs interval reasoning (a local NLP
-  solver alone can never conclude it).  Stage 0's interval contraction
-  settles it: the first constraint bounds ``x + y`` to ``[-2, 2]``, whose
-  square is at most 4.  MathSAT/CVC-Lite-style solvers reject the instance.
+  solver alone can never conclude it).  One interval contraction settles
+  it — the nonlinear branch probe's, before any local search: the first
+  constraint bounds ``x + y`` to ``[-2, 2]``, whose square is at most 4.
+  MathSAT/CVC-Lite-style solvers reject the instance.
 * ``div_operator`` — 4 linear range constraints plus one constraint using
   the division operator (the paper highlights that adding ``/`` took
   "less than an hour of programming effort").

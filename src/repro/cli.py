@@ -118,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable IIS conflict refinement (block full assignments)",
     )
-    parser.add_argument(
-        "--no-presolve",
-        action="store_true",
-        help="disable the formula-level presolve stage (bound propagation, "
-        "interval contraction, unit deduction)",
-    )
     parser.add_argument("--stats", action="store_true", help="print solver statistics")
     parser.add_argument(
         "--stats-json",
@@ -278,7 +272,7 @@ def _build_observer(args):
     from .obs.trace import SpanTracer
 
     observer = Observer(
-        tracer=SpanTracer(process_name="absolver")
+        tracer=SpanTracer()
         if args.trace or args.trace_chrome or args.flight_record
         else None,
         profiler=MemoryProfiler() if args.profile_memory else None,
@@ -357,7 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         linear=args.linear,
         nonlinear=nonlinear,
         refine_conflicts=not args.no_refine,
-        use_presolve=not args.no_presolve,
         clause_decay=args.clause_decay,
         reduce_interval=args.reduce_interval,
         verdict_cache=verdict_cache,

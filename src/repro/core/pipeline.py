@@ -14,7 +14,8 @@ each timed under its ``name``:
 * :class:`NonlinearCheckStage` — route surviving candidates through the
   configured nonlinear solver list;
 * :class:`ConflictRefinementStage` — explain failures (IIS refinement,
-  interval refutation) as blocking clauses.
+  interval refutation, including a one-box probe of each nonlinear branch
+  before its local search) as blocking clauses.
 
 :class:`SolvePipeline` wires the stages into the classic lazy-SMT loop.  It
 is deliberately *query-scoped but state-persistent*: running a second query
@@ -47,8 +48,8 @@ from typing import (
 
 from ..linear.lp import LinearConstraint, LinearSystem
 from ..linear.simplex import LPResult, LPStatus
-from ..nonlinear.auglag import NLPStatus
-from ..nonlinear.refute import IntervalRefuter, RefuteStatus
+from ..nonlinear.auglag import Bounds, NLPStatus
+from ..nonlinear.refute import IntervalRefuter, RefuteResult, RefuteStatus
 from ..obs.events import (
     BlockingClauseAdded,
     CandidateFound,
@@ -98,6 +99,11 @@ __all__ = [
 #: the ``seed``, ``clause_decay``, ``reduce_interval`` and
 #: ``restart_base`` options.
 CDCL_FAMILY = ("cdcl", "lsat")
+
+#: Boxes the branch probe explores before the local search: the root box
+#: alone, that is one HC4 contraction and the three-valued check on it.
+#: A larger budget spends its boxes on satisfiable branches.
+PROBE_BOXES = 1
 
 #: A lemma callback: receives the blocking clause and whether the conflict
 #: was definite, and returns the clause that should actually reach the
@@ -448,31 +454,24 @@ class NonlinearCheckStage:
 
     def search(
         self,
-        problem: ABProblem,
         branch: Sequence[BranchItem],
         domains: Mapping[str, str],
         hint: Mapping[str, float],
+        bounds: Bounds,
     ) -> Optional[Dict[str, float]]:
-        """Find a theory point satisfying the whole branch, or None."""
+        """Find a theory point satisfying the whole branch in ``bounds``, or None."""
         pipeline = self._pipeline
         stats = pipeline.stats
         observer = pipeline.observer
         all_constraints = [item.constraint for item in branch]
         hints = [dict(hint)]
-        store = pipeline.presolve.active_store()
-        declared = (
-            store.float_box(problem.bounds) if store is not None else problem.bounds
-        )
-        bounds = problem.effective_bounds()
         for solver in self._chain:
             if not solver.applicable(all_constraints):
                 continue
             with pipeline.stage(
                 self.name, backend=solver.name, constraints=len(all_constraints)
             ):
-                nlp = solver.solve(
-                    all_constraints, bounds=declared or bounds, hints=hints
-                )
+                nlp = solver.solve(all_constraints, bounds=bounds, hints=hints)
             stats.nonlinear_calls += 1
             if nlp.status is NLPStatus.SAT and _integral_ok(
                 nlp.point, domains, self._tolerance
@@ -491,9 +490,10 @@ class ConflictRefinementStage:
     """Stage 5: explain a failed branch as a (small) blocking clause.
 
     Linear conflicts go through the LP adapter's IIS refinement; nonlinear
-    candidates that local search could not settle are attacked with the
-    interval branch-and-prune refuter, whose success certifies the conflict
-    (and whose failure marks the query incomplete).
+    branches meet the interval branch-and-prune refuter twice: with a
+    one-box budget before the local search (the probe), and in full when
+    the search finds no point.  A refutation certifies the conflict; a
+    failure of both marks the query incomplete.
     """
 
     name = "refine"
@@ -529,24 +529,23 @@ class ConflictRefinementStage:
         return refinement
 
     def refute_interval(
-        self, problem: ABProblem, branch: Sequence[BranchItem]
-    ) -> Tuple[bool, List[int]]:
+        self,
+        branch: Sequence[BranchItem],
+        box: Bounds,
+        max_boxes: Optional[int] = None,
+    ) -> Optional[RefuteResult]:
         """Try to certify infeasibility of the branch over interval boxes.
 
-        Variables with declared bounds use them; undeclared variables get an
-        unbounded interval (so a refutation remains globally sound).
+        The search starts from ``box``; a variable without a bound there gets
+        an unbounded interval, so a refutation remains globally sound.
+        ``max_boxes`` caps the boxes explored (``None``: the refuter's own
+        budget).  Returns None when the interval refuter is switched off.
         """
         if not self._use_interval_refuter:
-            return False, []
+            return None
         pipeline = self._pipeline
         constraints = [item.constraint for item in branch]
         variables = sorted({v for c in constraints for v in c.variables()})
-        store = pipeline.presolve.active_store()
-        box = (
-            store.float_box(problem.bounds)
-            if store is not None
-            else problem.bounds
-        )
         bounds: Dict[str, Tuple[float, float]] = {}
         for var in variables:
             low, high = box.get(var, (None, None))
@@ -554,15 +553,14 @@ class ConflictRefinementStage:
                 low if low is not None else -math.inf,
                 high if high is not None else math.inf,
             )
-        refuter = IntervalRefuter()
+        refuter = IntervalRefuter() if max_boxes is None else IntervalRefuter(max_boxes)
         with pipeline.stage(self.name, kind="interval", constraints=len(constraints)):
             result = refuter.refute(constraints, bounds)
         if result.status is RefuteStatus.REFUTED:
             pipeline.stats.interval_refutations += 1
             if pipeline.observer.active:
                 pipeline.observer.publish(IntervalRefuted(branch_size=len(branch)))
-            return True, [item.tag for item in branch]
-        return False, []
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -590,7 +588,7 @@ class SolvePipeline:
         #: :attr:`Observer.active` before building events).
         self.observer = getattr(config, "observer", None) or Observer()
         #: Optional :class:`repro.core.verdict_cache.VerdictCache` consulted
-        #: by :meth:`run_query` before stage 0 and populated on completion.
+        #: by :meth:`run_query` before the solve and populated on completion.
         self.verdict_cache = getattr(config, "verdict_cache", None)
 
         #: The Boolean engine's keyword arguments: ``boolean_options`` over
@@ -735,7 +733,8 @@ class SolvePipeline:
         deadline or cancellation check).
 
         When the config carries a :class:`VerdictCache`, the cache is
-        consulted before stage 0 — keyed on the canonical problem
+        consulted before the solve (and before stage 0, when that runs) —
+        keyed on the canonical problem
         fingerprint plus ``cache_assumptions`` (the user-level literals of
         the query; sessions pass them explicitly so their activation
         literals stay out of the key).  Cached UNSAT verdicts return
@@ -1034,14 +1033,29 @@ class SolvePipeline:
             return TheoryVerdict(True, theory_model=theory_model)
 
         # Nonlinear treatment: the candidate must satisfy the *whole* branch.
+        # The probe contracts the root box once and checks it: that refutes
+        # conflicts like ``nonlinear_unsat`` before any local search, and
+        # otherwise narrows the box the search samples.
+        store = self.presolve.active_store()
+        declared = (
+            store.float_box(problem.bounds) if store is not None else problem.bounds
+        )
+        probe = self.refinement.refute_interval(branch, declared, PROBE_BOXES)
+        if probe is not None and probe.refuted:
+            return TheoryVerdict(False, blocking=[-item.tag for item in branch])
+        box = declared
+        if probe is not None and probe.root_box:
+            box = {**declared, **probe.root_box}
         hint = {var: float(value) for var, value in lp_result.point.items()}
-        point = self.nonlinear.search(problem, branch, domains, hint)
+        point = self.nonlinear.search(
+            branch, domains, hint, box or problem.effective_bounds()
+        )
         if point is not None:
             complete_theory_model(problem, point, domains)
             return TheoryVerdict(True, theory_model=point)
 
         # Local search failed: try to *refute* the branch with intervals.
-        refuted, core_tags = self.refinement.refute_interval(problem, branch)
-        if refuted:
-            return TheoryVerdict(False, blocking=[-t for t in core_tags])
+        result = self.refinement.refute_interval(branch, declared)
+        if result is not None and result.refuted:
+            return TheoryVerdict(False, blocking=[-item.tag for item in branch])
         return TheoryVerdict(False, definite=False)

@@ -1,4 +1,11 @@
-"""Formula-level presolve: stage 0 of the solve pipeline.
+"""Formula-level presolve: the opt-in stage 0 of the solve pipeline.
+
+The stage runs only under ``ABSolverConfig(use_presolve=True)``; the CLI
+never turns it on.  It is off by default: on the paper's workloads it costs
+more than it prunes, and the one conflict it used to settle alone, the
+paper's ``nonlinear_unsat``, is refuted by the nonlinear branch probe
+(one HC4 contraction per branch, :meth:`repro.core.pipeline.SolvePipeline.
+_check_branch`).
 
 Presolve is a formula-level deduction, not an LP-call reduction: the
 CDCL and interval layers both consume what it derives, while the
@@ -642,7 +649,7 @@ class PresolveStage:
     @property
     def enabled(self) -> bool:
         config = self._pipeline.config
-        if not getattr(config, "use_presolve", True):
+        if not config.use_presolve:
             return False
         # Certificates must be re-checkable without trusting the presolver.
         if getattr(config, "record_certificate", False):

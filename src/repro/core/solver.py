@@ -169,8 +169,11 @@ class ABSolverConfig:
         use_presolve: run the formula-level presolve stage
             (:class:`repro.core.presolve.PresolveStage`) before the control
             loop — bound propagation to fixpoint, interval contraction,
-            and unit deduction shared by every downstream stage.  CLI:
-            ``--no-presolve``.  Forced off under ``record_certificate``.
+            and unit deduction shared by every downstream stage.  Off by
+            default: on the paper's workloads it costs more than it
+            prunes, and the one conflict it settled alone is refuted by
+            the nonlinear branch probe.  Forced off under
+            ``record_certificate``.
         record_certificate: record every theory lemma for
             :func:`repro.core.certify.verify_certificate`.
         max_iterations: control-loop iteration cap (then ``UNKNOWN``).
@@ -197,7 +200,7 @@ class ABSolverConfig:
         linear_options: Optional[Dict] = None,
         nonlinear_options: Optional[Dict] = None,
         observer: Optional[object] = None,
-        use_presolve: bool = True,
+        use_presolve: bool = False,
         verdict_cache: Optional[object] = None,
         clause_decay: Optional[float] = None,
         reduce_interval: Optional[int] = None,
@@ -220,13 +223,13 @@ class ABSolverConfig:
         #: stage entry, event and tick of the solve.  ``None`` gives each
         #: pipeline a private observer with no sinks.
         self.observer = observer
-        #: Toggle for the formula-level presolve stage (stage 0 of the
-        #: pipeline).  Certificate recording disables it regardless, so the
-        #: recorded lemma stream stays self-contained.
+        #: Opt-in toggle for the formula-level presolve stage (stage 0 of
+        #: the pipeline).  Certificate recording disables it regardless, so
+        #: the recorded lemma stream stays self-contained.
         self.use_presolve = use_presolve
         #: Optional :class:`repro.core.verdict_cache.VerdictCache`.  When
         #: set, the pipeline consults it (keyed on the canonical problem
-        #: fingerprint plus assumptions) before stage 0 and records
+        #: fingerprint plus assumptions) before the solve and records
         #: completed verdicts, witness models, and definite lemmas on the
         #: way out.  CLI: ``--verdict-cache`` / ``--verdict-cache-dir``.
         self.verdict_cache = verdict_cache

@@ -41,6 +41,32 @@ Bounds = Mapping[str, Tuple[Optional[float], Optional[float]]]
 STRICT_MARGIN = 1e-7
 
 
+#: How far a variable without bounds is sampled from either side of zero.
+DEFAULT_RADIUS = 100.0
+
+
+def resolve_box(
+    variables: Sequence[str], bounds: Optional[Bounds]
+) -> List[Tuple[float, float]]:
+    """The finite sampling box of ``variables`` under ``bounds``.
+
+    A missing end becomes ±100, or lies 100 past the other end when that end
+    is above 0 (below 0 for a missing lower end), so the box is never
+    inverted: ``x >= 200`` samples from [200, 300].
+    """
+    box: List[Tuple[float, float]] = []
+    for var in variables:
+        lo, hi = (None, None)
+        if bounds and var in bounds:
+            lo, hi = bounds[var]
+        if lo is None:
+            lo = -DEFAULT_RADIUS if hi is None else min(-DEFAULT_RADIUS, hi - DEFAULT_RADIUS)
+        if hi is None:
+            hi = max(DEFAULT_RADIUS, lo + DEFAULT_RADIUS)
+        box.append((lo, hi))
+    return box
+
+
 class NLPStatus(enum.Enum):
     """Outcome of a nonlinear feasibility query."""
 
@@ -147,14 +173,14 @@ class AugmentedLagrangianSolver:
         """Search for a point satisfying every constraint.
 
         ``bounds`` supplies the variable box used for sampling start points
-        and projection; unbounded variables sample from [-100, 100].
+        and projection; a missing end is filled by :func:`resolve_box`.
         ``hints`` are extra start points (e.g. the linear solver's model).
         """
         if not constraints:
             return NLPResult(NLPStatus.SAT, {}, residual=0.0, certified=True)
         variables = sorted({name for c in constraints for name in c.variables()})
         residuals = [_compile_constraint(c, variables) for c in constraints]
-        box = self._resolve_box(variables, bounds)
+        box = resolve_box(variables, bounds)
 
         rng = random.Random(self.seed)
         starts: List[np.ndarray] = []
@@ -350,18 +376,6 @@ class AugmentedLagrangianSolver:
     # ------------------------------------------------------------------
     # Sampling and acceptance
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_box(
-        variables: Sequence[str], bounds: Optional[Bounds]
-    ) -> List[Tuple[float, float]]:
-        box: List[Tuple[float, float]] = []
-        for var in variables:
-            lo, hi = (None, None)
-            if bounds and var in bounds:
-                lo, hi = bounds[var]
-            box.append((lo if lo is not None else -100.0, hi if hi is not None else 100.0))
-        return box
-
     @staticmethod
     def _box_center(box: Sequence[Tuple[float, float]]) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in box], dtype=float)

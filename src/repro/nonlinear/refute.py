@@ -9,9 +9,12 @@ false (three-valued interval check).  If every sub-box dies, the constraint
 set is infeasible *over the box*; combined with declared sensor-range bounds
 this is a sound UNSAT verdict.
 
-Stage 0 (:mod:`repro.core.presolve`) runs the same contractor on the whole
-box first and settles conflicts like the paper's ``nonlinear_unsat``; the
-refuter is for conflicts that need splitting, and for certified runs.
+The solve pipeline first runs the refuter on each nonlinear branch with a
+one-box budget, before the local search: one contraction of the root box
+and the three-valued check on it settle conflicts like the paper's
+``nonlinear_unsat``, and otherwise the contracted root box
+(:attr:`RefuteResult.root_box`) becomes the search's box.  The full budget
+is for conflicts that need splitting.
 
 The search is budgeted (depth and box count); exhausting the budget returns
 UNKNOWN, never a wrong answer.
@@ -40,17 +43,24 @@ class RefuteStatus(enum.Enum):
 
 
 class RefuteResult:
-    """Refuter outcome plus diagnostics (boxes explored, witness box)."""
+    """Refuter outcome plus diagnostics (boxes explored, witness box).
+
+    ``root_box`` is the root box after its contraction, as float bounds
+    with ``None`` for an infinite end (the shape the local-search engines
+    take); it is ``None`` when no root box survived its contraction.
+    """
 
     def __init__(
         self,
         status: RefuteStatus,
         boxes_explored: int,
         witness_box: Optional[Dict[str, Interval]] = None,
+        root_box: Optional[Dict[str, Tuple[Optional[float], Optional[float]]]] = None,
     ):
         self.status = status
         self.boxes_explored = boxes_explored
         self.witness_box = witness_box
+        self.root_box = root_box
 
     @property
     def refuted(self) -> bool:
@@ -97,6 +107,7 @@ class IntervalRefuter:
         root = {var: Interval(float(bounds[var][0]), float(bounds[var][1])) for var in variables}
 
         stack: List[Dict[str, Interval]] = [root]
+        root_box = None
         explored = 0
         exhausted = False
         while stack:
@@ -110,11 +121,19 @@ class IntervalRefuter:
                 if contracted is None:
                     continue  # contractor proved the box infeasible
                 box = contracted
+            if explored == 1:
+                root_box = {
+                    var: (
+                        interval.lo if math.isfinite(interval.lo) else None,
+                        interval.hi if math.isfinite(interval.hi) else None,
+                    )
+                    for var, interval in box.items()
+                }
             verdicts = [check_constraint_interval(c, box) for c in simplified]
             if any(v is FF for v in verdicts):
                 continue  # box refuted
             if all(v is TT for v in verdicts):
-                return RefuteResult(RefuteStatus.SAT_BOX, explored, box)
+                return RefuteResult(RefuteStatus.SAT_BOX, explored, box, root_box)
             # Split on the widest variable among the undecided constraints.
             split_var = self._widest_variable(box, simplified, verdicts)
             if split_var is None:
@@ -129,8 +148,8 @@ class IntervalRefuter:
             stack.append(left)
             stack.append(right)
         if exhausted or stack:
-            return RefuteResult(RefuteStatus.UNKNOWN, explored)
-        return RefuteResult(RefuteStatus.REFUTED, explored)
+            return RefuteResult(RefuteStatus.UNKNOWN, explored, root_box=root_box)
+        return RefuteResult(RefuteStatus.REFUTED, explored, root_box=root_box)
 
     def _widest_variable(
         self,

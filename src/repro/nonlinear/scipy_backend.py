@@ -15,12 +15,12 @@ from __future__ import annotations
 import importlib.util
 import math
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.expr import Constraint, EvaluationError, Relation, Sub
-from .auglag import Bounds, NLPResult, NLPStatus, STRICT_MARGIN
+from .auglag import Bounds, NLPResult, NLPStatus, STRICT_MARGIN, resolve_box
 
 __all__ = ["ScipySLSQPSolver", "scipy_available"]
 
@@ -103,12 +103,7 @@ class ScipySLSQPSolver:
                     {"type": "ineq", "fun": make_fun(shifted, 1.0), "jac": make_jac(shifted_grad, 1.0)}
                 )
 
-        box: List[Tuple[float, float]] = []
-        for var in variables:
-            lo, hi = (None, None)
-            if bounds and var in bounds:
-                lo, hi = bounds[var]
-            box.append((lo if lo is not None else -100.0, hi if hi is not None else 100.0))
+        box = resolve_box(variables, bounds)
 
         rng = random.Random(self.seed)
         starts: List[np.ndarray] = []

@@ -13,8 +13,8 @@ On demand — an exception or an explicit ``--flight-record`` request —
 line:
 
 1. a ``flight-header`` line (schema version, reason, pid, totals);
-2. the retained ring entries in order (``event`` / ``span`` / ``note``
-   kinds, each stamped with seconds since the recorder started);
+2. the retained ring entries in order (``event`` / ``span`` kinds, each
+   stamped with seconds since the recorder started);
 3. a ``counters`` line snapshotting the bound
    :class:`~repro.core.stats.SolveStatistics` (counters + stage summaries);
 4. an ``active-spans`` line listing every span still open at dump time —
@@ -49,10 +49,12 @@ class FlightRecorder:
     #: while keeping a dump small.
     DEFAULT_CAPACITY = 512
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = "absolver"):
+    #: The dump header's ``recorder`` value.
+    NAME = "absolver"
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.name = name
         self.capacity = capacity
         self._entries: deque = deque(maxlen=capacity)
         #: Total entries ever recorded (``recorded - len(ring)`` were evicted).
@@ -116,14 +118,6 @@ class FlightRecorder:
             entry["args"] = dict(span.args)
         self._append(entry)
 
-    def note(self, name: str, **fields: Any) -> None:
-        """Record a free-form marker (a phase boundary, a teardown, ...)."""
-        entry = dict(fields)
-        entry["t"] = time.monotonic() - self._epoch
-        entry["kind"] = "note"
-        entry["note"] = name
-        self._append(entry)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -140,7 +134,7 @@ class FlightRecorder:
             {
                 "kind": "flight-header",
                 "schema": self.SCHEMA_VERSION,
-                "recorder": self.name,
+                "recorder": self.NAME,
                 "reason": reason,
                 "pid": os.getpid(),
                 "recorded_unix": time.time(),
@@ -172,6 +166,6 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return (
-            f"FlightRecorder({self.name!r}, {len(self._entries)}/{self.capacity} "
+            f"FlightRecorder({len(self._entries)}/{self.capacity} "
             f"entries, {self.dropped} dropped)"
         )

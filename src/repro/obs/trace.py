@@ -109,8 +109,10 @@ class SpanTracer:
     :class:`~repro.obs.observer.Observer` (``with observer.span(...)``).
     """
 
-    def __init__(self, process_name: str = "absolver"):
-        self.process_name = process_name
+    #: The process name of Chrome exports (their ``process_name`` metadata).
+    PROCESS_NAME = "absolver"
+
+    def __init__(self):
         self.spans: List[Span] = []
         self.instants: List[Span] = []
         self._epoch = time.perf_counter()
@@ -244,7 +246,7 @@ class SpanTracer:
             "pid": pid,
             "tid": 0,
             "ts": 0,
-            "args": {"name": self.process_name},
+            "args": {"name": self.PROCESS_NAME},
         }
         return [metadata] + ordered
 
@@ -253,7 +255,7 @@ class SpanTracer:
         payload = {
             "traceEvents": self.to_chrome_events(),
             "displayTimeUnit": "ms",
-            "otherData": {"producer": f"repro.obs {self.process_name}"},
+            "otherData": {"producer": f"repro.obs {self.PROCESS_NAME}"},
         }
         write_text(target, json.dumps(payload))
 

@@ -243,7 +243,7 @@ def _store_view(store):
 
 
 def _from_empty_view(problem):
-    session = SolverSession()
+    session = SolverSession(ABSolverConfig(use_presolve=True))
     session.assert_problem(problem)
     return _store_view(session.pipeline.presolve.ensure(session.problem))
 
@@ -258,7 +258,7 @@ class TestPresolveSessionMatrix:
     def test_resumed_store_matches_from_empty(self, monkeypatch):
         verdicts = {"sat": 0, "unsat": 0}
         for seed in range(150):
-            session = SolverSession()
+            session = SolverSession(ABSolverConfig(use_presolve=True))
             reference = SolverSession(ABSolverConfig(use_presolve=False))
             for each in (session, reference):
                 each.reserve_variables(32)  # above every scripted definition

@@ -8,6 +8,7 @@ import json
 import pickle
 import subprocess
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.obs.events import (
     FramePopped,
     FramePushed,
     LemmaReused,
+    SolveEvent,
     TheoryFeasible,
     VerboseSink,
     VerdictReached,
@@ -544,7 +546,7 @@ class TestFlightRecorder:
     def test_ring_is_bounded(self):
         recorder = FlightRecorder(capacity=16)
         for index in range(100):
-            recorder.note("tick", index=index)
+            recorder(CandidateFound(iteration=index, defined_true=0))
         assert len(recorder) == 16
         assert recorder.recorded == 100
         assert recorder.dropped == 84
@@ -553,19 +555,19 @@ class TestFlightRecorder:
         assert header["events_recorded"] == 100
         assert header["events_dropped"] == 84
         # Only the newest entries survive, in order.
-        notes = [line for line in lines if line["kind"] == "note"]
-        assert [note["index"] for note in notes] == list(range(84, 100))
+        events = [line for line in lines if line["kind"] == "event"]
+        assert [event["iteration"] for event in events] == list(range(84, 100))
 
     def test_dump_schema(self):
         observer, _ = _traced()
-        recorder = FlightRecorder(name="unit").attach(observer)
+        recorder = FlightRecorder().attach(observer)
         result = ABSolver(ABSolverConfig(observer=observer)).solve(_sat_problem())
         recorder.bind_stats(result.stats)
         lines = self._dump(recorder, reason="unit-test")
         header = lines[0]
         assert header["kind"] == "flight-header"
         assert header["schema"] == FlightRecorder.SCHEMA_VERSION
-        assert header["recorder"] == "unit"
+        assert header["recorder"] == "absolver"
         assert header["reason"] == "unit-test"
         kinds = {line["kind"] for line in lines}
         assert {"flight-header", "event", "span", "counters", "active-spans"} <= kinds
@@ -592,11 +594,17 @@ class TestFlightRecorder:
         assert all(span["age_us"] >= 0 for span in active["spans"])
 
     def test_reserved_keys_survive_field_collisions(self):
+        @dataclass(frozen=True)
+        class Clobbering(SolveEvent):
+            kind: str
+            t: float
+            event: str
+
         recorder = FlightRecorder()
-        recorder.note("marker", kind="check", t=-1, note="clobber")
+        recorder(Clobbering(kind="check", t=-1.0, event="clobber"))
         entry = self._dump(recorder)[1]
-        assert entry["kind"] == "note"
-        assert entry["note"] == "marker"
+        assert entry["kind"] == "event"
+        assert entry["event"] == "Clobbering"
         assert entry["t"] >= 0
 
     def test_detach_stops_recording(self):
@@ -613,12 +621,13 @@ class TestFlightRecorder:
 
     def test_dump_to_path(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.note("only")
+        recorder(VerdictReached(status="unsat", iterations=3))
         target = tmp_path / "flight.jsonl"
         recorder.dump_jsonl(str(target), reason="exception")
         lines = [json.loads(line) for line in target.read_text().splitlines()]
         assert lines[0]["reason"] == "exception"
-        assert lines[1]["note"] == "only"
+        assert lines[1]["event"] == "VerdictReached"
+        assert lines[1]["status"] == "unsat"
 
 
 # ----------------------------------------------------------------------

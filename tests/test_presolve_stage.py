@@ -164,7 +164,7 @@ class TestIncrementalSessions:
         return problem
 
     def test_push_pop_restores_store_exactly(self):
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.assert_problem(self._base_problem())
         assert session.check().is_sat
         stage = session.pipeline.presolve
@@ -185,7 +185,7 @@ class TestIncrementalSessions:
         assert restored.fingerprint() == base_fingerprint
 
     def test_frame_constraint_reaches_store(self):
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.assert_problem(self._base_problem())
         session.push()
         session.assert_constraint(parse_constraint("x >= 4"))
@@ -238,9 +238,9 @@ def store_view(store):
     )
 
 
-def from_empty_store(problem, config=None):
+def from_empty_store(problem):
     """The store a fresh session computes for ``problem``."""
-    session = SolverSession(config)
+    session = SolverSession(ABSolverConfig(use_presolve=True))
     session.assert_problem(problem)
     return session.pipeline.presolve.ensure(session.problem)
 
@@ -276,7 +276,9 @@ class TestResume:
     )
     def test_deepening_sweep_matches_from_empty(self, name, build, units):
         family = build(10)
-        session = SolverSession(ABSolverConfig(linear="difference"))
+        session = SolverSession(
+            ABSolverConfig(linear="difference", use_presolve=True)
+        )
         stage = session.pipeline.presolve
         family.layers[0].apply_to_session(session)
         seen = []
@@ -302,7 +304,7 @@ class TestResume:
 
     def _row_session(self, low):
         """``y >= x`` forced, ``x`` in ``[low, 10]``, ``y`` at most 20."""
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.define(1, "int", parse_constraint("y - x >= 0"))
         session.assert_clause([1])
         session.set_bounds("x", low, 10)
@@ -348,7 +350,7 @@ class TestResume:
         assert store_view(store) == store_view(from_empty_store(session.problem))
 
     def test_clause_asserted_after_a_check_conflicts_in_propagation(self):
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.define(1, "real", parse_constraint("x >= 0"))
         session.assert_clause([1])
         session.assert_clause([-1, 2])
@@ -360,7 +362,7 @@ class TestResume:
 
     def _deduced_session(self):
         """``x <= 50`` (variable 1) is deduced true over ``x`` in [0, 10]."""
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.define(1, "real", parse_constraint("x <= 50"))
         session.define(2, "real", parse_constraint("y <= 3"))
         session.assert_clause([-1, 2])
@@ -393,7 +395,7 @@ class TestResume:
         assert store_view(store) == store_view(from_empty_store(session.problem))
 
     def test_units_sent_once_and_again_after_pop(self):
-        session = SolverSession()
+        session = SolverSession(ABSolverConfig(use_presolve=True))
         session.assert_problem(TestUnitsAndCounters._deduce_problem())
         assert session.check().stats.presolve_units_emitted == 2  # +2, -3
         assert session.check().stats.presolve_units_emitted == 0
@@ -541,7 +543,7 @@ class TestEvents:
         problem.add_clause([1])
         problem.add_clause([2])
         problem.set_bounds("x", -10, 10)
-        result, events = self._collect(problem)
+        result, events = self._collect(problem, use_presolve=True)
         assert result.is_sat
         tightened = [e for e in events if isinstance(e, BoundTightened)]
         fixed = [e for e in events if isinstance(e, PresolveFixedVar)]
@@ -554,7 +556,7 @@ class TestEvents:
         problem.define(2, "real", parse_constraint("x <= 3"))
         problem.add_clause([1])
         problem.add_clause([2])
-        result, events = self._collect(problem)
+        result, events = self._collect(problem, use_presolve=True)
         assert result.is_unsat
         infeasible = [e for e in events if isinstance(e, PresolveInfeasible)]
         assert infeasible and infeasible[0].reason

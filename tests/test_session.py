@@ -255,7 +255,7 @@ class TestClauseIntake:
             contradiction = ABProblem()
             contradiction.add_clause([fresh])
             contradiction.add_clause([-fresh])
-            whole, single = self._pair()
+            whole, single = self._pair(ABSolverConfig(use_presolve=True))
             whole.assert_problem(base)
             single.assert_problem(base)
             assert whole.check().is_sat and single.check().is_sat

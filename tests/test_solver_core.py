@@ -11,9 +11,12 @@ from repro.core import (
     ABStatus,
     parse_constraint,
 )
+from repro.benchgen.nonlinear_micro import div_operator_problem, nonlinear_unsat_problem
 from repro.benchgen.randgen import random_linear_problem
-from repro.core.interface import CDCLBooleanAdapter
+from repro.core.certify import verify_certificate
+from repro.core.interface import AugLagNonlinearAdapter, CDCLBooleanAdapter
 from repro.core.registry import default_registry
+from repro.nonlinear import scipy_available
 from repro.sat.cnf import CNF
 
 
@@ -232,6 +235,70 @@ class TestNonlinear:
         result = solve(problem, use_interval_refuter=False)
         assert result.status is ABStatus.UNKNOWN
         assert "nonlinear" in result.reason
+
+    def test_branch_probe_refutes_before_any_local_search(self):
+        """One contraction of the declared box refutes ``nonlinear_unsat``
+        inside the nonlinear branch check, and its lemma verifies."""
+        problem = nonlinear_unsat_problem()
+        result = solve(problem)
+        assert result.is_unsat
+        assert result.stats.interval_refutations == 1
+        assert result.stats.nonlinear_calls == 0
+        certified = solve(nonlinear_unsat_problem(), record_certificate=True)
+        assert certified.is_unsat
+        assert verify_certificate(problem, certified.certificate)
+
+    @pytest.mark.parametrize("use_presolve", [True, False])
+    def test_contracted_box_reaches_the_local_search(self, use_presolve):
+        """``div_operator`` declares ``[-20, 20]``; its forced ranges put
+        ``x`` and ``y`` in ``[1, 10]``, and the local search samples there
+        with or without stage 0."""
+        seen = []
+
+        class Recording(AugLagNonlinearAdapter):
+            def solve(self, constraints, bounds=None, hints=None):
+                seen.append(dict(bounds))
+                return super().solve(constraints, bounds=bounds, hints=hints)
+
+        registry = default_registry.copy()
+        registry.register("nonlinear", "auglag", Recording)
+        problem = div_operator_problem()
+        assert problem.bounds["x"] == problem.bounds["y"] == (-20.0, 20.0)
+        config = ABSolverConfig(use_presolve=use_presolve)
+        result = ABSolver(config, registry=registry).solve(problem)
+        assert result.is_sat
+        assert seen
+        for bounds in seen:
+            for var in ("x", "y"):
+                low, high = bounds[var]
+                assert 1 <= low <= high <= 10, (var, bounds[var])
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "auglag",
+            pytest.param(
+                "scipy-slsqp",
+                marks=pytest.mark.skipif(
+                    not scipy_available(), reason="scipy not installed"
+                ),
+            ),
+        ],
+    )
+    def test_half_open_box_beyond_the_default_range(self, engine):
+        """The Boolean search chooses ``x >= 200`` and ``x * x >= 40000``;
+        the probe's root box ``(200, None)`` must not become the inverted
+        box (200, 100) in the local search."""
+        problem = ABProblem()
+        problem.define(1, "real", parse_constraint("x >= 200"))
+        problem.define(2, "real", parse_constraint("x * x >= 40000"))
+        problem.define(3, "real", parse_constraint("x * x <= -1"))
+        problem.add_clause([1, 3])
+        problem.add_clause([2, 3])
+        result = solve(problem, nonlinear=(engine,))
+        assert result.is_sat
+        assert result.model.theory["x"] >= 200
+        assert problem.check_model(result.model.boolean, result.model.theory)
 
     def test_mixed_linear_nonlinear(self):
         problem = ABProblem()
