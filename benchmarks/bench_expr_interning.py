@@ -14,7 +14,7 @@ Three measurements, three acceptance gates:
   every depth, so with hash-consing the pickle memo serializes each shared
   subterm once; the payload must shrink by **>= 30%**.
 * **disabled-mode overhead guard** — with interning switched off
-  (``REPRO_EXPR_INTERN=0`` / :func:`set_interning`), the layer must cost
+  (:func:`set_interning`), the layer must cost
   nearly nothing: on an all-distinct construction workload (where
   interning can never hit) the disabled mode must stay within **5%** of
   the enabled mode's wall time.

@@ -18,16 +18,13 @@ solver is quick.  Nonlinear definitions are rejected up front (Table 1).
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 from collections import deque
 
 from ..core.problem import ABProblem
 from ..core.solver import ABModel, ABResult, ABStatus
-from ..core.stats import SolveStatistics
-from ..linear.branch_bound import BranchAndBoundSolver
-from ..linear.lp import LinearConstraint, LinearSystem
-from ..linear.simplex import LPStatus, SimplexSolver
-from .base import BaselineSolver, OutOfMemoryAbort, reject_nonlinear
+from ..sat.dpll import unit_propagate
+from .base import BaselineSolver, OutOfMemoryAbort
 
 __all__ = ["CVCLiteLikeSolver"]
 
@@ -48,15 +45,10 @@ class CVCLiteLikeSolver(BaselineSolver):
     def __init__(self, memory_budget_bytes: int = 8 * 1024 * 1024):
         super().__init__()
         self.memory_budget_bytes = memory_budget_bytes
-        self._simplex = SimplexSolver()
 
     # ------------------------------------------------------------------
     def solve(self, problem: ABProblem) -> ABResult:
-        self.stats = SolveStatistics()
-        reject_nonlinear(problem, self.name)
-        self._problem = problem
-        self._domains = problem.variable_domains()
-        self._clauses = [list(clause) for clause in problem.cnf.clauses]
+        self._start(problem)
         self._eager_integer_split(problem)
 
         frontier: Deque[Dict[int, bool]] = deque([{}])
@@ -65,7 +57,7 @@ class CVCLiteLikeSolver(BaselineSolver):
             frame = frontier.pop()  # depth-first; all sibling frames stay live
             memory_used -= self._frame_cost(frame)
             assignment = dict(frame)
-            if not self._propagate(assignment):
+            if not unit_propagate(self._clauses, assignment):
                 continue
             variable = self._pick_variable(assignment)
             # Validity-checker style: theory literals are asserted eagerly
@@ -136,30 +128,6 @@ class CVCLiteLikeSolver(BaselineSolver):
     def _frame_cost(self, frame: Dict[int, bool]) -> int:
         return _BYTES_PER_LITERAL * (len(frame) + 1)
 
-    def _propagate(self, assignment: Dict[int, bool]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in self._clauses:
-                unassigned: List[int] = []
-                satisfied = False
-                for literal in clause:
-                    value = assignment.get(abs(literal))
-                    if value is None:
-                        unassigned.append(literal)
-                    elif value == (literal > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return False
-                if len(unassigned) == 1:
-                    literal = unassigned[0]
-                    assignment[abs(literal)] = literal > 0
-                    changed = True
-        return True
-
     def _pick_variable(self, assignment: Dict[int, bool]) -> Optional[int]:
         for clause in self._clauses:
             if any(assignment.get(abs(l)) == (l > 0) for l in clause):
@@ -174,66 +142,3 @@ class CVCLiteLikeSolver(BaselineSolver):
             if var not in assignment:
                 return var
         return None
-
-    # ------------------------------------------------------------------
-    def _theory_check(
-        self, assignment: Dict[int, bool], final: bool
-    ) -> Tuple[bool, Optional[Dict[str, float]]]:
-        """Assert the theory literals of (possibly partial) ``assignment``.
-
-        Partial frames check the real relaxation only; complete ones also
-        enforce integrality via branch-and-bound.
-        """
-        rows: List[LinearConstraint] = []
-        splits: List[List[LinearConstraint]] = []
-        for var, definition in self._problem.definitions.items():
-            phase = assignment.get(var, False if final else None)
-            if phase is None:
-                continue
-            if phase:
-                rows.append(LinearConstraint.from_constraint(definition.constraint, tag=var))
-            else:
-                alternatives = [
-                    LinearConstraint.from_constraint(alt, tag=-var)
-                    for alt in definition.constraint.negated_alternatives()
-                ]
-                if len(alternatives) == 1:
-                    rows.append(alternatives[0])
-                else:
-                    splits.append(alternatives)
-        from fractions import Fraction
-
-        from ..core.expr import Relation
-
-        for var, (low, high) in self._problem.bounds.items():
-            if low is not None:
-                rows.append(
-                    LinearConstraint({var: Fraction(1)}, Relation.GE, Fraction(low).limit_denominator(10**9))
-                )
-            if high is not None:
-                rows.append(
-                    LinearConstraint({var: Fraction(1)}, Relation.LE, Fraction(high).limit_denominator(10**9))
-                )
-
-        def check(with_rows: List[LinearConstraint]):
-            system = LinearSystem(with_rows, dict(self._domains))
-            self.stats.linear_checks += 1
-            with self.stats.timed("linear"):
-                if final and system.integer_variables():
-                    result = BranchAndBoundSolver(simplex=self._simplex).check(system)
-                else:
-                    result = self._simplex.check(system)
-            if result.status is not LPStatus.FEASIBLE:
-                return False, None
-            return True, {v: float(value) for v, value in result.point.items()}
-
-        def descend(index: int, acc: List[LinearConstraint]):
-            if index == len(splits):
-                return check(acc)
-            for option in splits[index]:
-                feasible, theory = descend(index + 1, acc + [option])
-                if feasible:
-                    return feasible, theory
-            return False, None
-
-        return descend(0, rows)

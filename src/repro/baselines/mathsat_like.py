@@ -21,15 +21,12 @@ are rejected up front (Table 1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.problem import ABProblem
 from ..core.solver import ABModel, ABResult, ABStatus
-from ..core.stats import SolveStatistics
-from ..linear.branch_bound import BranchAndBoundSolver
-from ..linear.lp import LinearConstraint, LinearSystem
-from ..linear.simplex import LPStatus, SimplexSolver
-from .base import BaselineSolver, reject_nonlinear
+from ..sat.dpll import unit_propagate
+from .base import BaselineSolver, TheoryOutcome
 
 __all__ = ["MathSATLikeSolver"]
 
@@ -61,15 +58,10 @@ class MathSATLikeSolver(BaselineSolver):
         self.early_pruning_interval = early_pruning_interval
         self.max_theory_checks = max_theory_checks
         self.max_decisions = max_decisions
-        self._simplex = SimplexSolver()
 
     # ------------------------------------------------------------------
     def solve(self, problem: ABProblem) -> ABResult:
-        self.stats = SolveStatistics()
-        reject_nonlinear(problem, self.name)
-        self._problem = problem
-        self._domains = problem.variable_domains()
-        self._clauses = [list(clause) for clause in problem.cnf.clauses]
+        self._start(problem)
         self._decisions = 0
         try:
             outcome = self._dpll({}, depth=0)
@@ -87,7 +79,7 @@ class MathSATLikeSolver(BaselineSolver):
         self, assignment: Dict[int, bool], depth: int
     ) -> Optional[Tuple[Dict[int, bool], Dict[str, float]]]:
         assignment = dict(assignment)
-        if not self._propagate(assignment):
+        if not unit_propagate(self._clauses, assignment):
             return None
 
         # Tight integration: consult the linear solver on the partial
@@ -118,30 +110,6 @@ class MathSATLikeSolver(BaselineSolver):
         return None
 
     # ------------------------------------------------------------------
-    def _propagate(self, assignment: Dict[int, bool]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in self._clauses:
-                unassigned: List[int] = []
-                satisfied = False
-                for literal in clause:
-                    value = assignment.get(abs(literal))
-                    if value is None:
-                        unassigned.append(literal)
-                    elif value == (literal > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return False
-                if len(unassigned) == 1:
-                    literal = unassigned[0]
-                    assignment[abs(literal)] = literal > 0
-                    changed = True
-        return True
-
     def _pick_variable(self, assignment: Dict[int, bool]) -> Optional[int]:
         counts: Dict[int, int] = {}
         for clause in self._clauses:
@@ -164,74 +132,8 @@ class MathSATLikeSolver(BaselineSolver):
         return None
 
     # ------------------------------------------------------------------
-    def _theory_check(
-        self, assignment: Dict[int, bool], final: bool
-    ) -> Tuple[bool, Optional[Dict[str, float]]]:
-        """LP consultation.  ``final`` additionally enforces integrality."""
+    def _theory_check(self, assignment: Dict[int, bool], final: bool) -> TheoryOutcome:
+        """Give up once ``max_theory_checks`` LP checks are spent."""
         if self.max_theory_checks is not None and self.stats.linear_checks >= self.max_theory_checks:
             raise _TheoryBudgetExceeded()
-        rows: List[LinearConstraint] = []
-        splits: List[List[LinearConstraint]] = []
-        for var, definition in self._problem.definitions.items():
-            phase = assignment.get(var)
-            if phase is None:
-                continue
-            if phase:
-                rows.append(LinearConstraint.from_constraint(definition.constraint, tag=var))
-            else:
-                alternatives = definition.constraint.negated_alternatives()
-                converted = [
-                    LinearConstraint.from_constraint(alt, tag=-var) for alt in alternatives
-                ]
-                if len(converted) == 1:
-                    rows.append(converted[0])
-                else:
-                    splits.append(converted)
-        bound_rows = self._bound_rows()
-
-        def check(with_rows: List[LinearConstraint]) -> Tuple[bool, Optional[Dict[str, float]]]:
-            system = LinearSystem(with_rows + bound_rows, dict(self._domains))
-            self.stats.linear_checks += 1
-            with self.stats.timed("linear"):
-                if final and system.integer_variables():
-                    result = BranchAndBoundSolver(simplex=self._simplex).check(system)
-                else:
-                    result = self._simplex.check(system)
-            if result.status is not LPStatus.FEASIBLE:
-                return False, None
-            return True, {var: float(value) for var, value in result.point.items()}
-
-        if not splits:
-            return check(rows)
-        # Case-split on negated equalities (DFS, first feasible wins).
-        def descend(index: int, acc: List[LinearConstraint]):
-            if index == len(splits):
-                return check(acc)
-            for option in splits[index]:
-                feasible, theory = descend(index + 1, acc + [option])
-                if feasible:
-                    return feasible, theory
-            return False, None
-
-        return descend(0, rows)
-
-    def _bound_rows(self) -> List[LinearConstraint]:
-        from fractions import Fraction
-
-        from ..core.expr import Relation
-
-        rows: List[LinearConstraint] = []
-        for var, (low, high) in self._problem.bounds.items():
-            if low is not None:
-                rows.append(
-                    LinearConstraint(
-                        {var: Fraction(1)}, Relation.GE, Fraction(low).limit_denominator(10**9)
-                    )
-                )
-            if high is not None:
-                rows.append(
-                    LinearConstraint(
-                        {var: Fraction(1)}, Relation.LE, Fraction(high).limit_denominator(10**9)
-                    )
-                )
-        return rows
+        return super()._theory_check(assignment, final)

@@ -31,10 +31,10 @@ and shared by every occurrence of a subterm.  ``walk()`` and
 (e.g. BMC unrolls that share frame terms) are traversed once per distinct
 subterm instead of once per occurrence.
 
-Interning is on by default; set the environment variable
-``REPRO_EXPR_INTERN=0`` (or call :func:`set_interning`) to fall back to
-plain construction.  Nodes remain fully interoperable across the two modes
-— memoization is per object and never observable through the public API.
+Interning is on from import; :func:`set_interning` switches it off to
+fall back to plain construction.  Nodes remain fully interoperable across
+the two modes — memoization is per object and never observable through
+the public API.
 
 Pickling reconstructs nodes through the interning constructor
 (``__reduce__``), so shared subterms stay shared after a round-trip and
@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import os
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -126,17 +125,8 @@ def _coerce(value: Union["Expr", Number]) -> "Expr":
 # ----------------------------------------------------------------------
 # Hash-consing (interning)
 # ----------------------------------------------------------------------
-def _intern_default() -> bool:
-    return os.environ.get("REPRO_EXPR_INTERN", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 #: One-element cell so the metaclass fast path is a single list index.
-_INTERN_ENABLED: List[bool] = [_intern_default()]
+_INTERN_ENABLED: List[bool] = [True]
 _INTERN_TABLE: Dict[tuple, "Expr"] = {}
 #: Safety valve for pathological workloads: the table is cleared (not
 #: partially evicted — children referenced by keys must stay consistent)
@@ -1193,10 +1183,10 @@ class Constraint:
 
     Like :class:`Expr`, instances are treated as immutable and memoize their
     derived properties (hash, variables, normalized expression, linear form,
-    canonical fingerprint) in write-once cache slots.
+    canonical fingerprint, negation alternatives) in write-once cache slots.
     """
 
-    __slots__ = ("lhs", "relation", "rhs", "_hash", "_vars", "_norm", "_lform", "_digest")
+    __slots__ = ("lhs", "relation", "rhs", "_hash", "_vars", "_norm", "_lform", "_digest", "_negs")
 
     def __init__(self, lhs: Union[Expr, Number], relation: Relation, rhs: Union[Expr, Number]):
         self.lhs = _coerce(lhs)
@@ -1270,20 +1260,25 @@ class Constraint:
             self._digest = cached
         return cached
 
-    def negated_alternatives(self) -> List["Constraint"]:
+    def negated_alternatives(self) -> Tuple["Constraint", ...]:
         """Constraints whose disjunction is the negation of this constraint."""
-        if self.relation is Relation.EQ:
-            return [
-                Constraint(self.lhs, Relation.LT, self.rhs),
-                Constraint(self.lhs, Relation.GT, self.rhs),
-            ]
-        opposite = {
-            Relation.LT: Relation.GE,
-            Relation.LE: Relation.GT,
-            Relation.GT: Relation.LE,
-            Relation.GE: Relation.LT,
-        }[self.relation]
-        return [Constraint(self.lhs, opposite, self.rhs)]
+        cached = getattr(self, "_negs", None)
+        if cached is None:
+            if self.relation is Relation.EQ:
+                cached = (
+                    Constraint(self.lhs, Relation.LT, self.rhs),
+                    Constraint(self.lhs, Relation.GT, self.rhs),
+                )
+            else:
+                opposite = {
+                    Relation.LT: Relation.GE,
+                    Relation.LE: Relation.GT,
+                    Relation.GT: Relation.LE,
+                    Relation.GE: Relation.LT,
+                }[self.relation]
+                cached = (Constraint(self.lhs, opposite, self.rhs),)
+            self._negs = cached
+        return cached
 
     def evaluate(self, env: Mapping[str, Number], tolerance: float = 0.0) -> bool:
         """Check the constraint at a concrete point."""

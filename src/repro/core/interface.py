@@ -37,7 +37,6 @@ __all__ = [
     "DPLLBooleanAdapter",
     "LSATBooleanAdapter",
     "SimplexLinearAdapter",
-    "BranchBoundLinearAdapter",
     "NewtonNonlinearAdapter",
     "AugLagNonlinearAdapter",
     "ScipyNonlinearAdapter",
@@ -425,20 +424,6 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
                 self._failed = None
                 return Refinement(self._cycle_tags(part, result), minimal=True)
         return super().refine(system)
-
-
-class BranchBoundLinearAdapter(SimplexLinearAdapter):
-    """Alias adapter that always routes through branch-and-bound.
-
-    Registered separately so benchmark configurations can name it
-    explicitly; behaviour equals :class:`SimplexLinearAdapter` on systems
-    with integer variables.
-    """
-
-    name = "branch-bound"
-
-    def check(self, system: LinearSystem) -> LPResult:
-        return self._branch_bound.check(system)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from ..linear.branch_bound import BranchAndBoundSolver
 from ..sat.cnf import Assignment
 from .expr import Relation
 from .interface import BooleanSolverInterface, UnsupportedTheoryError
-from .pipeline import complete_theory_model, declared_bound_rows
+from .pipeline import complete_theory_model, declared_bound_rows, plan_branches
 from .problem import ABProblem
 from .registry import DOMAIN_BOOLEAN, SolverRegistry, default_registry
 from .solver import ABModel
@@ -253,26 +253,12 @@ class ABOptimizer:
         self, problem: ABProblem, alpha: Assignment
     ) -> Iterator[List[LinearConstraint]]:
         """All equality-split branches of the assignment's constraint set."""
-        import itertools
-
-        fixed: List[LinearConstraint] = []
-        splits: List[List[LinearConstraint]] = []
-        for var, definition in problem.definitions.items():
-            phase = alpha.get(var, False)
-            if phase:
-                fixed.append(LinearConstraint.from_constraint(definition.constraint, tag=var))
-            else:
-                alternatives = [
-                    LinearConstraint.from_constraint(alt, tag=-var)
-                    for alt in definition.constraint.negated_alternatives()
-                ]
-                if len(alternatives) == 1:
-                    fixed.append(alternatives[0])
-                else:
-                    splits.append(alternatives)
-        if len(splits) > self.max_equality_splits:
+        plan = plan_branches(
+            problem, [var if alpha.get(var, False) else -var for var in problem.definitions]
+        )
+        if len(plan.splits) > self.max_equality_splits:
             raise RuntimeError(
-                f"{len(splits)} simultaneous negated equalities exceed the split budget"
+                f"{len(plan.splits)} simultaneous negated equalities exceed the split budget"
             )
-        for choice in itertools.product(*splits) if splits else [()]:
-            yield fixed + list(choice)
+        for branch in plan.branches():
+            yield [LinearConstraint.from_constraint(item.constraint, tag=item.tag) for item in branch]

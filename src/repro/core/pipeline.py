@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -93,6 +94,7 @@ __all__ = [
     "CDCL_FAMILY",
     "complete_theory_model",
     "declared_bound_rows",
+    "plan_branches",
 ]
 
 #: The Boolean engines built on the CDCL kernel: the only ones that take
@@ -205,6 +207,28 @@ def declared_bound_rows(problem: ABProblem) -> List[LinearConstraint]:
     return rows
 
 
+def plan_branches(problem: ABProblem, literals: Iterable[int]) -> TranslationPlan:
+    """Expand definition literals into fixed items and equality splits.
+
+    A positive literal gives its definition's constraint, a negative one
+    the constraint's negation alternatives: fixed when there is one, a
+    split when there are several.  Every item is tagged with its literal.
+    """
+    definitions = problem.definitions
+    fixed: List[BranchItem] = []
+    splits: List[List[BranchItem]] = []
+    for literal in literals:
+        if literal > 0:
+            fixed.append(BranchItem(definitions[literal].constraint, literal))
+            continue
+        alternatives = definitions[-literal].constraint.negated_alternatives()
+        if len(alternatives) == 1:
+            fixed.append(BranchItem(alternatives[0], literal))
+        else:
+            splits.append([BranchItem(alt, literal) for alt in alternatives])
+    return TranslationPlan(fixed, splits)
+
+
 def _integral_ok(
     point: Mapping[str, float], domains: Mapping[str, str], tolerance: float
 ) -> bool:
@@ -280,17 +304,20 @@ class CandidateGenerationStage:
 class TheoryTranslationStage:
     """Stage 2: Boolean assignment -> theory constraint branches, memoized.
 
-    ``(tag, constraint fingerprint)`` -> :class:`LinearConstraint` (the
-    expensive ``linear_form`` normalization) plus the negation-alternative
-    lists.  Rows are content-addressed via :meth:`Constraint.fingerprint`,
-    so they survive definition retraction/redefinition: a re-pushed
-    definition with the same content hits immediately, while changed
-    content simply keys a new entry.  The bound rows shared by every
-    system are memoized until the bounds or the presolve store change.
+    :meth:`plan` expands the assignment through :func:`plan_branches`.
+    :meth:`materialize` memoizes ``(tag, constraint fingerprint)`` ->
+    :class:`LinearConstraint` (the expensive ``linear_form``
+    normalization).  Rows are content-addressed via
+    :meth:`Constraint.fingerprint`, so they survive definition
+    retraction/redefinition: a re-pushed definition with the same content
+    hits immediately, while changed content simply keys a new entry.
+    Nothing is kept per variable: a redefinition carries a new
+    :class:`Constraint`, which memoizes its own negation alternatives, so
+    a retraction needs no invalidation here.  The bound rows shared by
+    every system are memoized until the bounds or the presolve store
+    change.
 
-    Both survive across queries of a session;
-    :meth:`invalidate_definitions` drops the per-variable alternative
-    lists of retracted definitions.  Each branch's
+    Both caches survive across queries of a session.  Each branch's
     :class:`LinearSystem` is built afresh from the cached rows; handing
     back the same row objects lets each row keep what an engine derived
     from it (its difference-logic edges).  :meth:`materialize` adds its
@@ -305,29 +332,15 @@ class TheoryTranslationStage:
     def __init__(self, pipeline: "SolvePipeline"):
         self._pipeline = weakref.proxy(pipeline)
         self._rows: Dict[object, LinearConstraint] = {}
-        self._alternatives: Dict[int, List[Constraint]] = {}
         self._bound_rows: Optional[List[LinearConstraint]] = None
 
     # -- assignment splitting ------------------------------------------
     def plan(self, problem: ABProblem, alpha: Assignment) -> TranslationPlan:
-        stats = self._pipeline.stats
-        fixed: List[BranchItem] = []
-        splits: List[List[BranchItem]] = []
-        for var, definition in problem.definitions.items():
-            phase = alpha.get(var, False)
-            if phase:
-                fixed.append(BranchItem(definition.constraint, var))
-            else:
-                alternatives = self._alternatives.get(var)
-                if alternatives is None:
-                    alternatives = definition.constraint.negated_alternatives()
-                    self._alternatives[var] = alternatives
-                if len(alternatives) == 1:
-                    fixed.append(BranchItem(alternatives[0], -var))
-                else:
-                    stats.equality_splits += 1
-                    splits.append([BranchItem(alt, -var) for alt in alternatives])
-        return TranslationPlan(fixed, splits)
+        plan = plan_branches(
+            problem, [var if alpha.get(var, False) else -var for var in problem.definitions]
+        )
+        self._pipeline.stats.equality_splits += len(plan.splits)
+        return plan
 
     # -- branch materialization ----------------------------------------
     def materialize(
@@ -381,16 +394,6 @@ class TheoryTranslationStage:
         return rows
 
     # -- invalidation ---------------------------------------------------
-    def invalidate_definitions(self, variables: Sequence[int]) -> None:
-        """Drop per-variable caches of retracted (popped) definitions.
-
-        Translated rows are content-addressed (tag + constraint
-        fingerprint) and stay valid across retraction — a redefinition
-        with different content keys a fresh entry on its own.
-        """
-        for var in variables:
-            self._alternatives.pop(var, None)
-
     def bounds_changed(self) -> None:
         self._bound_rows = None
 
@@ -656,8 +659,9 @@ class SolvePipeline:
         # points are revalidated with exact arithmetic before every reuse, so
         # retracting definitions can only cause a failed validation, never a
         # wrong verdict.  (Clearing them here is why warm_start_hits used to
-        # flatline at 0 across session push/pop sequences.)
-        self.translation.invalidate_definitions(variables)
+        # flatline at 0 across session push/pop sequences.)  Translation
+        # keeps nothing per variable, since a redefinition is a new
+        # Constraint with its own memoized alternatives.
         self.presolve.retract(variables)
         self._blocking_vars = None
 

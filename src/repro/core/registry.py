@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Tuple
 
 from .interface import (
     AugLagNonlinearAdapter,
-    BranchBoundLinearAdapter,
     CDCLBooleanAdapter,
     DifferenceLinearAdapter,
     DPLLBooleanAdapter,
@@ -85,7 +84,6 @@ def _build_default_registry() -> SolverRegistry:
     registry.register(DOMAIN_BOOLEAN, "dpll", DPLLBooleanAdapter)
     registry.register(DOMAIN_BOOLEAN, "lsat", LSATBooleanAdapter)
     registry.register(DOMAIN_LINEAR, "simplex", SimplexLinearAdapter)
-    registry.register(DOMAIN_LINEAR, "branch-bound", BranchBoundLinearAdapter)
     registry.register(DOMAIN_LINEAR, "difference", DifferenceLinearAdapter)
     registry.register(
         DOMAIN_LINEAR,

@@ -159,7 +159,7 @@ class ABSolverConfig:
             ``dpll``, ``lsat``).
         linear: registry name of the linear engine (``simplex``,
             ``simplex-numpy`` — float64 filter with exact certification,
-            ``difference``, ``branch-bound``).
+            ``difference``).
         nonlinear: ordered registry names tried in turn (``newton``,
             ``auglag``, ``scipy-slsqp``).
         refine_conflicts: shrink theory conflicts to an IIS before

@@ -8,7 +8,6 @@ import pytest
 from repro.core.expr import Relation, parse_constraint
 from repro.core.interface import (
     AugLagNonlinearAdapter,
-    BranchBoundLinearAdapter,
     CDCLBooleanAdapter,
     DifferenceLinearAdapter,
     DPLLBooleanAdapter,
@@ -101,7 +100,7 @@ class TestLinearAdapters:
         assert result.point["x"] <= 1 and result.point["y"] >= 7
 
     def test_branch_bound_adapter(self):
-        adapter = BranchBoundLinearAdapter()
+        adapter = SimplexLinearAdapter()
         system = LinearSystem([row("2*x >= 1"), row("2*x <= 3")], {"x": "int"})
         result = adapter.check(system)
         assert result.status is LPStatus.FEASIBLE

@@ -82,7 +82,7 @@ class TestExitCodes:
         assert main([fig2_file, "--nonlinear", "ipopt"]) == 2
 
     def test_alternate_solvers(self, fig2_file):
-        assert main([fig2_file, "--boolean", "lsat", "--linear", "branch-bound"]) == 10
+        assert main([fig2_file, "--boolean", "lsat", "--linear", "difference"]) == 10
 
     def test_no_refine(self, unsat_file):
         assert main([unsat_file, "--no-refine"]) == 20

@@ -29,7 +29,7 @@ class TestDefaults:
 
     def test_builtin_linear_solvers(self):
         names = default_registry.available(DOMAIN_LINEAR)
-        assert names == ["branch-bound", "difference", "simplex", "simplex-numpy"]
+        assert names == ["difference", "simplex", "simplex-numpy"]
 
     def test_builtin_nonlinear_solvers(self):
         names = default_registry.available(DOMAIN_NONLINEAR)

@@ -335,6 +335,21 @@ class TestReuse:
             )
         assert counts == [(8, 7), (13, 7)]
 
+    def test_redefinition_after_pop_expands_the_new_constraint(self):
+        """A variable popped and redefined splits by its new definition,
+        not by the negation alternatives of the retracted one."""
+        session = SolverSession()
+        session.push()
+        session.define(1, "real", parse_constraint("x = 1"))
+        assert session.check([-1]).is_sat
+        assert session.last_stats.equality_splits == 1
+        session.pop()
+        session.push()
+        session.define(1, "real", parse_constraint("x <= 0"))
+        result = session.check([-1])
+        assert result.is_sat and result.model.theory["x"] > 0
+        assert session.last_stats.equality_splits == 0
+
     def test_check_assumptions_toggle_without_popping(self):
         """The waiver-literal BMC idiom: assumptions arm per-depth goals."""
         session = SolverSession()
